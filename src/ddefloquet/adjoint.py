@@ -40,8 +40,14 @@ from .errors import (
     SingularMatrix,
     ZeroPairing,
 )
-from .floquet import FloquetMode, assemble_M, extract_mode, ladder_operators
-from .linalg import determinant, solve_linear
+from .floquet import (
+    FloquetMode,
+    assemble_M,
+    closure_determinant,
+    extract_mode,
+    ladder_operators,
+)
+from .linalg import solve_linear
 from .model import FourierMatrixDensity, build_L
 from .rootfind import _newton, strip_shift
 
@@ -338,8 +344,8 @@ def solve_inhomogeneous(
     d = density.dim
     chi_arr = _forcing_to_array(chi, n_win, d)
 
-    def det_at(z):
-        return complex(determinant(assemble_M(density, z, n_win, depth)))
+    def det_at(lams):
+        return closure_determinant(density, lams, n_win, depth)
 
     root, ok = _newton(det_at, lam, tol=1e-12, max_iter=15)
     if ok and abs(root - lam) <= res_tol:

@@ -72,10 +72,6 @@ class GridTooCoarse(DdeFloquetError):
     """Monodromy eigenvalues did not stabilize under grid refinement."""
 
 
-class NoRootsInBox(DdeFloquetError):
-    """No characteristic roots found inside the requested search box."""
-
-
 class ConfigError(DdeFloquetError):
     """Malformed job configuration or system definition file."""
 

@@ -39,7 +39,7 @@ import numpy as np
 
 from .errors import CfBreakdown, ExponentOverflow, NullSpaceAmbiguous
 from .linalg import determinant
-from .model import FourierMatrixDensity, LMatrixTable, build_L
+from .model import FourierMatrixDensity, LMatrixTable, build_L, table_nbytes
 from .rootfind import (
     DEFAULT_BOX,
     DEFAULT_GRID,
@@ -63,6 +63,13 @@ EXTRA_PASSES = 24
 EARLY_EXIT = 1e-14
 DIVERGENCE_GUARD = 1e12
 
+# why the passes of one lambda stopped short; 0 means they did not
+_SINGULAR, _DIVERGING = 1, 2
+_BREAKDOWN = {
+    _SINGULAR: "singular inversion level",
+    _DIVERGING: "diverging ladder operator",
+}
+
 
 @dataclass(frozen=True)
 class LadderSet:
@@ -70,15 +77,18 @@ class LadderSet:
 
     `ops[m]` is an array of shape (2B+1, d, d) indexed by the source level
     n = -B..B, where B = n_win + depth; operators whose source or target
-    leaves the window are zero.
+    leaves the window are zero.  `passes` is the number of insertion
+    passes actually run.  Built for a 1-D array of lambda, every array
+    (and `passes`) carries a leading lambda axis, and the operators of a
+    lambda whose passes broke down are NaN.
     """
 
-    lam: complex
+    lam: complex | np.ndarray
     n_win: int
     depth: int
     table: LMatrixTable
     ops: dict
-    passes: int
+    passes: int | np.ndarray
 
     @property
     def bound(self) -> int:
@@ -86,17 +96,18 @@ class LadderSet:
 
     def get(self, m: int, n: int) -> np.ndarray:
         d = self.table.dim
+        lead = self.table.entries.shape[:-4]
         if m == 0:
-            return np.eye(d, dtype=complex)
+            return np.broadcast_to(np.eye(d, dtype=complex), lead + (d, d)).copy()
         B = self.bound
         if abs(n) > B or abs(n + m) > B or m not in self.ops:
-            return np.zeros((d, d), dtype=complex)
-        return self.ops[m][n + B]
+            return np.zeros(lead + (d, d), dtype=complex)
+        return self.ops[m][..., n + B, :, :]
 
 
 def ladder_operators(
     density: FourierMatrixDensity,
-    lam: complex,
+    lam,
     n_win: int,
     depth: int,
     passes: int | None = None,
@@ -107,115 +118,171 @@ def ladder_operators(
     operators into all inversion relations simultaneously; the pass budget
     (default window width plus a reserve) is spent unless an update falls
     below roundoff first, so the result is a fixed finite composition of
-    matrix inversions, analytic in lambda.  Raises CfBreakdown when an
-    inversion level is singular or an operator diverges, the signs of
-    lambda sitting at a resonance of the truncated problem.
+    matrix inversions, analytic in lambda.  For a single `lam` a singular
+    inversion level or a diverging operator, the signs of lambda sitting
+    at a resonance of the truncated problem, raises CfBreakdown.  For a
+    1-D array of lambda every value runs its own passes, stops where its
+    own loop would, and a breakdown only marks that value (NaN operators).
     """
-    lam = complex(lam)
     K = density.bandwidth
     d = density.dim
     B = n_win + depth
     n_passes = int(passes) if passes is not None else 2 * B + 1 + EXTRA_PASSES
     table = build_L(density, lam, B)
+    one = np.ndim(table.lam) == 0
+    entries = table.entries[None] if one else table.entries
+    count = entries.shape[0]
     if K == 0:
-        return LadderSet(lam, n_win, depth, table, {}, 0)
+        run = 0 if one else np.zeros(count, dtype=int)
+        return LadderSet(table.lam, n_win, depth, table, {}, run)
 
     width = 2 * B + 1
+    lams = np.reshape(table.lam, -1)
     ident = np.eye(d, dtype=complex)
     m_list = [m for m in range(-K, K + 1) if m != 0]
     m_index = {m: j for j, m in enumerate(m_list)}
     neg_index = np.array([m_index[-m] for m in m_list])
 
-    # a_zero[p] = L_{0,p} - (lam + i p) I; a_stack[j, p] = A_{m_j, p},
+    # a_zero[:, p] = L_{0,p} - (lam + i p) I; a_stack[:, j, p] = A_{m_j, p},
     # zeroed where the coupled source level p - m_j leaves the window
-    a_zero = np.zeros((width, d, d), dtype=complex)
-    a_stack = np.zeros((len(m_list), width, d, d), dtype=complex)
-    for p in range(-B, B + 1):
-        a_zero[p + B] = table.get(0, p) - (lam + 1j * p) * ident
-        for j, k in enumerate(m_list):
-            if abs(p - k) <= B:
-                a_stack[j, p + B] = table.get(k, p - k)
-
-    # rhs_stack[j, n] = L_{m_j, n}; an operator exists only when its
+    p = np.arange(-B, B + 1)
+    a_zero = entries[:, K] - (lams[:, None] + 1j * p)[:, :, None, None] * ident
+    a_stack = np.stack(
+        [_shift_to_target(entries[:, k + K], -k, 0.0) for k in m_list], axis=1
+    )
+    # rhs_stack[:, j, n] = L_{m_j, n}; an operator exists only when its
     # target n + m_j stays inside the window
-    rhs_stack = np.zeros((len(m_list), width, d, d), dtype=complex)
+    rhs_stack = entries[:, [m + K for m in m_list]]
     for j, m in enumerate(m_list):
-        for n in range(-B, B + 1):
-            if abs(n + m) <= B:
-                rhs_stack[j, n + B] = table.get(m, n)
+        if m > 0:
+            rhs_stack[:, j, width - m :] = 0.0
+        else:
+            rhs_stack[:, j, :-m] = 0.0
+    # lambda values the exponent guard rejected never start
+    live = np.isfinite(entries).reshape(count, -1).all(axis=1)
 
     if d == 1:
-        S = _scalar_passes(
-            a_zero[:, 0, 0],
-            a_stack[:, :, 0, 0],
-            rhs_stack[:, :, 0, 0],
+        S, run, cause = _scalar_passes(
+            a_zero[..., 0, 0],
+            a_stack[..., 0, 0],
+            rhs_stack[..., 0, 0],
             m_list,
             neg_index,
-            width,
             n_passes,
-        )[:, :, None, None]
-    else:
-        S = _matrix_passes(
-            a_zero, a_stack, rhs_stack, m_list, neg_index, width, d, n_passes
+            live,
         )
-    ops = {m: S[j] for j, m in enumerate(m_list)}
-    return LadderSet(lam, n_win, depth, table, ops, n_passes)
+        S = S[..., None, None]
+    else:
+        S, run, cause = _matrix_passes(
+            a_zero, a_stack, rhs_stack, m_list, neg_index, n_passes, live
+        )
+    if one:
+        if cause[0]:
+            raise CfBreakdown(_BREAKDOWN[int(cause[0])])
+        return LadderSet(
+            table.lam, n_win, depth, table, {m: S[0, j] for j, m in enumerate(m_list)},
+            int(run[0]),
+        )
+    S[(cause != 0) | ~live] = np.nan
+    return LadderSet(
+        table.lam, n_win, depth, table, {m: S[:, j] for j, m in enumerate(m_list)}, run
+    )
 
 
-def _shift_to_target(excised, m, width, fill):
-    """bracket[n] = excised[n + m] with `fill` where the target leaves."""
+def _shift_to_target(excised, m, fill):
+    """bracket[:, n] = excised[:, n + m] with `fill` where the target leaves."""
+    width = excised.shape[1]
     out = np.empty_like(excised)
     if m > 0:
-        out[: width - m] = excised[m:]
-        out[width - m :] = fill
+        out[:, : width - m] = excised[:, m:]
+        out[:, width - m :] = fill
     else:
-        out[-m:] = excised[:m]
-        out[:-m] = fill
+        out[:, -m:] = excised[:, :m]
+        out[:, :-m] = fill
     return out
 
 
-def _scalar_passes(a_zero, a_stack, rhs_stack, m_list, neg_index, width, n_passes):
-    S = np.zeros((len(m_list), width), dtype=complex)
+def _brackets(a_zero, a_stack, S, m_list, neg_index, matmul, fill):
+    """Excised inversion brackets of every relation, one lambda per row."""
+    prod = a_stack @ S[:, neg_index] if matmul else a_stack * S[:, neg_index]
+    rs = a_zero + prod.sum(axis=1)
     brackets = np.empty_like(S)
-    for _ in range(n_passes):
-        prod = a_stack * S[neg_index]
-        rs = a_zero + prod.sum(axis=0)
-        for j, m in enumerate(m_list):
-            brackets[j] = _shift_to_target(rs - prod[j], m, width, 1.0)
-        if np.any(brackets == 0):
-            raise CfBreakdown("singular inversion level")
-        new = -rhs_stack / brackets
-        if not np.all(np.isfinite(new)) or float(np.max(np.abs(new))) > DIVERGENCE_GUARD:
-            raise CfBreakdown("diverging ladder operator")
-        delta = float(np.max(np.abs(new - S))) / (1.0 + float(np.max(np.abs(new))))
-        S = new
-        if delta <= EARLY_EXIT:
-            break
-    return S
+    for j, m in enumerate(m_list):
+        brackets[:, j] = _shift_to_target(rs - prod[:, j], m, fill)
+    return brackets
 
 
-def _matrix_passes(a_zero, a_stack, rhs_stack, m_list, neg_index, width, d, n_passes):
-    S = np.zeros((len(m_list), width, d, d), dtype=complex)
-    brackets = np.empty_like(S)
+def _run_passes(S, step, n_passes, live):
+    """Insertion passes over a batch of lambda values, one per row of S.
+
+    `step(S_rows, rows)` returns the updated operators of the given rows
+    and a mask of rows whose inversion was singular.  A row stops updating
+    at the pass where its own loop stops: a singular inversion or a
+    diverging operator (recorded in `cause`, the operators left as they
+    were) or an update below roundoff.  Returns (S, passes run, cause).
+    """
+    count = S.shape[0]
+    run = np.zeros(count, dtype=int)
+    cause = np.zeros(count, dtype=int)
+    active = np.flatnonzero(live)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for _ in range(n_passes):
+            if active.size == 0:
+                break
+            old = S[active]
+            new, singular = step(old, active)
+            size = np.abs(new.reshape(active.size, -1)).max(axis=1)
+            finite = np.isfinite(new.reshape(active.size, -1)).all(axis=1)
+            diverging = ~singular & (~finite | (size > DIVERGENCE_GUARD))
+            cause[active[singular]] = _SINGULAR
+            cause[active[diverging]] = _DIVERGING
+            good = ~(singular | diverging)
+            change = np.abs((new - old).reshape(active.size, -1)).max(axis=1)
+            delta = change / (1.0 + size)
+            rows = active[good]
+            S[rows] = new[good]
+            run[rows] += 1
+            active = active[good & ~(delta <= EARLY_EXIT)]
+    return S, run, cause
+
+
+def _scalar_passes(a_zero, a_stack, rhs_stack, m_list, neg_index, n_passes, live):
+    def step(S, rows):
+        brackets = _brackets(
+            a_zero[rows], a_stack[rows], S, m_list, neg_index, False, 1.0
+        )
+        singular = (brackets == 0).reshape(rows.size, -1).any(axis=1)
+        return -rhs_stack[rows] / brackets, singular
+
+    S = np.zeros(rhs_stack.shape, dtype=complex)
+    return _run_passes(S, step, n_passes, live)
+
+
+def _matrix_passes(a_zero, a_stack, rhs_stack, m_list, neg_index, n_passes, live):
+    d = a_zero.shape[-1]
     ident = np.eye(d, dtype=complex)
-    for _ in range(n_passes):
-        prod = a_stack @ S[neg_index]
-        rs = a_zero + prod.sum(axis=0)
-        for j, m in enumerate(m_list):
-            brackets[j] = _shift_to_target(rs - prod[j], m, width, ident)
+
+    def step(S, rows):
+        brackets = _brackets(
+            a_zero[rows], a_stack[rows], S, m_list, neg_index, True, ident
+        )
+        rhs = -rhs_stack[rows]
+        singular = np.zeros(rows.size, dtype=bool)
         try:
-            new = np.linalg.solve(
-                brackets.reshape(-1, d, d), -rhs_stack.reshape(-1, d, d)
-            ).reshape(S.shape)
-        except np.linalg.LinAlgError as exc:
-            raise CfBreakdown("singular inversion level") from exc
-        if not np.all(np.isfinite(new)) or float(np.max(np.abs(new))) > DIVERGENCE_GUARD:
-            raise CfBreakdown("diverging ladder operator")
-        delta = float(np.max(np.abs(new - S))) / (1.0 + float(np.max(np.abs(new))))
-        S = new
-        if delta <= EARLY_EXIT:
-            break
-    return S
+            new = np.linalg.solve(brackets.reshape(-1, d, d), rhs.reshape(-1, d, d))
+        except np.linalg.LinAlgError:
+            # LAPACK reports an exactly singular member only for the whole
+            # stack; find the offending lambda values one by one
+            new = np.full(rhs.shape, np.nan, dtype=complex)
+            for i in range(rows.size):
+                try:
+                    new[i] = np.linalg.solve(brackets[i], rhs[i])
+                except np.linalg.LinAlgError:
+                    singular[i] = True
+        return new.reshape(S.shape), singular
+
+    S = np.zeros(rhs_stack.shape, dtype=complex)
+    return _run_passes(S, step, n_passes, live)
 
 
 def truncated_matrix(table: LMatrixTable, lam: complex, bound: int) -> np.ndarray:
@@ -306,18 +373,22 @@ def _hill_refine(
 
 def assemble_M(
     density: FourierMatrixDensity,
-    lam: complex,
+    lam,
     n_win: int,
     depth: int,
     ladders: LadderSet | None = None,
 ) -> np.ndarray:
-    """Closure matrix M(lambda) = sum_k L_{k,-k} S^{-k}_0 - lambda I."""
-    lam = complex(lam)
+    """Closure matrix M(lambda) = sum_k L_{k,-k} S^{-k}_0 - lambda I.
+
+    For a 1-D array of lambda the result is a stack of matrices, NaN where
+    the ladders broke down or the exponent guard rejected lambda.
+    """
     if ladders is None:
         ladders = ladder_operators(density, lam, n_win, depth)
     table = ladders.table
     d = table.dim
     K = table.bandwidth
+    lam = np.asarray(lam, dtype=complex)[..., None, None]
     m = table.get(0, 0) - lam * np.eye(d, dtype=complex)
     for k in range(-K, K + 1):
         if k == 0:
@@ -326,10 +397,10 @@ def assemble_M(
     return m
 
 
-def closure_determinant(
-    density: FourierMatrixDensity, lam: complex, n_win: int, depth: int
-) -> complex:
-    return complex(determinant(assemble_M(density, lam, n_win, depth)))
+def closure_determinant(density: FourierMatrixDensity, lam, n_win: int, depth: int):
+    """det M(lambda): a complex for one lambda (raising CfBreakdown or
+    ExponentOverflow), an array with NaN at breakdowns for a 1-D array."""
+    return determinant(assemble_M(density, lam, n_win, depth))
 
 
 @dataclass(frozen=True)
@@ -490,7 +561,6 @@ def find_exponents(
     grid=DEFAULT_GRID,
     conv_tol: float = 1e-8,
     check_convergence: bool = True,
-    threads: int | None = None,
     im_pad: float = 1.0,
     mode_tol: float = 1e-2,
     class_tol: float = 1e-4,
@@ -513,8 +583,8 @@ def find_exponents(
     box contained no roots.
     """
 
-    def det_at(lam, nw=n_win, dp=depth):
-        return complex(determinant(assemble_M(density, lam, nw, dp)))
+    def det_at(lams, nw=n_win, dp=depth):
+        return closure_determinant(density, lams, nw, dp)
 
     sb, wide, wide_grid = pad_box_im(box, grid, im_pad)
     bound = n_win + depth
@@ -538,9 +608,9 @@ def find_exponents(
         box=wide,
         grid=wide_grid,
         tol=tol,
-        threads=threads,
         accept=accept,
         refine=refine,
+        point_bytes=table_nbytes(density, bound),
     )
     by_class: dict = {}
     for root, ok in raw:

@@ -1,10 +1,14 @@
-"""Dense complex LU factorization, solves and determinants.
+"""Dense complex LU factorization, solves and determinants over a stack.
 
 All matrices in this package are small (system dimension times a modest
 block width), so a dense LU with partial pivoting is used throughout.  The
 pivot threshold eps_pivot = 1e-13 * max row norm separates a genuinely
 singular elimination step, which signals a continued fraction breakdown,
-from ordinary roundoff.
+from ordinary roundoff.  Every routine works on a stack of matrices (one
+per value of lambda) and applies the threshold to each matrix on its own:
+a singular member is flagged in the returned mask and never aborts the
+stack.  `solve_linear` and `determinant` of a single matrix are the
+one-member case.
 """
 
 from __future__ import annotations
@@ -13,108 +17,124 @@ import numpy as np
 
 from .errors import SingularMatrix
 
-__all__ = ["lu_factor", "solve_linear", "determinant"]
+__all__ = ["solve_batch", "solve_linear", "determinant"]
 
 PIVOT_REL = 1e-13
 
 
-def _as_square(a) -> np.ndarray:
+def _as_stack(a) -> np.ndarray:
     a = np.asarray(a, dtype=complex)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+    if a.ndim not in (2, 3) or a.shape[-1] != a.shape[-2]:
         raise ValueError("matrix must be square")
     return a
 
 
-def lu_factor(a):
-    """LU factorization with partial pivoting.
+def _lu(a: np.ndarray):
+    """LU factorization with partial pivoting of each matrix of a stack.
 
-    Returns (lu, piv, nswaps).  Raises SingularMatrix when a pivot falls
-    below eps_pivot = 1e-13 times the largest row norm of the input.
+    `a` has shape (N, d, d).  Returns (lu, perm, nswaps, ok): `ok[i]` is
+    False when a pivot of matrix i fell below eps_pivot = 1e-13 times its
+    largest row norm; the factors of such a member are meaningless.
     """
-    a = _as_square(a).copy()
-    d = a.shape[0]
-    row_norms = np.abs(a).sum(axis=1)
-    eps_pivot = PIVOT_REL * max(float(row_norms.max()), 1e-300)
-    piv = np.arange(d)
-    nswaps = 0
-    for k in range(d):
-        p = k + int(np.argmax(np.abs(a[k:, k])))
-        if abs(a[p, k]) < eps_pivot:
-            raise SingularMatrix(f"pivot {abs(a[p, k]):.3e} below {eps_pivot:.3e}")
-        if p != k:
-            a[[k, p]] = a[[p, k]]
-            piv[[k, p]] = piv[[p, k]]
-            nswaps += 1
-        a[k + 1 :, k] /= a[k, k]
-        a[k + 1 :, k + 1 :] -= np.outer(a[k + 1 :, k], a[k, k + 1 :])
-    return a, piv, nswaps
+    lu = a.copy()
+    count, d = a.shape[0], a.shape[1]
+    rows = np.arange(count)
+    row_norms = np.abs(a).sum(axis=2).max(axis=1)
+    eps_pivot = PIVOT_REL * np.maximum(row_norms, 1e-300)
+    perm = np.tile(np.arange(d), (count, 1))
+    nswaps = np.zeros(count, dtype=int)
+    ok = np.ones(count, dtype=bool)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for k in range(d):
+            p = k + np.argmax(np.abs(lu[:, k:, k]), axis=1)
+            ok &= ~(np.abs(lu[rows, p, k]) < eps_pivot)
+            top = lu[rows, k].copy()
+            lu[rows, k] = lu[rows, p]
+            lu[rows, p] = top
+            top = perm[rows, k].copy()
+            perm[rows, k] = perm[rows, p]
+            perm[rows, p] = top
+            nswaps += p != k
+            lu[:, k + 1 :, k] /= lu[:, k, k, None]
+            lu[:, k + 1 :, k + 1 :] -= lu[:, k + 1 :, k, None] * lu[:, k, None, k + 1 :]
+    return lu, perm, nswaps, ok
+
+
+def solve_batch(a, b):
+    """Solve a[i] x[i] = b[i] for a stack of complex square matrices.
+
+    `a` has shape (N, d, d) and `b` shape (N, d, r).  Returns (x, ok); the
+    solution of a member whose pivot fell below the threshold is NaN and
+    its `ok` entry is False.
+    """
+    a = np.asarray(a, dtype=complex)
+    b = np.asarray(b, dtype=complex)
+    if a.ndim != 3 or a.shape[1] != a.shape[2]:
+        raise ValueError("matrix stack must have shape (N, d, d)")
+    if b.ndim != 3 or b.shape[:2] != a.shape[:2]:
+        raise ValueError("right hand side length does not match")
+    lu, perm, _, ok = _lu(a)
+    x = _substitute(lu, perm, b)
+    x[~ok] = np.nan
+    return x, ok
+
+
+def _substitute(lu, perm, b):
+    d = lu.shape[1]
+    y = b[np.arange(b.shape[0])[:, None], perm]
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for k in range(1, d):
+            y[:, k] -= (lu[:, k, None, :k] @ y[:, :k])[:, 0]
+        for k in range(d - 1, -1, -1):
+            y[:, k] = (y[:, k] - (lu[:, k, None, k + 1 :] @ y[:, k + 1 :])[:, 0]) / lu[
+                :, k, k, None
+            ]
+    return y
 
 
 def solve_linear(a, b, return_cond: bool = False):
     """Solve a x = b for complex square a; b may carry extra columns.
 
-    With return_cond=True also returns a cheap condition estimate, the
-    ratio of the largest to the smallest pivot magnitude.
+    Raises SingularMatrix when a pivot falls below the threshold.  With
+    return_cond=True also returns a cheap condition estimate, the ratio of
+    the largest to the smallest pivot magnitude.
     """
-    a = _as_square(a)
+    a = _as_stack(a)
+    if a.ndim != 2:
+        raise ValueError("solve_linear takes one matrix; use solve_batch")
     b = np.asarray(b, dtype=complex)
-    d = a.shape[0]
-    if b.shape[0] != d:
+    if b.shape[0] != a.shape[0]:
         raise ValueError("right hand side length does not match")
-    if d == 1:
-        # fast path used heavily by scalar continued fractions
-        a00 = a[0, 0]
-        if a00 == 0:
-            raise SingularMatrix("1x1 pivot vanished")
-        x = b / a00
-        return (x, 1.0) if return_cond else x
-    if d == 2:
-        a00, a01 = complex(a[0, 0]), complex(a[0, 1])
-        a10, a11 = complex(a[1, 0]), complex(a[1, 1])
-        eps = PIVOT_REL * max(abs(a00) + abs(a01), abs(a10) + abs(a11), 1e-300)
-        if abs(a10) > abs(a00):
-            a00, a01, a10, a11 = a10, a11, a00, a01
-            b = b[::-1]
-        if abs(a00) < eps:
-            raise SingularMatrix(f"2x2 pivot {abs(a00):.3e} below {eps:.3e}")
-        fac = a10 / a00
-        schur = a11 - fac * a01
-        if abs(schur) < eps:
-            raise SingularMatrix(f"2x2 pivot {abs(schur):.3e} below {eps:.3e}")
-        x1 = (b[1] - fac * b[0]) / schur
-        x0 = (b[0] - a01 * x1) / a00
-        x = np.stack([x0, x1])
-        if return_cond:
-            piv = (abs(a00), abs(schur))
-            return x, float(max(piv) / min(piv))
-        return x
-    lu, piv, _ = lu_factor(a)
-    y = b[piv].astype(complex)
-    for k in range(1, d):
-        y[k] -= lu[k, :k] @ y[:k]
-    for k in range(d - 1, -1, -1):
-        y[k] = (y[k] - lu[k, k + 1 :] @ y[k + 1 :]) / lu[k, k]
+    cols = b.reshape(1, b.shape[0], -1)
+    lu, perm, _, ok = _lu(a[None])
+    if not ok[0]:
+        raise SingularMatrix(f"pivot below {PIVOT_REL:.0e} of the largest row norm")
+    x = _substitute(lu, perm, cols)[0].reshape(b.shape)
     if return_cond:
-        diag = np.abs(np.diag(lu))
-        cond = float(diag.max() / diag.min())
-        return y, cond
-    return y
+        diag = np.abs(np.diagonal(lu[0]))
+        return x, float(diag.max() / diag.min())
+    return x
 
 
-def determinant(a) -> complex:
-    """LU based determinant; exact product of the diagonal for triangular
-    inputs, 0 for singular ones."""
-    a = _as_square(a)
-    d = a.shape[0]
-    if d == 1:
-        return complex(a[0, 0])
-    lower = np.tril(a, -1)
-    upper = np.triu(a, 1)
-    if not np.any(lower) or not np.any(upper):
-        return complex(np.prod(np.diag(a)))
-    try:
-        lu, _, nswaps = lu_factor(a)
-    except SingularMatrix:
-        return 0j
-    det = complex(np.prod(np.diag(lu)))
-    return -det if nswaps % 2 else det
+def determinant(a):
+    """LU based determinant of one matrix (a complex) or of a stack (an
+    array); exact product of the diagonal for triangular members, 0 for
+    singular ones."""
+    a = _as_stack(a)
+    one = a.ndim == 2
+    stack = a[None] if one else a
+    if stack.shape[-1] == 1:
+        det = stack[:, 0, 0].copy()
+    else:
+        lu, _, nswaps, ok = _lu(stack)
+        with np.errstate(invalid="ignore", over="ignore"):
+            det = np.prod(np.diagonal(lu, axis1=1, axis2=2), axis=1)
+        det = np.where(nswaps % 2 == 1, -det, det)
+        det = np.where(ok, det, 0j)
+        lower = np.any(np.tril(stack, -1), axis=(1, 2))
+        upper = np.any(np.triu(stack, 1), axis=(1, 2))
+        triangular = ~lower | ~upper
+        if np.any(triangular):
+            exact = np.prod(np.diagonal(stack, axis1=1, axis2=2), axis=1)
+            det = np.where(triangular, exact, det)
+    return complex(det[0]) if one else det

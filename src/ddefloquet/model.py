@@ -29,6 +29,7 @@ __all__ = [
     "DdeSystem",
     "FourierMatrixDensity",
     "LMatrixTable",
+    "table_nbytes",
     "rescale",
     "linearize_about_orbit",
     "build_L",
@@ -161,46 +162,74 @@ class FourierMatrixDensity:
 
 @dataclass(frozen=True)
 class LMatrixTable:
-    """Matrices L_{k,n}(lambda) on |k| <= K, |n| <= n_win."""
+    """Matrices L_{k,n}(lambda) on |k| <= K, |n| <= n_win.
 
-    lam: complex
+    For a single lambda `entries` has shape (2K+1, 2*n_win+1, n, n); for a
+    1-D array of lambda values it carries a leading lambda axis, and the
+    entries of a lambda rejected by the exponent guard are NaN.
+    """
+
+    lam: complex | np.ndarray
     n_win: int
-    entries: np.ndarray  # shape (2K+1, 2*n_win+1, n, n)
+    entries: np.ndarray  # shape ([N,] 2K+1, 2*n_win+1, n, n)
 
     @property
     def bandwidth(self) -> int:
-        return (self.entries.shape[0] - 1) // 2
+        return (self.entries.shape[-4] - 1) // 2
 
     @property
     def dim(self) -> int:
-        return self.entries.shape[2]
+        return self.entries.shape[-1]
 
     def get(self, k: int, n: int) -> np.ndarray:
         """L_{k,n}; zero outside the k band, error outside the n window."""
         K = self.bandwidth
         if abs(k) > K:
-            return np.zeros((self.dim, self.dim), dtype=complex)
+            lead = self.entries.shape[:-4]
+            return np.zeros(lead + (self.dim, self.dim), dtype=complex)
         if abs(n) > self.n_win:
             raise IndexError(f"n = {n} outside table window {self.n_win}")
-        return self.entries[k + K, n + self.n_win]
+        return self.entries[..., k + K, n + self.n_win, :, :]
 
 
-def build_L(density: FourierMatrixDensity, lam: complex, n_win: int) -> LMatrixTable:
+def table_nbytes(density: FourierMatrixDensity, n_win: int) -> int:
+    """Bytes of the L table of one lambda on |n| <= n_win."""
+    d = density.dim
+    return (2 * density.bandwidth + 1) * (2 * n_win + 1) * d * d * 16
+
+
+def build_L(density: FourierMatrixDensity, lam, n_win: int) -> LMatrixTable:
     """Assemble L_{k,n} = sum_j C_{k,j} exp((lambda + i n) theta_j).
 
     Exact (no quadrature) because the kernel is a sum of point masses.
+    `lam` is one value or a 1-D array of values.  A single lambda whose
+    Re(lambda)*theta overflows exp raises ExponentOverflow; in an array
+    only the offending lambda values are marked, by NaN entries.
     """
     if n_win < 0:
         raise ValueError("n_win must be nonnegative")
-    lam = complex(lam)
-    worst = abs(lam.real) * float(np.max(np.abs(density.delays)))
-    if worst > EXP_GUARD:
-        raise ExponentOverflow(f"Re(lambda)*theta = {worst:.1f} overflows exp")
+    lams = np.asarray(lam, dtype=complex)
+    if lams.ndim > 1:
+        raise ValueError("lambda must be a scalar or a 1-D array")
+    worst = np.abs(lams.real) * float(np.max(np.abs(density.delays)))
+    over = worst > EXP_GUARD
+    if lams.ndim == 0:
+        if over:
+            raise ExponentOverflow(
+                f"Re(lambda)*theta = {float(worst):.1f} overflows exp"
+            )
+        lam = complex(lam)
     n_idx = np.arange(-n_win, n_win + 1)
-    # phases[j, i] = exp((lam + i*n) * theta_j)
-    phases = np.exp(np.multiply.outer(density.delays, lam + 1j * n_idx))
-    entries = np.einsum("jknm,ji->kinm", density.coeffs, phases)
-    return LMatrixTable(lam, n_win, entries)
+    # phases[l, j, i] = exp((lam_l + i*n) * theta_j)
+    safe = np.where(over, 0.0, lams).reshape(-1)
+    phases = np.exp(
+        density.delays[None, :, None] * (safe[:, None, None] + 1j * n_idx)
+    )
+    entries = np.einsum("jknm,lji->lkinm", density.coeffs, phases)
+    entries[over.reshape(-1)] = np.nan
+    if lams.ndim == 0:
+        return LMatrixTable(lam, n_win, entries[0])
+    return LMatrixTable(lams, n_win, entries)
 
 
 def _component_powers(state: FourierSeries, max_powers):

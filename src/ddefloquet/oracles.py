@@ -322,10 +322,12 @@ def characteristic_roots(
     n = a.shape[0]
     eye = np.eye(n)
 
-    def f(lam):
-        return determinant((a + b * np.exp(-lam * omega * tau)) / omega - lam * eye)
+    def f(lams):
+        lams = lams[:, None, None]
+        return determinant((a + b * np.exp(-lams * omega * tau)) / omega - lams * eye)
 
-    return [root for root, ok in find_roots(f, box=box, grid=grid, tol=tol) if ok]
+    found = find_roots(f, box=box, grid=grid, tol=tol, point_bytes=16 * n * n)
+    return [root for root, ok in found if ok]
 
 
 def oscillator_residual(exp: OrbitExpansion, n_grid: int = 512) -> float:

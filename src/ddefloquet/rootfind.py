@@ -4,41 +4,29 @@ Used for every determinant style root search in the package: the continued
 fraction closure det M(lambda), its tridiagonal block variant, and the
 constant coefficient characteristic function.  The scan maps log|f| over a
 rectangle, seeds Newton at the local minima and deduplicates the converged
-roots.  Points where the function cannot be evaluated (continued fraction
-breakdown, exponent overflow) are masked out of the seeding.
+roots.  The functions searched are vectorized: they take a 1-D array of
+lambda values and return NaN where a value cannot be evaluated (continued
+fraction breakdown, exponent overflow); those points are masked out of the
+seeding.
 """
 
 from __future__ import annotations
 
-import os
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    CfBreakdown,
-    ExponentOverflow,
-    NewtonStallWarning,
-    NoRootsInBoxWarning,
-    SingularMatrix,
-)
+from .errors import NewtonStallWarning, NoRootsInBoxWarning
 
 __all__ = ["SearchBox", "find_roots", "strip_shift", "to_strip"]
 
 DEFAULT_BOX = (-3.0, 1.0, -0.5, 0.5)
 DEFAULT_GRID = (61, 31)
 
-
-def thread_count(threads: int | None) -> int:
-    if threads is not None:
-        return max(1, int(threads))
-    env = os.environ.get("DDEFLOQUET_THREADS", "")
-    try:
-        return max(1, int(env))
-    except ValueError:
-        return 1
+# the scan hands f as many grid points at a time as keep each of its
+# working arrays near this size
+CHUNK_BYTES = 128 * 1024
 
 
 @dataclass(frozen=True)
@@ -87,39 +75,31 @@ def pad_box_im(box, grid, pad: float):
 
 
 def _minima_seeds(logabs: np.ndarray) -> list[tuple[int, int]]:
-    """Indices of 8-neighborhood local minima of a masked log magnitude map."""
+    """Indices of 8-neighborhood local minima of a masked log magnitude map.
+
+    Only finite cells are candidates, and only a finite neighbor strictly
+    below a cell disqualifies it; seeds come in row-major order.
+    """
     nr, ni = logabs.shape
-    seeds = []
-    for i in range(nr):
-        for j in range(ni):
-            v = logabs[i, j]
-            if not np.isfinite(v):
-                continue
-            best = True
-            for di in (-1, 0, 1):
-                for dj in (-1, 0, 1):
-                    if di == 0 and dj == 0:
-                        continue
-                    a, b = i + di, j + dj
-                    if 0 <= a < nr and 0 <= b < ni:
-                        w = logabs[a, b]
-                        if np.isfinite(w) and w < v:
-                            best = False
-                            break
-                if not best:
-                    break
-            if best:
-                seeds.append((i, j))
-    return seeds
+    pad = np.full((nr + 2, ni + 2), np.nan)
+    pad[1:-1, 1:-1] = logabs
+    seed = np.isfinite(logabs)
+    for di in (-1, 0, 1):
+        for dj in (-1, 0, 1):
+            if di or dj:
+                w = pad[1 + di : 1 + di + nr, 1 + dj : 1 + dj + ni]
+                seed &= ~(np.isfinite(w) & (w < logabs))
+    return [(int(i), int(j)) for i, j in np.argwhere(seed)]
 
 
 def _newton(f, lam0: complex, tol: float, max_iter: int = 40):
     """Newton iterations with a central difference derivative.
 
-    Returns (root, converged).  The derivative step is 1e-6 * (1 + |lam|).
-    Full steps cycle with period two when two roots sit close together;
-    once the step size stops shrinking the iteration switches to damped
-    steps, which settle into the nearer root.
+    `f` is vectorized; each step evaluates lambda and lambda +- h in one
+    call.  Returns (root, converged).  The derivative step is
+    1e-6 * (1 + |lam|).  Full steps cycle with period two when two roots
+    sit close together; once the step size stops shrinking the iteration
+    switches to damped steps, which settle into the nearer root.
     """
     lam = complex(lam0)
     prev = np.inf
@@ -127,11 +107,11 @@ def _newton(f, lam0: complex, tol: float, max_iter: int = 40):
     damping = 1.0
     for _ in range(max_iter):
         h = 1e-6 * (1.0 + abs(lam))
-        try:
-            f0 = f(lam)
-            fp = (f(lam + h) - f(lam - h)) / (2.0 * h)
-        except (CfBreakdown, SingularMatrix, ExponentOverflow):
+        vals = f(np.array([lam, lam + h, lam - h]))
+        if not np.all(np.isfinite(vals)):
             return lam, False
+        f0, f_up, f_down = (complex(v) for v in vals)
+        fp = (f_up - f_down) / (2.0 * h)
         if fp == 0:
             return lam, False
         step = f0 / fp
@@ -154,12 +134,18 @@ def find_roots(
     box=DEFAULT_BOX,
     grid=DEFAULT_GRID,
     tol: float = 1e-10,
-    threads: int | None = None,
     max_newton: int = 40,
     accept=None,
     refine=None,
+    point_bytes: int = 16,
 ):
     """All roots of an analytic f found from a log|f| grid scan in `box`.
+
+    `f` is vectorized: it takes a 1-D array of lambda values and returns
+    an array of the same length, NaN wherever a value cannot be evaluated.
+    It must not raise for a single bad lambda.  The flattened grid is
+    evaluated in chunks of CHUNK_BYTES // point_bytes points, where
+    `point_bytes` is the size of f's largest working array per lambda.
 
     Returns a list of (root, converged) with roots deduplicated within
     10*tol and sorted by (-Re, Im).  Non-evaluable grid points are masked;
@@ -177,23 +163,17 @@ def find_roots(
     nr, ni = grid
     res = np.linspace(sb.re_min, sb.re_max, nr)
     ims = np.linspace(sb.im_min, sb.im_max, ni)
-    pts = [complex(r, i) for r in res for i in ims]
+    pts = np.empty((nr, ni), dtype=complex)
+    pts.real = res[:, None]
+    pts.imag = ims[None, :]
+    pts = pts.reshape(-1)
 
-    def safe_logabs(lam):
-        try:
-            val = f(lam)
-        except (CfBreakdown, SingularMatrix, ExponentOverflow):
-            return np.nan
-        mag = abs(val)
-        return np.log(mag) if mag > 0 else -np.inf
-
-    nthreads = thread_count(threads)
-    if nthreads > 1:
-        with ThreadPoolExecutor(max_workers=nthreads) as pool:
-            vals = list(pool.map(safe_logabs, pts))
-    else:
-        vals = [safe_logabs(p) for p in pts]
-    logabs = np.array(vals).reshape(nr, ni)
+    chunk = max(1, CHUNK_BYTES // max(int(point_bytes), 1))
+    vals = np.empty(pts.size, dtype=complex)
+    for start in range(0, pts.size, chunk):
+        vals[start : start + chunk] = f(pts[start : start + chunk])
+    with np.errstate(divide="ignore", over="ignore"):
+        logabs = np.log(np.abs(vals)).reshape(nr, ni)
 
     roots: list[tuple[complex, bool]] = []
     stalled = 0
