@@ -42,14 +42,15 @@ from .errors import (
 )
 from .floquet import (
     FloquetMode,
+    _climb,
     assemble_M,
     closure_determinant,
-    extract_mode,
     ladder_operators,
+    recurrence_residual,
 )
 from .linalg import solve_linear
-from .model import FourierMatrixDensity, build_L
-from .rootfind import _newton, strip_shift
+from .model import FourierMatrixDensity, build_L, truncated_matrix
+from .rootfind import _newton, to_strip
 
 __all__ = [
     "AdjointMode",
@@ -99,17 +100,6 @@ def _transposed_ladders(density, lam, n_win, depth):
     return ladder_operators(flipped, lam, n_win, depth)
 
 
-def _adjoint_residual(comps, table, lam, n_win, K) -> float:
-    scale = max(float(np.max(np.abs(comps))), 1e-300)
-    worst = 0.0
-    for j in range(-(n_win - K), n_win - K + 1):
-        acc = -(lam + 1j * j) * comps[j + n_win]
-        for k in range(-K, K + 1):
-            acc = acc + comps[j + k + n_win] @ table.get(k, j)
-        worst = max(worst, float(np.max(np.abs(acc))))
-    return worst / scale
-
-
 def adjoint_modes(
     density: FourierMatrixDensity,
     lam: complex,
@@ -152,32 +142,18 @@ def adjoint_modes(
                 fell_back = True
             return direct.get(m, j).T
 
-    comps = np.zeros((2 * n_win + 1, d), dtype=complex)
-    comps[n_win] = psi0
-    # outward one level at a time, taking the shortest ladder step that
-    # carries weight (kernels may couple only some band offsets)
-    floor = 1e-13 * max(float(np.max(np.abs(psi0))), 1e-300)
-    for j in range(1, n_win + 1):
-        for sign in (1, -1):
-            target = sign * j
-            for m in range(1, min(K, j) + 1):
-                src = target - sign * m
-                cand = comps[src + n_win] @ z_op(sign * m, src)
-                if float(np.max(np.abs(cand))) > floor:
-                    comps[target + n_win] = cand
-                    break
+    comps = _climb(psi0, n_win, K, lambda m, src, v: v @ z_op(m, src))
     if fell_back:
         warnings.warn(
             "adjoint prescription hit singular L blocks; direct Z iteration "
             "used for those levels",
             PrescriptionFallbackWarning,
         )
-    res = _adjoint_residual(comps, table, lam, n_win, K)
     return AdjointMode(
-        lam=lam - 1j * strip_shift(lam),
+        lam=to_strip(lam),
         lam_raw=lam,
         components=comps,
-        residual=res,
+        residual=recurrence_residual(comps, table, left=True),
         n_win=n_win,
         depth=depth,
         bandwidth=K,
@@ -340,7 +316,6 @@ def solve_inhomogeneous(
     sum_n psi_n b_n = (1/2pi) int (psi_xi, chi_xi)_xi dxi.
     """
     lam = complex(lam)
-    K = density.bandwidth
     d = density.dim
     chi_arr = _forcing_to_array(chi, n_win, d)
 
@@ -358,18 +333,7 @@ def solve_inhomogeneous(
         )
 
     B = n_win + depth
-    table = build_L(density, lam, B + K)
-    size = (2 * B + 1) * d
-    T = np.zeros((size, size), dtype=complex)
-    for p in range(-B, B + 1):
-        row = (p + B) * d
-        T[row : row + d, row : row + d] -= (lam + 1j * p) * np.eye(d)
-        for k in range(-K, K + 1):
-            q = p - k
-            if abs(q) > B:
-                continue
-            col = (q + B) * d
-            T[row : row + d, col : col + d] += table.get(k, q)
+    T = truncated_matrix(build_L(density, lam, B), B)
     b_full = np.zeros((2 * B + 1, d), dtype=complex)
     b_full[B - n_win : B + n_win + 1] = _effective_rhs(density, lam, chi_arr, n_win)
     x = solve_linear(T, b_full.reshape(-1)).reshape(2 * B + 1, d)

@@ -37,16 +37,23 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CfBreakdown, ExponentOverflow, NullSpaceAmbiguous
+from .errors import CfBreakdown, NullSpaceAmbiguous
 from .linalg import determinant
-from .model import FourierMatrixDensity, LMatrixTable, build_L, table_nbytes
+from .model import (
+    FourierMatrixDensity,
+    LMatrixTable,
+    build_L,
+    table_nbytes,
+    truncated_matrix,
+)
 from .rootfind import (
     DEFAULT_BOX,
     DEFAULT_GRID,
+    _damped_newton,
     _newton,
-    find_roots,
-    pad_box_im,
+    find_classes,
     strip_shift,
+    to_strip,
 )
 
 __all__ = [
@@ -285,37 +292,12 @@ def _matrix_passes(a_zero, a_stack, rhs_stack, m_list, neg_index, n_passes, live
     return _run_passes(S, step, n_passes, live)
 
 
-def truncated_matrix(table: LMatrixTable, lam: complex, bound: int) -> np.ndarray:
-    """Full truncated recurrence matrix on |n| <= bound.
-
-    Row block p collects sum_k [L_{k,p-k} - delta_{k0}(lam + i p) I]
-    phi_{p-k}; its determinant is entire in lambda (the Hill form of the
-    closure condition) and vanishes at every in-window representative of
-    an exponent class, which makes it the robust fallback wherever the
-    continued fraction determinant pinches a zero against a breakdown
-    pole.
-    """
-    lam = complex(lam)
-    d = table.dim
-    K = table.bandwidth
-    size = (2 * bound + 1) * d
-    out = np.zeros((size, size), dtype=complex)
-    for p in range(-bound, bound + 1):
-        row = (p + bound) * d
-        out[row : row + d, row : row + d] -= (lam + 1j * p) * np.eye(d)
-        for k in range(-K, K + 1):
-            q = p - k
-            if abs(q) > bound:
-                continue
-            col = (q + bound) * d
-            out[row : row + d, col : col + d] += table.get(k, q)
-    return out
-
-
-def _hill_logdet(density: FourierMatrixDensity, lam: complex, bound: int):
-    table = build_L(density, lam, bound)
-    sign, logabs = np.linalg.slogdet(truncated_matrix(table, lam, bound))
-    return complex(sign), float(logabs)
+def _hill_logdet(density: FourierMatrixDensity, lams, bound: int):
+    """Sign and log magnitude of the Hill determinant det T(lambda) on
+    |n| <= bound for a 1-D array of lambda; NaN where the exponent guard
+    rejects lambda."""
+    with np.errstate(invalid="ignore"):
+        return np.linalg.slogdet(truncated_matrix(build_L(density, lams, bound), bound))
 
 
 def _hill_refine(
@@ -326,49 +308,29 @@ def _hill_refine(
     max_iter: int = 60,
     loose_tol: float | None = None,
 ):
-    """Newton on the entire Hill determinant via its logarithmic derivative.
+    """Damped Newton on the entire Hill determinant via its logarithmic
+    derivative, the step being 1 / (log det T)'.
 
-    Truncation can split one physical exponent into a tight cluster of
-    zeros; the step size then floors at the cluster spacing.  With
-    `loose_tol` set, the point of smallest step is accepted once that
-    floor is reached, which localizes the exponent to the cluster scale.
+    The derivative is a central difference over lambda +- h, evaluated as
+    one batch of two.  A rejected lambda +- h stops the iteration
+    unconverged; a determinant that underflows to an exact zero is a root.
+    `loose_tol` accepts the point of smallest step when the step size
+    floors at the spacing of a truncation cluster (see _damped_newton).
     """
-    lam = complex(lam0)
-    prev = np.inf
-    flat = 0
-    damping = 1.0
-    best = np.inf
-    best_lam = lam
-    for _ in range(max_iter):
+
+    def step(lam):
         h = 1e-6 * (1.0 + abs(lam))
-        try:
-            s1, a1 = _hill_logdet(density, lam + h, bound)
-            s2, a2 = _hill_logdet(density, lam - h, bound)
-        except ExponentOverflow:
-            return lam, False
+        signs, logabs = _hill_logdet(density, np.array([lam + h, lam - h]), bound)
+        if not np.all(np.isfinite(signs)):
+            return None
+        s1, s2 = (complex(v) for v in signs)
         if s1 == 0 or s2 == 0:
-            return lam, True  # determinant underflowed to an exact zero
+            return 0.0
+        a1, a2 = (float(v) for v in logabs)
         gprime = ((a1 - a2) + np.log(s1 / s2)) / (2.0 * h)
-        if gprime == 0:
-            return lam, False
-        step = 1.0 / gprime
-        lam = lam - damping * step
-        if abs(step) <= tol:
-            return lam, True
-        if abs(step) < best:
-            best = abs(step)
-            best_lam = lam
-        if abs(step) >= 0.5 * prev:
-            flat += 1
-            if flat >= 3:
-                damping = 0.5
-        else:
-            flat = 0
-            damping = 1.0
-        prev = abs(step)
-    if loose_tol is not None and best <= loose_tol * (1.0 + abs(best_lam)):
-        return best_lam, True
-    return lam, False
+        return None if gprime == 0 else 1.0 / gprime
+
+    return _damped_newton(step, lam0, tol, max_iter, loose_tol)
 
 
 def assemble_M(
@@ -440,27 +402,50 @@ class FloquetMode:
         return ph @ self.components
 
 
-def recurrence_residual(mode_components, table: LMatrixTable, lam, n_win, K) -> float:
-    """Max norm of the banded recurrence over the interior window.
+def recurrence_residual(components, table: LMatrixTable, left: bool = False) -> float:
+    """Max norm of the banded recurrence over the interior window, relative
+    to the largest component.
 
-    When the band is wider than the stored window the interior is empty;
-    the residual then runs over the whole window with the unstored
-    components taken as zero, a fair approximation because they sit
-    beyond the truncation anyway.
+    The recurrence is T @ phi, or psi @ T for `left` (adjoint row vectors),
+    with T the recurrence matrix of the table's lambda on the components'
+    window |n| <= n_win; its entries are taken on |n| <= n_win - K, where
+    every coupled component is stored.  When the band is wider than the
+    stored window that interior is empty; the primal residual then runs
+    over the whole window with the unstored components taken as zero, a
+    fair approximation because they sit beyond the truncation anyway.
     """
-    d = mode_components.shape[1]
-    scale = max(float(np.max(np.abs(mode_components))), 1e-300)
-    inner = max(n_win - K, 0)
-    rows = range(-inner, inner + 1) if inner > 0 else range(-n_win, n_win + 1)
-    worst = 0.0
-    for n in rows:
-        acc = -(lam + 1j * n) * mode_components[n + n_win]
-        for k in range(-K, K + 1):
-            if abs(n - k) > n_win:
-                continue
-            acc = acc + table.get(k, n - k) @ mode_components[n - k + n_win]
-        worst = max(worst, float(np.max(np.abs(acc))))
-    return worst / scale
+    n_win = (components.shape[0] - 1) // 2
+    inner = n_win - table.bandwidth
+    if inner <= 0 and not left:
+        inner = n_win
+    flat = components.reshape(-1)
+    T = truncated_matrix(table, n_win)
+    rows = (flat @ T if left else T @ flat).reshape(components.shape)
+    worst = np.max(np.abs(rows[n_win - inner : n_win + inner + 1]), initial=0.0)
+    return float(worst) / max(float(np.max(np.abs(components))), 1e-300)
+
+
+def _climb(center, n_win: int, K: int, step) -> np.ndarray:
+    """Components on |n| <= n_win, climbed outward from the center one.
+
+    A kernel may couple only some band offsets (an even-harmonic weight has
+    no +-1 coupling at all), so each level takes the shortest ladder step
+    that carries weight; `step(m, src, vec)` carries the component `vec`
+    at level src to level src + m.
+    """
+    comps = np.zeros((2 * n_win + 1, center.shape[0]), dtype=complex)
+    comps[n_win] = center
+    floor = 1e-13 * max(float(np.max(np.abs(center))), 1e-300)
+    for n in range(1, n_win + 1):
+        for sign in (1, -1):
+            target = sign * n
+            for m in range(1, min(K, n) + 1):
+                src = target - sign * m
+                cand = step(sign * m, src, comps[src + n_win])
+                if float(np.max(np.abs(cand))) > floor:
+                    comps[target + n_win] = cand
+                    break
+    return comps
 
 
 def extract_mode(
@@ -490,28 +475,12 @@ def extract_mode(
                 f"singular values {s[-1]:.3e}, {s[-2]:.3e} too close at {lam:.6g}"
             )
         phi0 = np.conj(vh[-1])
-    comps = np.zeros((2 * n_win + 1, d), dtype=complex)
-    comps[n_win] = phi0
-    # climb outward one level at a time; a kernel may couple only some
-    # band offsets (an even-harmonic weight has no +-1 coupling at all),
-    # so each level takes the shortest ladder step that carries weight
-    floor = 1e-13 * max(float(np.max(np.abs(phi0))), 1e-300)
-    for n in range(1, n_win + 1):
-        for sign in (1, -1):
-            target = sign * n
-            for m in range(1, min(K, n) + 1):
-                src = target - sign * m
-                step = ladders.get(sign * m, src)
-                cand = step @ comps[src + n_win]
-                if float(np.max(np.abs(cand))) > floor:
-                    comps[target + n_win] = cand
-                    break
-    res = recurrence_residual(comps, ladders.table, lam, n_win, K)
+    comps = _climb(phi0, n_win, K, lambda m, src, v: ladders.get(m, src) @ v)
     return FloquetMode(
-        lam=lam - 1j * strip_shift(lam),
+        lam=to_strip(lam),
         lam_raw=lam,
         components=comps,
-        residual=res,
+        residual=recurrence_residual(comps, ladders.table),
         n_win=n_win,
         depth=depth,
         bandwidth=K,
@@ -529,7 +498,7 @@ def _window_null_mode(density, lam, n_win, depth, converged=True):
     lam = complex(lam)
     B = n_win + depth
     table = build_L(density, lam, B)
-    full = truncated_matrix(table, lam, B)
+    full = truncated_matrix(table, B)
     _, s, vh = np.linalg.svd(full)
     if s[-2] <= 10.0 * s[-1]:
         return None
@@ -539,12 +508,11 @@ def _window_null_mode(density, lam, n_win, depth, converged=True):
     scale = np.max(np.abs(center))
     if scale > 1e-12 * np.max(np.abs(comps)):
         comps = comps / center[int(np.argmax(np.abs(center)))]
-    res = recurrence_residual(comps, table, lam, n_win, density.bandwidth)
     return FloquetMode(
-        lam=lam - 1j * strip_shift(lam),
+        lam=to_strip(lam),
         lam_raw=lam,
         components=comps,
-        residual=res,
+        residual=recurrence_residual(comps, table),
         n_win=n_win,
         depth=depth,
         bandwidth=density.bandwidth,
@@ -572,9 +540,12 @@ def find_exponents(
     lie outside the scanned strip; the scan band is therefore widened by
     `im_pad` in the imaginary direction (same grid step) and a converged
     root is kept whenever the root itself or its strip representative
-    falls in `box`.  Roots are deduplicated within 10*tol,
-    then collapsed per mod-i class (two raw roots with the same strip
-    representative keep the one of smallest |Im|).  Each retained root is
+    falls in `box`.  Roots are deduplicated within 10*tol, then collapsed
+    per mod-i class: raw roots whose strip representatives agree modulo i
+    keep the one of smallest |Im|.  The comparison is modulo i, so the two
+    edges Im = +-1/2 of the strip, where a negative real multiplier sits,
+    are one class; so are the final modes closer than `class_tol`.  Each
+    retained root is
     re-polished at the enlarged truncation (n_win+2, depth+2); the mode's
     `converged` flag records whether it moved by less than `conv_tol`.
 
@@ -586,13 +557,7 @@ def find_exponents(
     def det_at(lams, nw=n_win, dp=depth):
         return closure_determinant(density, lams, nw, dp)
 
-    sb, wide, wide_grid = pad_box_im(box, grid, im_pad)
     bound = n_win + depth
-
-    def accept(z):
-        return sb.contains(z, slack=1e-6) or sb.contains(
-            z - 1j * strip_shift(z), slack=1e-6
-        )
 
     def refine(seed):
         root, ok = _newton(det_at, seed, tol)
@@ -603,32 +568,17 @@ def find_exponents(
         # same window separates them cleanly
         return _hill_refine(density, root, bound, tol, loose_tol=1e-4)
 
-    raw = find_roots(
+    classes = find_classes(
         det_at,
-        box=wide,
-        grid=wide_grid,
-        tol=tol,
-        accept=accept,
+        box,
+        grid,
+        im_pad,
+        tol,
         refine=refine,
         point_bytes=table_nbytes(density, bound),
     )
-    by_class: dict = {}
-    for root, ok in raw:
-        if not ok:
-            continue
-        key = None
-        for existing in by_class:
-            if abs((root - 1j * strip_shift(root)) - existing) <= 10 * tol:
-                key = existing
-                break
-        strip = root - 1j * strip_shift(root)
-        if key is None:
-            by_class[strip] = root
-        elif abs(root.imag) < abs(by_class[key].imag):
-            by_class[key] = root
-
     modes = []
-    for root in by_class.values():
+    for root in classes:
         converged = True
         if check_convergence:
             bigger, ok = _newton(
@@ -657,11 +607,11 @@ def find_exponents(
         modes.append(mode)
     # hill polishing re-merges truncation shadows of one physical exponent,
     # but different raw representatives localize it only to the cluster
-    # scale: collapse strip values closer than class_tol, keeping the mode
-    # with the smallest recurrence residual
+    # scale: collapse strip values closer than class_tol modulo i, keeping
+    # the mode with the smallest recurrence residual
     deduped: list = []
     for mode in sorted(modes, key=lambda m: m.residual):
-        if any(abs(mode.lam - kept.lam) < class_tol for kept in deduped):
+        if any(abs(to_strip(mode.lam - kept.lam)) < class_tol for kept in deduped):
             continue
         deduped.append(mode)
     deduped.sort(key=lambda m: (-m.lam.real, m.lam.imag))

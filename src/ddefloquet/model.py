@@ -33,6 +33,8 @@ __all__ = [
     "rescale",
     "linearize_about_orbit",
     "build_L",
+    "recurrence_blocks",
+    "truncated_matrix",
 ]
 
 EXP_GUARD = 700.0  # |Re(lambda)*theta| beyond this overflows double exp
@@ -230,6 +232,48 @@ def build_L(density: FourierMatrixDensity, lam, n_win: int) -> LMatrixTable:
     if lams.ndim == 0:
         return LMatrixTable(lam, n_win, entries[0])
     return LMatrixTable(lams, n_win, entries)
+
+
+def recurrence_blocks(table: LMatrixTable, rows0, cols0, size: int) -> np.ndarray:
+    """Blocks T[r0 : r0 + size, c0 : c0 + size] of the recurrence matrix
+
+        T_{p,q}(lambda) = L_{p-q,q} - delta_{pq} (lambda + i p) I,
+
+    one per pair of block starts (r0, c0), gathered from the L table; the
+    coupled column indices q must lie in its window.  Returns an array of
+    shape ([N,] blocks, size*d, size*d) whose leading axis is the table's
+    lambda axis; a lambda the exponent guard rejected has NaN entries.
+    """
+    one = np.ndim(table.lam) == 0
+    entries = table.entries[None] if one else table.entries
+    lams = np.reshape(table.lam, -1)
+    K = table.bandwidth
+    d = table.dim
+    i = np.arange(size)
+    rows0 = np.asarray(rows0)
+    q = np.asarray(cols0)[:, None, None] + i[None, None, :]
+    k = rows0[:, None, None] + i[None, :, None] - q
+    band = np.abs(k) <= K
+    out = entries[:, np.where(band, k, 0) + K, np.where(band, q, 0) + table.n_win]
+    out[:, ~band] = 0.0  # (N, blocks, size, size, d, d)
+    on = np.nonzero(k == 0)  # (block, row, column) of the diagonal p = q
+    shift = (lams[:, None] + 1j * (rows0[on[0]] + on[1]))[..., None, None]
+    out[(slice(None),) + on] -= shift * np.eye(d, dtype=complex)
+    count, nb = out.shape[:2]
+    out = out.transpose(0, 1, 2, 4, 3, 5).reshape(count, nb, size * d, size * d)
+    return out[0] if one else out
+
+
+def truncated_matrix(table: LMatrixTable, bound: int) -> np.ndarray:
+    """Full truncated recurrence matrix T(lambda) on |n| <= bound.
+
+    Its determinant is entire in lambda (the Hill form of the closure
+    condition) and vanishes at every in-window representative of an
+    exponent class, which makes it the robust fallback wherever the
+    continued fraction determinant pinches a zero against a breakdown
+    pole.  For an array table the result is a stack of matrices.
+    """
+    return recurrence_blocks(table, [-bound], [-bound], 2 * bound + 1)[..., 0, :, :]
 
 
 def _component_powers(state: FourierSeries, max_powers):

@@ -16,11 +16,12 @@ so every Q block is an index slice of the banded recurrence matrix
     T_{p,q} = L_{p-q,q} - delta_{pq} (lambda + i p) I.
 
 This module deliberately computes nothing of its own beyond block
-bookkeeping: every matrix entry is read from dde-model's L table, so any
-disagreement with the n-diagonal route isolates the continued fraction
-iteration itself.  Like that route it evaluates one lambda or a 1-D array
-of lambda values with the same code; a breakdown of one value marks only
-that value.
+bookkeeping: every Q block is gathered by `model.recurrence_blocks`, the
+one assembler of T that the Hill determinant and the mode residuals use
+too, so any disagreement with the n-diagonal route isolates the continued
+fraction iteration itself.  Like that route it evaluates one lambda or a
+1-D array of lambda values with the same code; a breakdown of one value
+marks only that value.
 """
 
 from __future__ import annotations
@@ -31,8 +32,14 @@ import numpy as np
 
 from .errors import CfBreakdown
 from .linalg import determinant, solve_batch
-from .model import FourierMatrixDensity, LMatrixTable, build_L, table_nbytes
-from .rootfind import DEFAULT_BOX, DEFAULT_GRID, find_roots, pad_box_im, strip_shift
+from .model import (
+    FourierMatrixDensity,
+    LMatrixTable,
+    build_L,
+    recurrence_blocks,
+    table_nbytes,
+)
+from .rootfind import DEFAULT_BOX, DEFAULT_GRID, find_classes, to_strip
 
 __all__ = [
     "TridiagonalBlocks",
@@ -99,28 +106,6 @@ class TridiagonalBlocks:
         )
 
 
-def _slices(entries: np.ndarray, n_win: int, rows0, cols0, size: int) -> np.ndarray:
-    """Blocks T[r0 : r0 + size, c0 : c0 + size] without the lambda shift,
-    gathered from L table entries of shape (N, 2K+1, 2*n_win+1, d, d)."""
-    K = (entries.shape[1] - 1) // 2
-    i = np.arange(size)
-    p = rows0[:, None, None] + i[None, :, None]
-    q = cols0[:, None, None] + i[None, None, :]
-    k = p - q
-    band = np.abs(k) <= K
-    kk = np.where(band, k, 0) + K
-    qq = np.where(band, q, 0) + n_win
-    out = entries[:, kk, qq]  # (N, blocks, size, size, d, d)
-    out[:, ~band] = 0.0
-    return out
-
-
-def _flatten(blocks: np.ndarray) -> np.ndarray:
-    """(N, nb, size, size, d, d) -> (N, nb, size*d, size*d)."""
-    count, nb, size, _, d, _ = blocks.shape
-    return blocks.transpose(0, 1, 2, 4, 3, 5).reshape(count, nb, size * d, size * d)
-
-
 def assemble_blocks(
     density: FourierMatrixDensity, lam, depth: int
 ) -> TridiagonalBlocks:
@@ -128,21 +113,12 @@ def assemble_blocks(
     shared L table; `lam` is one value or a 1-D array of values."""
     w0 = _stack_width(density.bandwidth)
     table = build_L(density, lam, _window(density, depth))
-    one = np.ndim(table.lam) == 0
-    entries = table.entries[None] if one else table.entries
-    lams = np.reshape(table.lam, -1)
     size = 2 * w0
     starts = size * np.arange(-depth - 1, depth + 1)
-    diag = _slices(entries, table.n_win, starts, starts, size)
-    ident = np.eye(table.dim, dtype=complex)
-    for r in range(size):
-        diag[:, :, r, r] -= (lams[:, None] + 1j * (starts + r))[..., None, None] * ident
-    upper = _slices(entries, table.n_win, starts, starts + size, size)
-    lower = _slices(entries, table.n_win, starts + size, starts, size)
-    blocks = [_flatten(b) for b in (diag, upper, lower)]
-    if one:
-        blocks = [b[0] for b in blocks]
-    return TridiagonalBlocks(table.lam, w0, depth, table, *blocks)
+    diag = recurrence_blocks(table, starts, starts, size)
+    upper = recurrence_blocks(table, starts, starts + size, size)
+    lower = recurrence_blocks(table, starts + size, starts, size)
+    return TridiagonalBlocks(table.lam, w0, depth, table, diag, upper, lower)
 
 
 def tridiagonal_closure(blocks: TridiagonalBlocks, depth: int | None = None):
@@ -229,35 +205,14 @@ def find_exponents_risken(
     # so a band of height 2 w0 plus margin is guaranteed to contain a zero
     # of every class
     w0 = _stack_width(density.bandwidth)
-    sb, wide, wide_grid = pad_box_im(box, grid, w0 + 0.5)
-
-    def accept(z):
-        return sb.contains(z, slack=1e-6) or sb.contains(
-            z - 1j * strip_shift(z), slack=1e-6
-        )
-
-    raw = find_roots(
+    classes = find_classes(
         det_at,
-        box=wide,
-        grid=wide_grid,
-        tol=tol,
-        accept=accept,
+        box,
+        grid,
+        w0 + 0.5,
+        tol,
         point_bytes=table_nbytes(density, _window(density, depth)),
     )
-    by_class: dict = {}
-    for root, ok in raw:
-        if not ok:
-            continue
-        strip = root - 1j * strip_shift(root)
-        key = None
-        for existing in by_class:
-            if abs(strip - existing) <= 10 * tol:
-                key = existing
-                break
-        if key is None:
-            by_class[strip] = root
-        elif abs(root.imag) < abs(by_class[key].imag):
-            by_class[key] = root
-    out = [(root - 1j * strip_shift(root), root) for root in by_class.values()]
+    out = [(to_strip(root), root) for root in classes]
     out.sort(key=lambda t: (-t[0].real, t[0].imag))
     return out

@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import NewtonStallWarning, NoRootsInBoxWarning
 
-__all__ = ["SearchBox", "find_roots", "strip_shift", "to_strip"]
+__all__ = ["SearchBox", "find_roots", "find_classes", "strip_shift", "to_strip"]
 
 DEFAULT_BOX = (-3.0, 1.0, -0.5, 0.5)
 DEFAULT_GRID = (61, 31)
@@ -56,24 +56,6 @@ def to_strip(lam: complex) -> complex:
     return lam - 1j * strip_shift(lam)
 
 
-def pad_box_im(box, grid, pad: float):
-    """Widen the imaginary range by `pad` keeping the grid step.
-
-    Truncated closure determinants vanish at the mod-i translate of an
-    exponent class where a dominant Fourier component sits at the block
-    center, which may lie outside the strip; scans therefore cover a
-    widened band and fold the results back.
-    """
-    sb = box if isinstance(box, SearchBox) else SearchBox(*box)
-    nr, ni = grid
-    step = (sb.im_max - sb.im_min) / max(ni - 1, 1)
-    extra = int(np.ceil(pad / step)) if pad > 0 else 0
-    wide = SearchBox(
-        sb.re_min, sb.re_max, sb.im_min - extra * step, sb.im_max + extra * step
-    )
-    return sb, wide, (nr, ni + 2 * extra)
-
-
 def _minima_seeds(logabs: np.ndarray) -> list[tuple[int, int]]:
     """Indices of 8-neighborhood local minima of a masked log magnitude map.
 
@@ -92,41 +74,67 @@ def _minima_seeds(logabs: np.ndarray) -> list[tuple[int, int]]:
     return [(int(i), int(j)) for i, j in np.argwhere(seed)]
 
 
-def _newton(f, lam0: complex, tol: float, max_iter: int = 40):
-    """Newton iterations with a central difference derivative.
+def _damped_newton(step, lam0: complex, tol: float, max_iter: int, loose_tol=None):
+    """Newton iteration lam <- lam - damping * step(lam).
 
-    `f` is vectorized; each step evaluates lambda and lambda +- h in one
-    call.  Returns (root, converged).  The derivative step is
-    1e-6 * (1 + |lam|).  Full steps cycle with period two when two roots
+    `step(lam)` returns the Newton step at lam, or None where none can be
+    taken; the iteration then stops, unconverged, at lam.  A step of at
+    most `tol` converges.  Full steps cycle with period two when two roots
     sit close together; once the step size stops shrinking the iteration
     switches to damped steps, which settle into the nearer root.
+    Truncation can split one root into a tight cluster of zeros, and the
+    step size then floors at the cluster spacing; with `loose_tol` set,
+    the point of smallest step is accepted once that floor is reached.
+    Returns (root, converged).
     """
     lam = complex(lam0)
     prev = np.inf
     flat = 0
     damping = 1.0
+    best = np.inf
+    best_lam = lam
     for _ in range(max_iter):
-        h = 1e-6 * (1.0 + abs(lam))
-        vals = f(np.array([lam, lam + h, lam - h]))
-        if not np.all(np.isfinite(vals)):
+        delta = step(lam)
+        if delta is None:
             return lam, False
-        f0, f_up, f_down = (complex(v) for v in vals)
-        fp = (f_up - f_down) / (2.0 * h)
-        if fp == 0:
-            return lam, False
-        step = f0 / fp
-        lam = lam - damping * step
-        if abs(step) <= tol:
+        lam = lam - damping * delta
+        size = abs(delta)
+        if size <= tol:
             return lam, True
-        if abs(step) >= 0.5 * prev:
+        if size < best:
+            best = size
+            best_lam = lam
+        if size >= 0.5 * prev:
             flat += 1
             if flat >= 3:
                 damping = 0.5
         else:
             flat = 0
             damping = 1.0
-        prev = abs(step)
+        prev = size
+    if loose_tol is not None and best <= loose_tol * (1.0 + abs(best_lam)):
+        return best_lam, True
     return lam, False
+
+
+def _newton(f, lam0: complex, tol: float, max_iter: int = 40):
+    """Damped Newton iterations on f with a central difference derivative.
+
+    `f` is vectorized; each step evaluates lambda and lambda +- h in one
+    call, with h = 1e-6 * (1 + |lam|).  A non-finite value or a zero
+    derivative stops the iteration unconverged.  Returns (root, converged).
+    """
+
+    def step(lam):
+        h = 1e-6 * (1.0 + abs(lam))
+        vals = f(np.array([lam, lam + h, lam - h]))
+        if not np.all(np.isfinite(vals)):
+            return None
+        f0, f_up, f_down = (complex(v) for v in vals)
+        fp = (f_up - f_down) / (2.0 * h)
+        return None if fp == 0 else f0 / fp
+
+    return _damped_newton(step, lam0, tol, max_iter)
 
 
 def find_roots(
@@ -197,3 +205,50 @@ def find_roots(
         warnings.warn("no roots found in the search box", NoRootsInBoxWarning)
     roots.sort(key=lambda t: (-t[0].real, t[0].imag))
     return roots
+
+
+def find_classes(
+    f, box, grid, pad: float, tol: float, refine=None, point_bytes: int = 16
+) -> list[complex]:
+    """One raw root of f per mod-i class whose strip representative lies
+    in `box`.
+
+    Truncated closure determinants vanish at the mod-i translate of an
+    exponent class where a dominant Fourier component sits at the block
+    center, which may lie outside the strip.  The scan therefore covers
+    `box` widened by at least `pad` in the imaginary direction, at the same
+    grid step, and a converged root is kept when the root itself or its
+    strip representative falls in `box`.  Roots whose strip values agree
+    modulo i within 10*tol are one class, so the two edges Im = +-1/2 of
+    the strip meet; a class keeps the raw root of smallest |Im|.  Returns
+    the raw roots in the order their classes were found.
+    """
+    sb = box if isinstance(box, SearchBox) else SearchBox(*box)
+    nr, ni = grid
+    step = (sb.im_max - sb.im_min) / max(ni - 1, 1)
+    extra = int(np.ceil(pad / step)) if pad > 0 else 0
+    wide = SearchBox(
+        sb.re_min, sb.re_max, sb.im_min - extra * step, sb.im_max + extra * step
+    )
+
+    def accept(z):
+        return sb.contains(z, slack=1e-6) or sb.contains(to_strip(z), slack=1e-6)
+
+    raw = find_roots(
+        f,
+        box=wide,
+        grid=(nr, ni + 2 * extra),
+        tol=tol,
+        accept=accept,
+        refine=refine,
+        point_bytes=point_bytes,
+    )
+    by_class: dict = {}
+    for root, _ in raw:
+        strip = to_strip(root)
+        key = next((k for k in by_class if abs(to_strip(strip - k)) <= 10 * tol), None)
+        if key is None:
+            by_class[strip] = root
+        elif abs(root.imag) < abs(by_class[key].imag):
+            by_class[key] = root
+    return list(by_class.values())

@@ -1,0 +1,159 @@
+"""The one assembler of the recurrence matrix T(lambda), the one damped
+Newton loop, and the one mod-i class merge that every route shares."""
+
+import warnings
+
+import numpy as np
+import pytest
+
+import ddefloquet as df
+from ddefloquet.floquet import _hill_refine, find_exponents, recurrence_residual
+from ddefloquet.model import build_L, recurrence_blocks, truncated_matrix
+from ddefloquet.risken import find_exponents_risken
+from ddefloquet.rootfind import _damped_newton
+from ddefloquet.systems import parametric_density
+
+OVERFLOW = -800.0  # Re(lambda) * theta = 800 > 700 at theta = -1
+
+
+def _matrix_band3_density(seed=7):
+    """d = 2, K = 3 kernel with a point mass at theta = -1 and at 0."""
+    rng = np.random.default_rng(seed)
+    coeffs = rng.normal(size=(2, 7, 2, 2)) + 1j * rng.normal(size=(2, 7, 2, 2))
+    return df.FourierMatrixDensity(1.0, np.array([-1.0, 0.0]), 0.1 * coeffs)
+
+
+def test_truncated_matrix_blocks_are_the_recurrence():
+    dens = _matrix_band3_density()
+    lams = np.array([0.2 + 0.1j, OVERFLOW, -1.0 - 0.7j])
+    bound, d = 5, 2
+    table = build_L(dens, lams, bound)
+    T = truncated_matrix(table, bound)
+    assert T.shape == (3, (2 * bound + 1) * d, (2 * bound + 1) * d)
+    assert np.isnan(T[1]).any()
+    assert not np.isnan(T[[0, 2]]).any()
+    for i in (0, 2):
+        single = build_L(dens, lams[i], bound)
+        assert np.array_equal(truncated_matrix(single, bound), T[i])
+        for p in range(-bound, bound + 1):
+            for q in range(-bound, bound + 1):
+                want = single.get(p - q, q)
+                if p == q:
+                    want = want - (lams[i] + 1j * p) * np.eye(d)
+                r, c = (p + bound) * d, (q + bound) * d
+                assert np.array_equal(T[i, r : r + d, c : c + d], want)
+
+
+def test_recurrence_blocks_are_slices_of_the_full_matrix():
+    dens = _matrix_band3_density()
+    lams = np.array([0.2 + 0.1j, -0.4 + 0.3j])
+    bound, d, size = 6, 2, 4
+    table = build_L(dens, lams, bound)
+    T = truncated_matrix(table, bound)
+    rows0 = np.array([-6, -2, 0, 2])
+    cols0 = np.array([-2, -6, 2, 0])
+    blocks = recurrence_blocks(table, rows0, cols0, size)
+    assert blocks.shape == (2, 4, size * d, size * d)
+    for b, (r0, c0) in enumerate(zip(rows0, cols0)):
+        r, c = (r0 + bound) * d, (c0 + bound) * d
+        want = T[:, r : r + size * d, c : c + size * d]
+        assert np.array_equal(blocks[:, b], want)
+
+
+def _loop_residual(comps, table, left):
+    """The residual as one sum per row: primal rows on the interior (the
+    whole window when that is empty), adjoint entries on |j| <= n_win - K."""
+    n_win = (len(comps) - 1) // 2
+    K = table.bandwidth
+    lam = table.lam
+    inner = max(n_win - K, 0)
+    if left:
+        rows = range(-(n_win - K), n_win - K + 1)
+    else:
+        rows = range(-inner, inner + 1) if inner > 0 else range(-n_win, n_win + 1)
+    worst = 0.0
+    for n in rows:
+        acc = -(lam + 1j * n) * comps[n + n_win]
+        for k in range(-K, K + 1):
+            if left:
+                acc = acc + comps[n + k + n_win] @ table.get(k, n)
+            elif abs(n - k) <= n_win:
+                acc = acc + table.get(k, n - k) @ comps[n - k + n_win]
+        worst = max(worst, float(np.max(np.abs(acc))))
+    return worst / np.max(np.abs(comps))
+
+
+@pytest.mark.parametrize("n_win", [6, 3, 2])
+@pytest.mark.parametrize("left", [False, True])
+def test_recurrence_residual_matches_the_row_sums(n_win, left):
+    # rows of T @ phi (psi @ T) sum in another order than the loop: equal
+    # to a few roundoffs of the O(1) terms
+    dens = _matrix_band3_density()
+    rng = np.random.default_rng(n_win)
+    shape = (2 * n_win + 1, 2)
+    comps = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    table = build_L(dens, 0.3 - 0.2j, n_win + 2)
+    got = recurrence_residual(comps, table, left=left)
+    want = _loop_residual(comps, table, left)
+    assert abs(got - want) <= 1e-13 * max(want, 1.0)
+    if left and n_win < dens.bandwidth:
+        assert got == want == 0.0
+
+
+def test_damped_newton_stops_on_a_failed_step():
+    calls = []
+
+    def step(lam):
+        calls.append(lam)
+        return None
+
+    assert _damped_newton(step, 0.3 + 0.1j, 1e-10, 40) == (0.3 + 0.1j, False)
+    assert len(calls) == 1
+
+
+def test_damped_newton_zero_step_converges_in_place():
+    lam0 = -0.25 + 0.4j
+    root, ok = _damped_newton(lambda lam: 0.0, lam0, 1e-10, 40)
+    assert ok and root == lam0
+
+
+def test_damped_newton_loose_tol_accepts_the_smallest_step():
+    # the step size floors at 1e-6, far above tol: the point after the
+    # smallest step is accepted only with loose_tol
+    sizes = [1e-3, 1e-6] + [1e-5] * 10
+
+    def run(loose_tol):
+        it = iter(sizes)
+        return _damped_newton(lambda lam: next(it), 1.0, 1e-12, 12, loose_tol)
+
+    best = (1.0 - 1e-3) - 1e-6
+    assert run(1e-4) == (best, True)
+    root, ok = run(None)
+    assert not ok and root != best
+    assert run(1e-9) == (root, False)
+
+
+def test_hill_refine_rejected_lambda_does_not_converge():
+    dens = parametric_density(-0.4, 0.3, -0.3)
+    assert _hill_refine(dens, complex(OVERFLOW, 0.2), 6, 1e-10) == (
+        complex(OVERFLOW, 0.2),
+        False,
+    )
+
+
+def test_negative_multiplier_class_is_reported_once():
+    # the class sits on the strip edge Im = 1/2 (a negative real multiplier);
+    # its raw roots at +-1/2 are one class modulo i
+    dens = parametric_density(-0.5, 2.0, -0.2)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        cf = [m.lam for m in find_exponents(dens, n_win=8, depth=8)]
+        risken = [strip for strip, _ in find_exponents_risken(dens, depth=8)]
+    mono = [lam for lam, _ in df.monodromy_exponents(dens, m_grid=200)]
+    assert len(mono) == 2
+    for got in (cf, risken):
+        assert len(got) == len(mono)
+        for want in mono:
+            near = [z for z in got if abs(df.to_strip(z - want)) < 1e-6]
+            assert len(near) == 1
+    assert sum(abs(z - (-0.685885 + 0.5j)) < 1e-6 for z in cf + risken) == 2
