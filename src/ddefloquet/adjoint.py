@@ -61,6 +61,9 @@ __all__ = [
     "solve_inhomogeneous",
 ]
 
+# solve_inhomogeneous refuses a lambda this close to a Floquet root
+RESONANCE_TOL = 1e-6
+
 
 @dataclass(frozen=True)
 class AdjointMode:
@@ -130,8 +133,6 @@ def adjoint_modes(
     def z_op(m: int, j: int) -> np.ndarray:
         # prescription: Z^m_j = L_{-m, j+m} S^m_j L_{m,j}^{-1}
         nonlocal direct, fell_back
-        if abs(m) > K:
-            return np.zeros((d, d), dtype=complex)
         lhs = table.get(-m, j + m) @ ladders.get(m, j)
         try:
             zt = solve_linear(table.get(m, j).T, lhs.T)
@@ -160,12 +161,14 @@ def adjoint_modes(
     )
 
 
-def _eint(a: complex, theta: float) -> complex:
-    """(exp(a*theta) - 1)/a with the a -> 0 limit theta."""
+def _eint(a, theta: float):
+    """(exp(a*theta) - 1)/a elementwise, with the a -> 0 limit theta."""
     z = a * theta
-    if abs(z) < 1e-8:
-        return theta * (1.0 + z / 2.0 + z * z / 6.0)
-    return (np.exp(z) - 1.0) / a
+    return np.where(
+        np.abs(z) < 1e-8,
+        theta * (1.0 + z / 2.0 + z * z / 6.0),
+        (np.exp(z) - 1.0) / np.where(a == 0, 1.0, a),
+    )
 
 
 @dataclass(frozen=True)
@@ -202,11 +205,7 @@ class BilinearContext:
                 phase = np.exp(1j * xi * (ns[None, :] + k - js[:, None]))
                 theta_fac = np.exp((lam + 1j * (js[:, None] - k)) * theta)
                 a = mu - lam + 1j * (ns[None, :] + k - js[:, None])
-                eint = np.where(
-                    np.abs(a * theta) < 1e-8,
-                    theta * (1.0 + a * theta / 2.0 + (a * theta) ** 2 / 6.0),
-                    (np.exp(a * theta) - 1.0) / np.where(a == 0, 1.0, a),
-                )
+                eint = _eint(a, theta)
                 total = total - np.sum(sandwich * phase * theta_fac * eint)
         return complex(total)
 
@@ -297,7 +296,6 @@ def solve_inhomogeneous(
     chi,
     n_win: int = 10,
     depth: int = 10,
-    res_tol: float = 1e-6,
 ):
     """Particular solution components phi_n(0) of the forced recurrence.
 
@@ -311,7 +309,7 @@ def solve_inhomogeneous(
     is solved against the truncated banded recurrence directly, which on
     the truncation window is exactly what the ladder sweep would produce.
 
-    Raises ResonantForcing when lambda sits within `res_tol` of a Floquet
+    Raises ResonantForcing when lambda sits within RESONANCE_TOL of a Floquet
     root; the exception carries the solvability defect
     sum_n psi_n b_n = (1/2pi) int (psi_xi, chi_xi)_xi dxi.
     """
@@ -323,12 +321,12 @@ def solve_inhomogeneous(
         return closure_determinant(density, lams, n_win, depth)
 
     root, ok = _newton(det_at, lam, tol=1e-12, max_iter=15)
-    if ok and abs(root - lam) <= res_tol:
+    if ok and abs(root - lam) <= RESONANCE_TOL:
         psi = adjoint_modes(density, root, n_win, depth)
         b = _effective_rhs(density, lam, chi_arr, n_win)
         defect = complex(np.sum(psi.components * b))
         raise ResonantForcing(
-            f"lambda = {lam:.6g} is within {res_tol:.0e} of root {root:.6g}",
+            f"lambda = {lam:.6g} is within {RESONANCE_TOL:.0e} of root {root:.6g}",
             defect=defect,
         )
 

@@ -17,7 +17,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-import warnings
 
 import numpy as np
 
@@ -197,23 +196,17 @@ def _run_methods(cfg, density):
     tol = float(cfg["tol"])
     n_win, depth = int(cfg["n_win"]), int(cfg["depth"])
     want = cfg["method"]
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        if want in ("cf", "all"):
-            out["cf"] = find_exponents(
-                density, box=box, n_win=n_win, depth=depth, tol=tol, grid=grid
-            )
-        if want in ("risken", "all"):
-            pairs = find_exponents_risken(
-                density, box=box, depth=depth, tol=tol, grid=grid
-            )
-            out["risken"] = [
-                (lam, complex(np.exp(2.0 * np.pi * lam))) for lam, _ in pairs
-            ]
-        if want in ("monodromy", "all"):
-            out["monodromy"] = monodromy_exponents(
-                density, int(cfg["monodromy_grid"]), re_min=float(cfg["box"][0])
-            )
+    if want in ("cf", "all"):
+        out["cf"] = find_exponents(
+            density, box=box, n_win=n_win, depth=depth, tol=tol, grid=grid
+        )
+    if want in ("risken", "all"):
+        pairs = find_exponents_risken(density, box=box, depth=depth, tol=tol, grid=grid)
+        out["risken"] = [(lam, complex(np.exp(2.0 * np.pi * lam))) for lam, _ in pairs]
+    if want in ("monodromy", "all"):
+        out["monodromy"] = monodromy_exponents(
+            density, int(cfg["monodromy_grid"]), re_min=float(cfg["box"][0])
+        )
     return out
 
 
@@ -263,16 +256,14 @@ def cmd_spectrum(cfg) -> int:
 def cmd_adjoint(cfg) -> int:
     density = _density_from_config(cfg)
     box = tuple(float(v) for v in cfg["box"])
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        modes = find_exponents(
-            density,
-            box=box,
-            n_win=int(cfg["n_win"]),
-            depth=int(cfg["depth"]),
-            tol=float(cfg["tol"]),
-            grid=tuple(int(v) for v in cfg["grid"]),
-        )
+    modes = find_exponents(
+        density,
+        box=box,
+        n_win=int(cfg["n_win"]),
+        depth=int(cfg["depth"]),
+        tol=float(cfg["tol"]),
+        grid=tuple(int(v) for v in cfg["grid"]),
+    )
     ctx = BilinearContext(density)
     pairs = []
     flagged = 0

@@ -70,6 +70,19 @@ EXTRA_PASSES = 24
 EARLY_EXIT = 1e-14
 DIVERGENCE_GUARD = 1e12
 
+# Hill refinement: iteration budget, and the relative step at which a
+# truncation cluster's floor is accepted (see rootfind._damped_newton)
+HILL_MAX_ITER = 60
+HILL_LOOSE_TOL = 1e-4
+# find_exponents: imaginary widening of the scan band, the largest move of
+# a root at the enlarged truncation that still counts as converged, the
+# largest usable mode residual, and the distance modulo i below which two
+# final modes are one class
+IM_PAD = 1.0
+CONV_TOL = 1e-8
+MODE_TOL = 1e-2
+CLASS_TOL = 1e-4
+
 # why the passes of one lambda stopped short; 0 means they did not
 _SINGULAR, _DIVERGING = 1, 2
 _BREAKDOWN = {
@@ -117,13 +130,12 @@ def ladder_operators(
     lam,
     n_win: int,
     depth: int,
-    passes: int | None = None,
 ) -> LadderSet:
     """Evaluate the ladder operator relations on |n| <= n_win + depth.
 
     Starting from S = 0 everywhere, each pass substitutes the current
     operators into all inversion relations simultaneously; the pass budget
-    (default window width plus a reserve) is spent unless an update falls
+    (window width plus EXTRA_PASSES) is spent unless an update falls
     below roundoff first, so the result is a fixed finite composition of
     matrix inversions, analytic in lambda.  For a single `lam` a singular
     inversion level or a diverging operator, the signs of lambda sitting
@@ -134,7 +146,7 @@ def ladder_operators(
     K = density.bandwidth
     d = density.dim
     B = n_win + depth
-    n_passes = int(passes) if passes is not None else 2 * B + 1 + EXTRA_PASSES
+    n_passes = 2 * B + 1 + EXTRA_PASSES
     table = build_L(density, lam, B)
     one = np.ndim(table.lam) == 0
     entries = table.entries[None] if one else table.entries
@@ -300,22 +312,16 @@ def _hill_logdet(density: FourierMatrixDensity, lams, bound: int):
         return np.linalg.slogdet(truncated_matrix(build_L(density, lams, bound), bound))
 
 
-def _hill_refine(
-    density,
-    lam0: complex,
-    bound: int,
-    tol: float,
-    max_iter: int = 60,
-    loose_tol: float | None = None,
-):
+def _hill_refine(density, lam0: complex, bound: int, tol: float):
     """Damped Newton on the entire Hill determinant via its logarithmic
     derivative, the step being 1 / (log det T)'.
 
     The derivative is a central difference over lambda +- h, evaluated as
     one batch of two.  A rejected lambda +- h stops the iteration
     unconverged; a determinant that underflows to an exact zero is a root.
-    `loose_tol` accepts the point of smallest step when the step size
-    floors at the spacing of a truncation cluster (see _damped_newton).
+    The point of smallest step is accepted within HILL_LOOSE_TOL when the
+    step size floors at the spacing of a truncation cluster (see
+    _damped_newton).
     """
 
     def step(lam):
@@ -330,7 +336,7 @@ def _hill_refine(
         gprime = ((a1 - a2) + np.log(s1 / s2)) / (2.0 * h)
         return None if gprime == 0 else 1.0 / gprime
 
-    return _damped_newton(step, lam0, tol, max_iter, loose_tol)
+    return _damped_newton(step, lam0, tol, HILL_MAX_ITER, HILL_LOOSE_TOL)
 
 
 def assemble_M(
@@ -527,27 +533,23 @@ def find_exponents(
     depth: int = 10,
     tol: float = 1e-10,
     grid=DEFAULT_GRID,
-    conv_tol: float = 1e-8,
-    check_convergence: bool = True,
-    im_pad: float = 1.0,
-    mode_tol: float = 1e-2,
-    class_tol: float = 1e-4,
 ):
     """Scan det M(lambda) over `box` and refine each minimum by Newton.
 
     On the truncated window det M vanishes at the mod-i translate of an
     exponent class where the zeroth Fourier component dominates, which may
     lie outside the scanned strip; the scan band is therefore widened by
-    `im_pad` in the imaginary direction (same grid step) and a converged
+    IM_PAD in the imaginary direction (same grid step) and a converged
     root is kept whenever the root itself or its strip representative
     falls in `box`.  Roots are deduplicated within 10*tol, then collapsed
     per mod-i class: raw roots whose strip representatives agree modulo i
     keep the one of smallest |Im|.  The comparison is modulo i, so the two
     edges Im = +-1/2 of the strip, where a negative real multiplier sits,
-    are one class; so are the final modes closer than `class_tol`.  Each
-    retained root is
-    re-polished at the enlarged truncation (n_win+2, depth+2); the mode's
-    `converged` flag records whether it moved by less than `conv_tol`.
+    are one class; so are the final modes closer than CLASS_TOL.  Each
+    retained root is re-polished at the enlarged truncation (n_win+2,
+    depth+2); the mode's `converged` flag records whether it moved by less
+    than CONV_TOL.  Modes whose recurrence residual exceeds MODE_TOL are
+    dropped.
 
     Returns FloquetMode objects sorted by (-Re, Im) of the strip
     representative.  An empty list (plus a NoRootsInBoxWarning) means the
@@ -566,52 +568,48 @@ def find_exponents(
         # the continued fraction determinant can pinch a zero against a
         # truncation resonance pole; the entire Hill determinant of the
         # same window separates them cleanly
-        return _hill_refine(density, root, bound, tol, loose_tol=1e-4)
+        return _hill_refine(density, root, bound, tol)
 
     classes = find_classes(
         det_at,
         box,
         grid,
-        im_pad,
+        IM_PAD,
         tol,
         refine=refine,
         point_bytes=table_nbytes(density, bound),
     )
     modes = []
     for root in classes:
-        converged = True
-        if check_convergence:
-            bigger, ok = _newton(
-                lambda z: det_at(z, n_win + 2, depth + 2), root, tol
-            )
-            if not (ok and abs(bigger - root) <= conv_tol):
-                bigger, ok = _hill_refine(density, root, bound + 2, tol, loose_tol=1e-4)
-            converged = bool(ok and abs(bigger - root) <= conv_tol)
+        bigger, ok = _newton(lambda z: det_at(z, n_win + 2, depth + 2), root, tol)
+        if not (ok and abs(bigger - root) <= CONV_TOL):
+            bigger, ok = _hill_refine(density, root, bound + 2, tol)
+        converged = bool(ok and abs(bigger - root) <= CONV_TOL)
         try:
             mode = extract_mode(density, root, n_win, depth, converged=converged)
         except (CfBreakdown, NullSpaceAmbiguous):
             continue  # truncation resonance shadow, not a usable mode
-        if mode.residual > mode_tol:
+        if mode.residual > MODE_TOL:
             # ladder chains lose accuracy where the iteration is nearly
             # critical; polish the root on the entire Hill determinant of
             # the same window and read the components off its null space
-            polished, ok = _hill_refine(density, root, bound, tol, loose_tol=1e-4)
+            polished, ok = _hill_refine(density, root, bound, tol)
             if ok or abs(polished - root) < 0.1:
                 retry = _window_null_mode(
                     density, polished, n_win, depth, converged=converged
                 )
                 if retry is not None and retry.residual < mode.residual:
                     mode = retry
-        if mode.residual > mode_tol:
+        if mode.residual > MODE_TOL:
             continue
         modes.append(mode)
     # hill polishing re-merges truncation shadows of one physical exponent,
     # but different raw representatives localize it only to the cluster
-    # scale: collapse strip values closer than class_tol modulo i, keeping
+    # scale: collapse strip values closer than CLASS_TOL modulo i, keeping
     # the mode with the smallest recurrence residual
     deduped: list = []
     for mode in sorted(modes, key=lambda m: m.residual):
-        if any(abs(to_strip(mode.lam - kept.lam)) < class_tol for kept in deduped):
+        if any(abs(to_strip(mode.lam - kept.lam)) < CLASS_TOL for kept in deduped):
             continue
         deduped.append(mode)
     deduped.sort(key=lambda m: (-m.lam.real, m.lam.imag))

@@ -92,12 +92,10 @@ def _substitute(lu, perm, b):
     return y
 
 
-def solve_linear(a, b, return_cond: bool = False):
+def solve_linear(a, b):
     """Solve a x = b for complex square a; b may carry extra columns.
 
-    Raises SingularMatrix when a pivot falls below the threshold.  With
-    return_cond=True also returns a cheap condition estimate, the ratio of
-    the largest to the smallest pivot magnitude.
+    Raises SingularMatrix when a pivot falls below the threshold.
     """
     a = _as_stack(a)
     if a.ndim != 2:
@@ -109,11 +107,7 @@ def solve_linear(a, b, return_cond: bool = False):
     lu, perm, _, ok = _lu(a[None])
     if not ok[0]:
         raise SingularMatrix(f"pivot below {PIVOT_REL:.0e} of the largest row norm")
-    x = _substitute(lu, perm, cols)[0].reshape(b.shape)
-    if return_cond:
-        diag = np.abs(np.diagonal(lu[0]))
-        return x, float(diag.max() / diag.min())
-    return x
+    return _substitute(lu, perm, cols)[0].reshape(b.shape)
 
 
 def determinant(a):

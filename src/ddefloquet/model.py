@@ -38,6 +38,9 @@ __all__ = [
 ]
 
 EXP_GUARD = 700.0  # |Re(lambda)*theta| beyond this overflows double exp
+# linearize_about_orbit trims a default band down to the coefficients above
+# this fraction of the largest one
+TAIL_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -293,7 +296,6 @@ def linearize_about_orbit(
     orbit: FourierSeries,
     omega: float,
     bandwidth: int | None = None,
-    tail_tol: float = 1e-12,
     tail_frac: float = 1e-9,
 ) -> FourierMatrixDensity:
     """Linearization kernel of the rescaled system about a periodic state.
@@ -311,7 +313,7 @@ def linearize_about_orbit(
     bandwidth : int, optional
         Harmonic cutoff K of the returned kernel.  Defaults to
         degree(system) * orbit cutoff, then trimmed to drop only
-        coefficients below `tail_tol` relative to the largest one.  An
+        coefficients below TAIL_TOL relative to the largest one.  An
         explicit bandwidth raises CutoffTooSmall when it would drop more
         than `tail_frac` of any entry's coefficient norm.
 
@@ -387,7 +389,7 @@ def linearize_about_orbit(
         mags = np.abs(coeffs).reshape(2, 2 * K + 1, -1).max(axis=(0, 2))
         scale = max(float(mags.max()), 1e-300)
         keep = K
-        while keep > 0 and mags[K - keep] <= tail_tol * scale and mags[K + keep] <= tail_tol * scale:
+        while keep > 0 and mags[K - keep] <= TAIL_TOL * scale and mags[K + keep] <= TAIL_TOL * scale:
             keep -= 1
         if keep < K:
             coeffs = coeffs[:, K - keep : K + keep + 1]

@@ -326,8 +326,7 @@ def characteristic_roots(
         lams = lams[:, None, None]
         return determinant((a + b * np.exp(-lams * omega * tau)) / omega - lams * eye)
 
-    found = find_roots(f, box=box, grid=grid, tol=tol, point_bytes=16 * n * n)
-    return [root for root, ok in found if ok]
+    return find_roots(f, box=box, grid=grid, tol=tol, point_bytes=16 * n * n)
 
 
 def oscillator_residual(exp: OrbitExpansion, n_grid: int = 512) -> float:

@@ -114,12 +114,7 @@ class OrbitExpansion:
 
     def frequency_series(self) -> np.ndarray:
         """Coefficients of omega(parameter) as a power series."""
-        f = np.asarray(self.freq_coeffs, dtype=float)
-        if self.scheme == "shohat":
-            out = f.copy()
-            out[1:] = f[1:] - f[:-1]
-            return out
-        return f
+        return _frequency_series(self.freq_coeffs, self.scheme)
 
     def omega(self) -> float:
         fs = self.frequency_series()
@@ -134,6 +129,21 @@ class OrbitExpansion:
 
     def state(self):
         return orbit_to_state(self)
+
+
+def _frequency_series(freq, scheme: str) -> np.ndarray:
+    """omega(eps) power series from the stored frequency coefficients.
+
+    The plain scheme stores omega_m directly.  The Shohat scheme stores
+    Omega_m, the coefficients of omega(rho)/(1 - rho), so omega_m is their
+    first difference.
+    """
+    f = np.asarray(freq, dtype=float)
+    if scheme == "shohat":
+        out = f.copy()
+        out[1:] = f[1:] - f[:-1]
+        return out
+    return f
 
 
 # -- power series of Fourier series ("None" marks an all-zero order) ----
@@ -197,15 +207,6 @@ class _Hierarchy:
         self.scheme = scheme
         self.w0 = model.omega0
 
-    def freq_series(self, freq):
-        """omega(eps) power series from the stored coefficients."""
-        f = np.asarray(freq, dtype=float)
-        if self.scheme == "shohat":
-            out = f.copy()
-            out[1:] = f[1:] - f[:-1]
-            return out
-        return f
-
     def g_coeffs(self, freq, m):
         f = np.asarray(freq, dtype=float)
         g = np.convolve(f, f)
@@ -237,7 +238,7 @@ class _Hierarchy:
         xs holds the orbit orders x_0..x_{up_to}; freq the frequency
         coefficients known so far (at least up to index up_to).
         """
-        fs = self.freq_series(freq)[: up_to + 1]
+        fs = _frequency_series(freq, self.scheme)[: up_to + 1]
         tau = self.model.tau
         phi0 = fs[0] * tau
 

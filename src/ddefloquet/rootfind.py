@@ -142,7 +142,6 @@ def find_roots(
     box=DEFAULT_BOX,
     grid=DEFAULT_GRID,
     tol: float = 1e-10,
-    max_newton: int = 40,
     accept=None,
     refine=None,
     point_bytes: int = 16,
@@ -155,19 +154,18 @@ def find_roots(
     evaluated in chunks of CHUNK_BYTES // point_bytes points, where
     `point_bytes` is the size of f's largest working array per lambda.
 
-    Returns a list of (root, converged) with roots deduplicated within
-    10*tol and sorted by (-Re, Im).  Non-evaluable grid points are masked;
-    seeds whose Newton iteration stalls are dropped with a warning.
-    `accept(root)` filters converged roots; by default roots must stay
-    inside the scanned box (Newton may walk out of it).  `refine(seed)`
-    replaces the default Newton refinement when given; it must return
-    (root, converged).
+    Returns the converged roots, deduplicated within 10*tol and sorted by
+    (-Re, Im).  Non-evaluable grid points are masked; seeds whose Newton
+    iteration stalls are dropped with a warning.  `accept(root)` filters
+    converged roots; by default roots must stay inside the scanned box
+    (Newton may walk out of it).  `refine(seed)` replaces the default Newton
+    refinement when given; it must return (root, converged).
     """
     sb = box if isinstance(box, SearchBox) else SearchBox(*box)
     if accept is None:
         accept = lambda z: sb.contains(z, slack=1e-6)
     if refine is None:
-        refine = lambda seed: _newton(f, seed, tol, max_iter=max_newton)
+        refine = lambda seed: _newton(f, seed, tol)
     nr, ni = grid
     res = np.linspace(sb.re_min, sb.re_max, nr)
     ims = np.linspace(sb.im_min, sb.im_max, ni)
@@ -183,7 +181,7 @@ def find_roots(
     with np.errstate(divide="ignore", over="ignore"):
         logabs = np.log(np.abs(vals)).reshape(nr, ni)
 
-    roots: list[tuple[complex, bool]] = []
+    roots: list[complex] = []
     stalled = 0
     for i, j in _minima_seeds(logabs):
         seed = complex(res[i], ims[j])
@@ -193,9 +191,9 @@ def find_roots(
             continue
         if not accept(root):
             continue
-        if any(abs(root - r) <= 10 * tol for r, _ in roots):
+        if any(abs(root - r) <= 10 * tol for r in roots):
             continue
-        roots.append((root, True))
+        roots.append(root)
     if stalled:
         warnings.warn(
             f"{stalled} Newton seed(s) failed to converge and were dropped",
@@ -203,7 +201,7 @@ def find_roots(
         )
     if not roots:
         warnings.warn("no roots found in the search box", NoRootsInBoxWarning)
-    roots.sort(key=lambda t: (-t[0].real, t[0].imag))
+    roots.sort(key=lambda z: (-z.real, z.imag))
     return roots
 
 
@@ -244,7 +242,7 @@ def find_classes(
         point_bytes=point_bytes,
     )
     by_class: dict = {}
-    for root, _ in raw:
+    for root in raw:
         strip = to_strip(root)
         key = next((k for k in by_class if abs(to_strip(strip - k)) <= 10 * tol), None)
         if key is None:

@@ -227,9 +227,7 @@ def test_vdp_zero_mode_pairs_to_zero_with_amplitude_mode(vdp_linearization):
             grid=(10, 9), tol=1e-9,
         )
     zero = min(modes, key=lambda m: abs(m.lam))
-    amp_root, ok = _hill_refine(
-        density, complex(-0.1, 1.0), 16, 1e-9, loose_tol=1e-4
-    )
+    amp_root, ok = _hill_refine(density, complex(-0.1, 1.0), 16, 1e-9)
     assert ok
     other = _window_null_mode(density, amp_root, 8, 8)
     assert abs(other.lam - zero.lam) > 1e-2

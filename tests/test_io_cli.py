@@ -6,6 +6,7 @@ import pytest
 
 from ddefloquet import ConfigError
 from ddefloquet.cli import main
+from ddefloquet.errors import NoRootsInBoxWarning
 from ddefloquet.io import dumps_json, format_float, load_system, spectrum_records
 
 
@@ -187,22 +188,23 @@ def test_cli_spectrum_all_methods(tmp_path):
 
 def test_cli_spectrum_empty_box_exit_0(tmp_path, capsys):
     out = tmp_path / "empty"
-    code = main(
-        [
-            "spectrum",
-            "--system",
-            "builtin:s1",
-            "--method",
-            "cf",
-            "--box",
-            "5",
-            "6",
-            "-0.4",
-            "0.4",
-            "--out",
-            str(out),
-        ]
-    )
+    with pytest.warns(NoRootsInBoxWarning):
+        code = main(
+            [
+                "spectrum",
+                "--system",
+                "builtin:s1",
+                "--method",
+                "cf",
+                "--box",
+                "5",
+                "6",
+                "-0.4",
+                "0.4",
+                "--out",
+                str(out),
+            ]
+        )
     assert code == 0
     assert json.loads((out / "spectrum_cf.json").read_text()) == []
 

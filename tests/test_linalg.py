@@ -30,9 +30,8 @@ def test_diagonal_solve():
 def test_random_solve_residual(rng):
     a = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
     b = rng.standard_normal(6) + 1j * rng.standard_normal(6)
-    x, cond = solve_linear(a, b, return_cond=True)
+    x = solve_linear(a, b)
     assert np.linalg.norm(a @ x - b) < 1e-12 * np.linalg.norm(b)
-    assert cond >= 1.0
 
 
 def test_matrix_rhs_solve(rng):
