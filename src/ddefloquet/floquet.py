@@ -20,9 +20,11 @@ value is then an explicit finite composition of matrix inversions,
 analytic in lambda away from its breakdown poles; that analyticity is what
 lets the determinant root search work with plain Newton iterations.  Where
 an exponent sits close to a truncation resonance the continued fraction
-determinant pinches its zero against a pole; the search then falls back to
-the entire Hill determinant of the same window, and mode components can be
-read off the window null space instead of the ladder chains.  The n = 0
+determinant pinches its zero against a pole; a Newton run there stalls at
+a floor, and the search hands it over at that stall to the entire Hill
+determinant of the same window, which also runs the root's truncation
+check.  Mode components can be read off the window null space instead of
+the ladder chains.  The n = 0
 closure gives the finite matrix M(lambda) whose determinant vanishes at
 the Floquet exponents.
 
@@ -47,8 +49,10 @@ from .model import (
     truncated_matrix,
 )
 from .rootfind import (
+    CLASS_TOL,
     DEFAULT_BOX,
     DEFAULT_GRID,
+    FLOOR_TOL,
     _damped_newton,
     _newton,
     find_classes,
@@ -70,18 +74,14 @@ EXTRA_PASSES = 24
 EARLY_EXIT = 1e-14
 DIVERGENCE_GUARD = 1e12
 
-# Hill refinement: iteration budget, and the relative step at which a
-# truncation cluster's floor is accepted (see rootfind._damped_newton)
+# Hill refinement: iteration budget
 HILL_MAX_ITER = 60
-HILL_LOOSE_TOL = 1e-4
 # find_exponents: imaginary widening of the scan band, the largest move of
-# a root at the enlarged truncation that still counts as converged, the
-# largest usable mode residual, and the distance modulo i below which two
-# final modes are one class
+# a root at the enlarged truncation that still counts as converged, and
+# the largest usable mode residual
 IM_PAD = 1.0
 CONV_TOL = 1e-8
 MODE_TOL = 1e-2
-CLASS_TOL = 1e-4
 
 # why the passes of one lambda stopped short; 0 means they did not
 _SINGULAR, _DIVERGING = 1, 2
@@ -319,8 +319,8 @@ def _hill_refine(density, lam0: complex, bound: int, tol: float):
     The derivative is a central difference over lambda +- h, evaluated as
     one batch of two.  A rejected lambda +- h stops the iteration
     unconverged; a determinant that underflows to an exact zero is a root.
-    The point of smallest step is accepted within HILL_LOOSE_TOL when the
-    step size floors at the spacing of a truncation cluster (see
+    The point of smallest step is accepted within FLOOR_TOL when the step
+    size floors at the spacing of a truncation cluster (see
     _damped_newton).
     """
 
@@ -336,7 +336,7 @@ def _hill_refine(density, lam0: complex, bound: int, tol: float):
         gprime = ((a1 - a2) + np.log(s1 / s2)) / (2.0 * h)
         return None if gprime == 0 else 1.0 / gprime
 
-    return _damped_newton(step, lam0, tol, HILL_MAX_ITER, HILL_LOOSE_TOL)
+    return _damped_newton(step, lam0, tol, HILL_MAX_ITER, FLOOR_TOL)
 
 
 def assemble_M(
@@ -541,15 +541,18 @@ def find_exponents(
     lie outside the scanned strip; the scan band is therefore widened by
     IM_PAD in the imaginary direction (same grid step) and a converged
     root is kept whenever the root itself or its strip representative
-    falls in `box`.  Roots are deduplicated within 10*tol, then collapsed
-    per mod-i class: raw roots whose strip representatives agree modulo i
-    keep the one of smallest |Im|.  The comparison is modulo i, so the two
-    edges Im = +-1/2 of the strip, where a negative real multiplier sits,
-    are one class; so are the final modes closer than CLASS_TOL.  Each
-    retained root is re-polished at the enlarged truncation (n_win+2,
-    depth+2); the mode's `converged` flag records whether it moved by less
-    than CONV_TOL.  Modes whose recurrence residual exceeds MODE_TOL are
-    dropped.
+    falls in `box`.  A Newton run that stalls against a truncation
+    resonance pole hands over to the entire Hill determinant of the same
+    window.  Roots are deduplicated within 10*tol, then collapsed per mod-i
+    class: raw roots whose strip representatives agree modulo i within
+    CLASS_TOL keep the one of smallest |Im|.  The comparison is modulo i,
+    so the two edges Im = +-1/2 of the strip, where a negative real
+    multiplier sits, are one class; so are the final modes closer than
+    CLASS_TOL.  Each retained root is re-polished at the enlarged
+    truncation (n_win+2, depth+2) on the route that found it, continued
+    fraction or Hill; the mode's `converged` flag records whether it moved
+    by less than CONV_TOL.  Modes whose recurrence residual exceeds
+    MODE_TOL are dropped.
 
     Returns FloquetMode objects sorted by (-Re, Im) of the strip
     representative.  An empty list (plus a NoRootsInBoxWarning) means the
@@ -560,15 +563,19 @@ def find_exponents(
         return closure_determinant(density, lams, nw, dp)
 
     bound = n_win + depth
+    # roots that came through the Hill fallback
+    by_hill = set()
 
     def refine(seed):
         root, ok = _newton(det_at, seed, tol)
         if ok:
             return root, True
         # the continued fraction determinant can pinch a zero against a
-        # truncation resonance pole; the entire Hill determinant of the
-        # same window separates them cleanly
-        return _hill_refine(density, root, bound, tol)
+        # truncation resonance pole, where its Newton run stalls; the
+        # entire Hill determinant of the same window separates them cleanly
+        root, ok = _hill_refine(density, root, bound, tol)
+        by_hill.add(root)
+        return root, ok
 
     classes = find_classes(
         det_at,
@@ -581,7 +588,10 @@ def find_exponents(
     )
     modes = []
     for root in classes:
-        bigger, ok = _newton(lambda z: det_at(z, n_win + 2, depth + 2), root, tol)
+        # a continued fraction run at a Hill root only repeats its pinch
+        ok = False
+        if root not in by_hill:
+            bigger, ok = _newton(lambda z: det_at(z, n_win + 2, depth + 2), root, tol)
         if not (ok and abs(bigger - root) <= CONV_TOL):
             bigger, ok = _hill_refine(density, root, bound + 2, tol)
         converged = bool(ok and abs(bigger - root) <= CONV_TOL)
@@ -603,10 +613,10 @@ def find_exponents(
         if mode.residual > MODE_TOL:
             continue
         modes.append(mode)
-    # hill polishing re-merges truncation shadows of one physical exponent,
-    # but different raw representatives localize it only to the cluster
-    # scale: collapse strip values closer than CLASS_TOL modulo i, keeping
-    # the mode with the smallest recurrence residual
+    # the classes are CLASS_TOL apart, but the window null space polish may
+    # move a root by up to 0.1, onto another class: collapse strip values
+    # closer than CLASS_TOL modulo i, keeping the mode with the smallest
+    # recurrence residual
     deduped: list = []
     for mode in sorted(modes, key=lambda m: m.residual):
         if any(abs(to_strip(mode.lam - kept.lam)) < CLASS_TOL for kept in deduped):

@@ -27,6 +27,14 @@ DEFAULT_GRID = (61, 31)
 # the scan hands f as many grid points at a time as keep each of its
 # working arrays near this size
 CHUNK_BYTES = 128 * 1024
+# a damped Newton run has reached a truncation cluster's floor once its
+# smallest step is within FLOOR_TOL * (1 + |lam|) and STALL_STEPS steps in a
+# row have not set a new smallest step
+FLOOR_TOL = 1e-4
+STALL_STEPS = 6
+# distance modulo i below which two roots are one exponent class: the
+# cluster scale of a Hill-refined root, not the Newton tolerance
+CLASS_TOL = 1e-4
 
 
 @dataclass(frozen=True)
@@ -82,9 +90,12 @@ def _damped_newton(step, lam0: complex, tol: float, max_iter: int, loose_tol=Non
     most `tol` converges.  Full steps cycle with period two when two roots
     sit close together; once the step size stops shrinking the iteration
     switches to damped steps, which settle into the nearer root.
-    Truncation can split one root into a tight cluster of zeros, and the
-    step size then floors at the cluster spacing; with `loose_tol` set,
-    the point of smallest step is accepted once that floor is reached.
+    Truncation can split one root into a tight cluster of zeros (or pinch
+    it against a pole), and the step size then floors at the cluster
+    spacing: the iteration stops at that floor, once the smallest step is
+    within FLOOR_TOL and STALL_STEPS steps have not improved on it, rather
+    than spending its budget.  With `loose_tol` set, the point of smallest
+    step is then accepted if that step is within `loose_tol`.
     Returns (root, converged).
     """
     lam = complex(lam0)
@@ -93,6 +104,7 @@ def _damped_newton(step, lam0: complex, tol: float, max_iter: int, loose_tol=Non
     damping = 1.0
     best = np.inf
     best_lam = lam
+    since_best = 0
     for _ in range(max_iter):
         delta = step(lam)
         if delta is None:
@@ -104,6 +116,11 @@ def _damped_newton(step, lam0: complex, tol: float, max_iter: int, loose_tol=Non
         if size < best:
             best = size
             best_lam = lam
+            since_best = 0
+        else:
+            since_best += 1
+            if since_best >= STALL_STEPS and best <= FLOOR_TOL * (1.0 + abs(best_lam)):
+                break
         if size >= 0.5 * prev:
             flat += 1
             if flat >= 3:
@@ -217,9 +234,11 @@ def find_classes(
     `box` widened by at least `pad` in the imaginary direction, at the same
     grid step, and a converged root is kept when the root itself or its
     strip representative falls in `box`.  Roots whose strip values agree
-    modulo i within 10*tol are one class, so the two edges Im = +-1/2 of
-    the strip meet; a class keeps the raw root of smallest |Im|.  Returns
-    the raw roots in the order their classes were found.
+    modulo i within CLASS_TOL are one class, so the two edges Im = +-1/2
+    of the strip meet, and so do the translates of one exponent that a
+    Hill refinement located only to the cluster scale; a class keeps the
+    raw root of smallest |Im|.  Returns the raw roots in the order their
+    classes were found.
     """
     sb = box if isinstance(box, SearchBox) else SearchBox(*box)
     nr, ni = grid
@@ -244,7 +263,7 @@ def find_classes(
     by_class: dict = {}
     for root in raw:
         strip = to_strip(root)
-        key = next((k for k in by_class if abs(to_strip(strip - k)) <= 10 * tol), None)
+        key = next((k for k in by_class if abs(to_strip(strip - k)) <= CLASS_TOL), None)
         if key is None:
             by_class[strip] = root
         elif abs(root.imag) < abs(by_class[key].imag):

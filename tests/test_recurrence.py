@@ -7,11 +7,13 @@ import numpy as np
 import pytest
 
 import ddefloquet as df
+from ddefloquet import floquet
 from ddefloquet.floquet import _hill_refine, find_exponents, recurrence_residual
 from ddefloquet.model import build_L, recurrence_blocks, truncated_matrix
 from ddefloquet.risken import find_exponents_risken
-from ddefloquet.rootfind import _damped_newton
+from ddefloquet.rootfind import STALL_STEPS, _damped_newton
 from ddefloquet.systems import parametric_density
+from ddefloquet.verify import cosine_similarity
 
 OVERFLOW = -800.0  # Re(lambda) * theta = 800 > 700 at theta = -1
 
@@ -131,6 +133,78 @@ def test_damped_newton_loose_tol_accepts_the_smallest_step():
     root, ok = run(None)
     assert not ok and root != best
     assert run(1e-9) == (root, False)
+
+
+def _counted_steps(sizes):
+    calls = []
+
+    def step(lam):
+        calls.append(lam)
+        return sizes[len(calls) - 1]
+
+    return step, calls
+
+
+@pytest.mark.parametrize("loose_tol", [None, 1e-4])
+def test_damped_newton_stops_at_a_floor(loose_tol):
+    # a pinched run: the step size floors at 1e-6 and wanders above it;
+    # the run stops STALL_STEPS calls after its last new smallest step
+    # instead of spending its budget
+    sizes = [1e-2, 1e-4, 1e-6] + [3e-6, 2e-6] * 30
+    step, calls = _counted_steps(sizes)
+    root, ok = _damped_newton(step, 1.0, 1e-12, 60, loose_tol)
+    assert len(calls) == 3 + STALL_STEPS
+    best = 1.0 - 1e-2 - 1e-4 - 1e-6
+    assert (root == best) == ok == (loose_tol is not None)
+
+
+@pytest.mark.parametrize("loose_tol", [None, 1e-4])
+def test_damped_newton_travelling_run_is_not_stopped(loose_tol):
+    # steps of about 0.1 that set no new smallest step for more than
+    # STALL_STEPS steps are a run still travelling, not a floor
+    sizes = [0.1, 0.12, 0.11] * 4 + [1e-2, 1e-5, 1e-13]
+    step, calls = _counted_steps(sizes)
+    root, ok = _damped_newton(step, 1.0, 1e-12, 60, loose_tol)
+    assert ok and len(calls) == len(sizes)
+
+
+def test_s2_zero_mode_search_hands_pinched_runs_over_early(
+    vdp_linearization, monkeypatch
+):
+    # every continued fraction Newton run on s2 at the verify settings
+    # pinches; spending each run's budget before the Hill handover took
+    # 225 ladder evaluations
+    density, _, state, _ = vdp_linearization
+    calls = []
+    ladders = floquet.ladder_operators
+
+    def counted(density, lam, n_win, depth):
+        calls.append(n_win)
+        return ladders(density, lam, n_win, depth)
+
+    monkeypatch.setattr(floquet, "ladder_operators", counted)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        modes = find_exponents(
+            density,
+            box=(-0.6, 0.3, -0.5, 0.5),
+            n_win=8,
+            depth=8,
+            grid=(10, 9),
+            tol=1e-9,
+        )
+    assert len(calls) <= 120
+    # the truncation check of a Hill root stays on the Hill determinant
+    assert 10 not in calls
+    mode = min(modes, key=lambda m: abs(m.lam))
+    assert abs(mode.lam) < 5e-3
+    deriv = state.derivative()
+    nw, shift = mode.n_win, mode.strip_offset
+    target = np.zeros((2 * nw + 1, 2), dtype=complex)
+    for n in range(-nw, nw + 1):
+        if abs(n + shift) <= deriv.cutoff:
+            target[n + nw] = deriv.coefficient(n + shift)
+    assert cosine_similarity(mode.components, target) > 0.999
 
 
 def test_hill_refine_rejected_lambda_does_not_converge():
