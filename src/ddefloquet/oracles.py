@@ -7,6 +7,19 @@ history segment over one period and its eigenvalues give reference Floquet
 multipliers; the segment lives on a uniform grid, a different
 discretization family from the Fourier window of the continued fractions,
 so agreement between the two routes is evidence rather than shared bias.
+
+Both marches know every RK4 stage time before they start, so the cubic
+stencils of every delayed read (index `lo` and four weights) are built once,
+and every delayed read of a block of steps that only looks at stored points
+is one array expression.  The monodromy march is linear, so it also
+evaluates every weight at every stage time in one call and folds each RK4
+step into y <- P_k y + g_k: the propagators P_k come from the undelayed
+weight alone, the forcings g_k of a block from its delayed reads, and the
+sequential part is one small matmul per step.  Blocks are capped at
+rootfind.CHUNK_BYTES of delayed terms, and the march keeps only the points
+a later read needs, in a ring of about one segment's rows.  A real kernel
+gives a real map, and `eigvals` runs on it.  The discretization (grid, interpolation, RK4,
+Richardson doubling) is the same as a straight per-stage march.
 """
 
 from __future__ import annotations
@@ -15,7 +28,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import rootfind
 from .errors import BlowUp, GridTooCoarse, StepTooLarge
+from .fourier import FourierSeries
 from .linalg import determinant
 from .model import DdeSystem, FourierMatrixDensity
 from .orbit import OrbitExpansion
@@ -76,41 +91,56 @@ class SegmentState:
         return cls(grid, vals)
 
 
-def _lagrange4(times: np.ndarray, values: np.ndarray, t: float):
-    """Cubic Lagrange interpolation on the 4 nearest stored points."""
-    n = times.shape[0]
-    if n < 4:
-        raise ValueError("need at least 4 history points")
-    i = int(np.searchsorted(times, t))
-    lo = min(max(i - 2, 0), n - 4)
-    ts = times[lo : lo + 4]
-    out = 0.0
+def _stencils(times: np.ndarray, s, upper):
+    """Cubic Lagrange stencils of reads at s on the stored points times[:upper].
+
+    Returns (lo, w) with q(s) ~ sum_i w[..., i] * values[lo + i]: the four
+    points nearest s, clamped inside times[:upper].  `upper` broadcasts
+    against s, so a march gives every read the number of points stored
+    when it happens.
+    """
+    s = np.asarray(s, dtype=float)
+    i = np.minimum(np.searchsorted(times, s), upper)
+    lo = np.clip(i - 2, 0, np.asarray(upper) - 4)
+    ts = times[lo[..., None] + np.arange(4)]
+    w = np.ones(ts.shape)
     for k in range(4):
-        w = 1.0
         for l in range(4):
             if l != k:
-                w *= (t - ts[l]) / (ts[k] - ts[l])
-        out = out + w * values[lo + k]
+                w[..., k] *= (s - ts[..., l]) / (ts[..., k] - ts[..., l])
+    return lo, w
+
+
+def _interpolate(values: np.ndarray, lo: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Apply stencils: shape lo.shape + values.shape[1:], one point at a time.
+
+    Point i is read from row i % len(values), so a march may keep its
+    history in a ring of rows.
+    """
+    lift = lo.shape + (1,) * (values.ndim - 1)
+    rows = values.shape[0]
+    out = w[..., 0].reshape(lift) * values[lo % rows]
+    for i in range(1, 4):
+        out += w[..., i].reshape(lift) * values[(lo + i) % rows]
     return out
 
 
-class _History:
-    """Append-only record of (time, value) pairs with cubic interpolation."""
+def _block_ends(lo: np.ndarray, npts: int, step_bytes: int):
+    """Step blocks [k0, k1) whose stencils read only points stored before k0.
 
-    def __init__(self, times, values):
-        self.times = list(times)
-        self.values = list(values)
-
-    def append(self, t, v):
-        self.times.append(t)
-        self.values.append(v)
-
-    def freeze(self):
-        self._t = np.asarray(self.times)
-        self._v = np.asarray(self.values)
-
-    def __call__(self, t: float):
-        return _lagrange4(self._t, self._v, t)
+    Step k of a march stores point npts + k, so its reads lo (shape
+    (n_steps, ...)) need the first lo.max() + 4 - npts steps done; that
+    count never decreases with k.  A block's delayed terms, step_bytes per
+    step, are kept within rootfind.CHUNK_BYTES (one step at least).
+    """
+    n_steps = lo.shape[0]
+    cap = max(1, rootfind.CHUNK_BYTES // step_bytes)
+    need = lo.reshape(n_steps, -1).max(axis=1) + 4 - npts
+    k0 = 0
+    while k0 < n_steps:
+        k1 = min(int(np.searchsorted(need, k0, side="right")), k0 + cap)
+        yield k0, k1
+        k0 = k1
 
 
 @dataclass(frozen=True)
@@ -121,8 +151,10 @@ class Trajectory:
     values: np.ndarray
     delay: float
 
-    def at(self, xi: float):
-        return _lagrange4(self.times, self.values, float(xi))
+    def at(self, xi):
+        """Cubic interpolant at scalar or array xi; shape xi.shape + (dim,)."""
+        lo, w = _stencils(self.times, xi, self.times.shape[0])
+        return _interpolate(self.values, lo, w)
 
     def segment(self, xi: float, npts: int | None = None) -> SegmentState:
         if xi > self.times[-1] + 1e-12 or xi - self.delay < self.times[0] - 1e-12:
@@ -131,8 +163,7 @@ class Trajectory:
             spacing = self.times[-1] - self.times[-2]
             npts = max(int(round(self.delay / spacing)) + 1, MIN_SEGMENT_POINTS + 1)
         grid = np.linspace(-self.delay, 0.0, npts)
-        vals = np.array([self.at(xi + th) for th in grid])
-        return SegmentState(grid, vals)
+        return SegmentState(grid, self.at(xi + grid))
 
 
 def integrate_mos(
@@ -142,7 +173,10 @@ def integrate_mos(
 
     Classical RK4; delayed arguments are read from the accumulated history
     by cubic interpolation, which is valid because every stage looks back
-    at least delay - h.  The step must satisfy h <= delay/20.
+    at least delay - h.  The step must satisfy h <= delay/20.  The stage
+    times are known in advance, so the stencils of every delayed read are
+    built once, and the delayed values of a block of steps whose reads
+    land on stored points are interpolated together.
     """
     delay = system.tau
     if callable(segment):
@@ -156,43 +190,63 @@ def integrate_mos(
     if xi_end <= 0:
         raise ValueError("xi_end must be positive")
 
-    hist = _History(list(segment.grid), list(np.asarray(segment.values, dtype=float)))
-    hist.freeze()
-
-    def rhs(t, y):
-        qd = hist(t - delay)
-        return system.rhs(y, qd)
-
-    times = [0.0]
-    values = [np.asarray(segment.values[-1], dtype=float)]
+    npts = segment.grid.shape[0]
     n_steps = int(np.ceil(xi_end / h - 1e-12))
+    starts = np.empty(n_steps)
+    steps = np.empty(n_steps)
     t = 0.0
-    y = values[0]
     for k in range(n_steps):
-        step = min(h, xi_end - t)
-        k1 = rhs(t, y)
-        k2 = rhs(t + step / 2, y + step / 2 * k1)
-        k3 = rhs(t + step / 2, y + step / 2 * k2)
-        k4 = rhs(t + step, y + step * k3)
-        y = y + step / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
-        t = t + step
-        if float(np.max(np.abs(y))) > BLOWUP_NORM:
-            raise BlowUp(f"|q| exceeded {BLOWUP_NORM:.0e} at xi = {t:.3f}")
-        hist.append(t, y)
-        hist.freeze()
-        times.append(t)
-        values.append(y)
+        starts[k] = t
+        steps[k] = min(h, xi_end - t)
+        t = t + steps[k]
+    stages = np.stack([starts, starts + steps / 2, starts + steps], axis=1)
 
-    all_t = np.concatenate([segment.grid[:-1], np.asarray(times)])
-    all_v = np.vstack([segment.values[:-1], np.asarray(values)])
-    return Trajectory(all_t, all_v, delay)
+    times = np.concatenate([segment.grid, stages[:, 2]])
+    values = np.empty((npts + n_steps, segment.dim))
+    values[:npts] = np.asarray(segment.values, dtype=float)
+    lo, w = _stencils(times, stages - delay, npts + np.arange(n_steps)[:, None])
+
+    y = values[npts - 1]
+    for k0, k1 in _block_ends(lo, npts, 3 * values[0].nbytes):
+        delayed = _interpolate(values, lo[k0:k1], w[k0:k1])
+        for k in range(k0, k1):
+            step = steps[k]
+            da, db, dc = delayed[k - k0]
+            r1 = system.rhs(y, da)
+            r2 = system.rhs(y + step / 2 * r1, db)
+            r3 = system.rhs(y + step / 2 * r2, db)
+            r4 = system.rhs(y + step * r3, dc)
+            y = y + step / 6 * (r1 + 2 * r2 + 2 * r3 + r4)
+            if float(np.max(np.abs(y))) > BLOWUP_NORM:
+                raise BlowUp(
+                    f"|q| exceeded {BLOWUP_NORM:.0e} at xi = {times[npts + k]:.3f}"
+                )
+            values[npts + k] = y
+    return Trajectory(times, values, delay)
+
+
+def _rk4_increment(a: np.ndarray, f: np.ndarray, h: float) -> np.ndarray:
+    """RK4 increment of z' = A(t) z + f(t) over one step from z = 0.
+
+    a (..., 3, n, n) and f (..., 3, n, m) hold A and f at the stage times
+    t, t + h/2 and t + h.  With f = A this is P - I of the step propagator,
+    with f the delayed terms it is the forcing g of y <- P y + g.
+    """
+    z1 = f[..., 0, :, :]
+    z2 = (h / 2) * (a[..., 1, :, :] @ z1) + f[..., 1, :, :]
+    z3 = (h / 2) * (a[..., 1, :, :] @ z2) + f[..., 1, :, :]
+    z4 = h * (a[..., 2, :, :] @ z3) + f[..., 2, :, :]
+    return (h / 6) * (z1 + 2 * z2 + 2 * z3 + z4)
 
 
 def _linear_march(density: FourierMatrixDensity, init_values: np.ndarray, period: float):
     """March dq/dxi = sum_j W_j(xi) q(xi + theta_j) over one period.
 
     init_values has shape (npts, n, ncols); all columns advance together.
-    Returns a cubic interpolating history callable covering [-delay, period].
+    Returns a cubic interpolating history callable covering the last delay
+    window [period - delay, period]; only the points it reads are kept.
+    Each RK4 step is y <- P_k y + g_k, the forcings g_k formed a block of
+    steps at a time; a real kernel on real data marches in real arithmetic.
     """
     delay = float(-density.delays[0])
     npts = init_values.shape[0]
@@ -202,67 +256,64 @@ def _linear_march(density: FourierMatrixDensity, init_values: np.ndarray, period
 
     real_path = density.is_real() and np.all(np.isreal(init_values))
     dtype = float if real_path else complex
-    weights = [density.weight_series(j) for j in range(len(density.delays))]
+    starts = h * np.arange(n_steps)
+    stages = starts[:, None] + np.array([0.0, h / 2, h])
+    # (n_steps, 3, J, n, n): every weight at every stage time
+    weights = FourierSeries(np.moveaxis(density.coeffs, 0, 1)).evaluate(stages)
+    if real_path:
+        weights = weights.real
+    here = weights[:, :, -1]
+    inner = np.flatnonzero(density.delays < 0.0)
 
-    def weight_at(series, t):
-        w = series.evaluate(t)
-        return w.real if real_path else w
-
-    inner = [
-        (float(th), weights[j]) for j, th in enumerate(density.delays) if th < 0.0
-    ]
-    w_here = weights[-1]
-
-    total = npts + n_steps
-    times = np.empty(total)
-    values = np.empty((total,) + init_values.shape[1:], dtype=dtype)
-    times[:npts] = np.linspace(-delay, 0.0, npts)
+    grid = np.linspace(-delay, 0.0, npts)
+    times = np.concatenate([grid, starts + h])
+    lo, w = _stencils(
+        times,
+        stages[:, :, None] + density.delays[inner],
+        npts + np.arange(n_steps)[:, None, None],
+    )
+    # point i is kept in row i % rows.  The oldest point a step reads never
+    # moves back, so rows cover the longest look-back of a step and the
+    # last delay window, which is all `history` serves.
+    last = int(_stencils(times, period + grid, times.shape[0])[0].min())
+    oldest = np.append(lo.reshape(n_steps, -1).min(axis=1), last)
+    rows = int(np.max(npts + np.arange(n_steps + 1) - oldest))
+    values = np.empty((rows,) + init_values.shape[1:], dtype=dtype)
     values[:npts] = init_values.real if real_path else init_values
-    fill = npts
+    props = np.eye(density.dim) + _rk4_increment(here, here, h)
 
-    def interp(t):
-        return _lagrange4(times[:fill], values[:fill], t)
-
-    def rhs(t, y):
-        acc = weight_at(w_here, t) @ y
-        for th, w in inner:
-            acc = acc + weight_at(w, t) @ interp(t + th)
-        return acc
-
-    t = 0.0
-    y = values[npts - 1]
-    for _ in range(n_steps):
-        k1 = rhs(t, y)
-        k2 = rhs(t + h / 2, y + h / 2 * k1)
-        k3 = rhs(t + h / 2, y + h / 2 * k2)
-        k4 = rhs(t + h, y + h * k3)
-        y = y + h / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
-        t = t + h
-        times[fill] = t
-        values[fill] = y
-        fill += 1
+    for k0, k1 in _block_ends(lo, npts, 3 * values[0].nbytes):
+        delayed = 0
+        for m, j in enumerate(inner):
+            read = _interpolate(values, lo[k0:k1, :, m], w[k0:k1, :, m])
+            delayed = delayed + weights[k0:k1, :, j] @ read
+        forcing = _rk4_increment(here[k0:k1], delayed, h)
+        for k in range(k0, k1):
+            y = values[(npts + k) % rows]
+            np.matmul(props[k], values[(npts + k - 1) % rows], out=y)
+            y += forcing[k - k0]
 
     def history(tq):
-        return _lagrange4(times[:fill], values[:fill], tq)
+        lo, w = _stencils(times, tq, times.shape[0])
+        if np.any(lo < last):
+            raise ValueError("the march keeps only its last delay window")
+        return _interpolate(values, lo, w)
 
     return history
 
 
 def _monodromy_matrix(density: FourierMatrixDensity, m_grid: int) -> np.ndarray:
+    """Period map on the (m_grid + 1)-point history grid, one column per impulse.
+
+    Real for a real kernel, complex otherwise.
+    """
     delay = float(-density.delays[0])
-    n = density.dim
     npts = m_grid + 1
-    ncols = npts * n
-    init = np.zeros((npts, n, ncols), dtype=complex)
-    for i in range(npts):
-        for d in range(n):
-            init[i, d, i * n + d] = 1.0
+    side = npts * density.dim
+    init = np.eye(side).reshape(npts, density.dim, side)
     history = _linear_march(density, init, 2.0 * np.pi)
     grid = np.linspace(-delay, 0.0, npts)
-    out = np.zeros((ncols, ncols), dtype=complex)
-    for i, th in enumerate(grid):
-        out[i * n : (i + 1) * n] = history(2.0 * np.pi + th)
-    return out
+    return history(2.0 * np.pi + grid).reshape(side, side)
 
 
 def monodromy_exponents(
@@ -279,14 +330,16 @@ def monodromy_exponents(
     to `rich_tol` (relative) are returned.  Exponents use the principal
     logarithm, lambda = log(rho)/(2*pi), so Im(lambda) lies in (-1/2, 1/2].
 
-    Returns a list of (lambda, rho) sorted by descending |rho|.
+    Returns a list of (lambda, rho) sorted by descending |rho|, then by
+    ascending Im(lambda), so a conjugate pair lists its lower member first.
     Raises GridTooCoarse when a retained multiplier fails the check.
     """
     if m_grid < MIN_SEGMENT_POINTS:
         raise ValueError(f"m_grid must be at least {MIN_SEGMENT_POINTS}")
     rho_floor = np.exp(2.0 * np.pi * re_min)
-    coarse = np.linalg.eigvals(_monodromy_matrix(density, m_grid))
-    fine = np.linalg.eigvals(_monodromy_matrix(density, 2 * m_grid))
+    # a real map whose eigenvalues are all real gives a real array
+    coarse = np.linalg.eigvals(_monodromy_matrix(density, m_grid)).astype(complex)
+    fine = np.linalg.eigvals(_monodromy_matrix(density, 2 * m_grid)).astype(complex)
     keep = [r for r in coarse if abs(r) >= rho_floor]
     results = []
     for rho in sorted(keep, key=abs, reverse=True):
@@ -299,7 +352,7 @@ def monodromy_exponents(
         refined = fine[j]
         lam = complex(np.log(refined) / (2.0 * np.pi))
         results.append((lam, complex(refined)))
-    return results
+    return sorted(results, key=lambda r: (-abs(r[1]), r[0].imag))
 
 
 def characteristic_roots(

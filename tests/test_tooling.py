@@ -7,7 +7,9 @@ import importlib.util
 import inspect
 import os
 
-from ddefloquet import floquet, rootfind
+import numpy as np
+
+from ddefloquet import floquet, oracles, rootfind
 from ddefloquet.systems import constant_density
 
 SPANS = os.path.join(os.path.dirname(__file__), os.pardir, "bench", "spans.py")
@@ -48,3 +50,32 @@ def test_special_wrappers_match_the_call_shapes():
     assert list(inspect.signature(floquet.find_exponents).parameters) == [
         "density", "box", "n_win", "depth", "tol", "grid"
     ]
+
+
+def test_monodromy_spans_split_the_march_from_eigvals(monkeypatch):
+    # oracles.monodromy.march_s is the time in _monodromy_matrix and
+    # eigvals_s the rest of monodromy_exponents, so the map must come back
+    # whole from _monodromy_matrix and its eigenvalues be taken outside it
+    assert list(inspect.signature(oracles._monodromy_matrix).parameters) == [
+        "density", "m_grid"
+    ]
+    dens = constant_density(np.diag([-1.0, -0.5]), np.diag([0.0, -0.2]))
+    events = []
+    march, eigvals = oracles._monodromy_matrix, np.linalg.eigvals
+
+    def traced_march(*args):
+        events.append("march")
+        out = march(*args)
+        events.append("map")
+        return out
+
+    def traced_eigvals(m):
+        events.append("eigvals")
+        return eigvals(m)
+
+    monkeypatch.setattr(np.linalg, "eigvals", traced_eigvals)
+    side = oracles._monodromy_matrix(dens, 20).shape
+    assert side == (21 * 2, 21 * 2) and events == []
+    monkeypatch.setattr(oracles, "_monodromy_matrix", traced_march)
+    oracles.monodromy_exponents(dens, 20, re_min=-1.2)
+    assert events == ["march", "map", "eigvals"] * 2
