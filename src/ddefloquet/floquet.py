@@ -15,7 +15,14 @@ with the boundary convention S = 0 beyond |n| = n_win + depth.  The
 relations are evaluated by recursive insertion from that zero boundary:
 each pass substitutes the current operators into every relation at once,
 deepening the evaluated continued fraction tree by one level, and the pass
-budget is fixed (early exit only once updates drop below roundoff).  Every
+budget is fixed (early exit only once updates drop below roundoff).  For
+d > 1 a pass works on component planes: entry (i, j) of every d x d block,
+over all levels, relations and lambda values of a batch, is one array, so
+the bracket products are d^3 elementwise multiply-adds and the inversions
+are one Gaussian elimination with partial pivoting, written elementwise
+over the planes, for the whole batch; an inversion level is singular when
+a pivot is exactly zero.  For d = 1 a pass keeps its scalar arithmetic, a
+division by each bracket, singular where a bracket is exactly zero.  Every
 value is then an explicit finite composition of matrix inversions,
 analytic in lambda away from its breakdown poles; that analyticity is what
 lets the determinant root search work with plain Newton iterations.  Where
@@ -137,11 +144,15 @@ def ladder_operators(
     operators into all inversion relations simultaneously; the pass budget
     (window width plus EXTRA_PASSES) is spent unless an update falls
     below roundoff first, so the result is a fixed finite composition of
-    matrix inversions, analytic in lambda.  For a single `lam` a singular
-    inversion level or a diverging operator, the signs of lambda sitting
-    at a resonance of the truncated problem, raises CfBreakdown.  For a
-    1-D array of lambda every value runs its own passes, stops where its
-    own loop would, and a breakdown only marks that value (NaN operators).
+    matrix inversions, analytic in lambda.  For d > 1 each pass runs on
+    component planes, one elementwise pivoted Gaussian elimination for the
+    whole batch, and a level is singular when a pivot is exactly zero; for
+    d = 1 it divides by the scalar brackets, singular where one is exactly
+    zero.  For a single `lam` a singular inversion level or a diverging
+    operator, the signs of lambda sitting at a resonance of the truncated
+    problem, raises CfBreakdown.  For a 1-D array of lambda every value
+    runs its own passes, stops where its own loop would, and a breakdown
+    only marks that value (NaN operators).
     """
     K = density.bandwidth
     d = density.dim
@@ -157,44 +168,49 @@ def ladder_operators(
 
     width = 2 * B + 1
     lams = np.reshape(table.lam, -1)
-    ident = np.eye(d, dtype=complex)
+    ident = np.eye(d, dtype=complex)[:, :, None]
     m_list = [m for m in range(-K, K + 1) if m != 0]
     m_index = {m: j for j, m in enumerate(m_list)}
     neg_index = np.array([m_index[-m] for m in m_list])
 
-    # a_zero[:, p] = L_{0,p} - (lam + i p) I; a_stack[:, j, p] = A_{m_j, p},
+    # component planes: planes[:, i, j, k + K, p + B] is entry (i, j) of
+    # L_{k,p}, so entry (i, j) of every block is one array over the levels
+    planes = np.moveaxis(entries, (-2, -1), (1, 2))
+    # a_zero[..., p] = L_{0,p} - (lam + i p) I; a_stack[..., j, p] = A_{m_j, p},
     # zeroed where the coupled source level p - m_j leaves the window
     p = np.arange(-B, B + 1)
-    a_zero = entries[:, K] - (lams[:, None] + 1j * p)[:, :, None, None] * ident
+    a_zero = planes[:, :, :, K] - (lams[:, None] + 1j * p)[:, None, None] * ident
     a_stack = np.stack(
-        [_shift_to_target(entries[:, k + K], -k, 0.0) for k in m_list], axis=1
+        [_shift_to_target(planes[:, :, :, k + K], -k, 0.0) for k in m_list], axis=3
     )
-    # rhs_stack[:, j, n] = L_{m_j, n}; an operator exists only when its
+    # rhs_stack[..., j, n] = L_{m_j, n}; an operator exists only when its
     # target n + m_j stays inside the window
-    rhs_stack = entries[:, [m + K for m in m_list]]
+    rhs_stack = planes[:, :, :, [m + K for m in m_list]]
     for j, m in enumerate(m_list):
         if m > 0:
-            rhs_stack[:, j, width - m :] = 0.0
+            rhs_stack[..., j, width - m :] = 0.0
         else:
-            rhs_stack[:, j, :-m] = 0.0
+            rhs_stack[..., j, :-m] = 0.0
     # lambda values the exponent guard rejected never start
     live = np.isfinite(entries).reshape(count, -1).all(axis=1)
 
     if d == 1:
         S, run, cause = _scalar_passes(
-            a_zero[..., 0, 0],
-            a_stack[..., 0, 0],
-            rhs_stack[..., 0, 0],
+            a_zero[:, 0, 0],
+            a_stack[:, 0, 0],
+            rhs_stack[:, 0, 0],
             m_list,
             neg_index,
             n_passes,
             live,
         )
-        S = S[..., None, None]
+        S = S[:, None, None]
     else:
         S, run, cause = _matrix_passes(
             a_zero, a_stack, rhs_stack, m_list, neg_index, n_passes, live
         )
+    # back to blocks: S[:, j, n + B] is the d x d operator S^{m_j}_n
+    S = np.ascontiguousarray(S.transpose(0, 3, 4, 1, 2))
     if one:
         if cause[0]:
             raise CfBreakdown(_BREAKDOWN[int(cause[0])])
@@ -209,25 +225,25 @@ def ladder_operators(
 
 
 def _shift_to_target(excised, m, fill):
-    """bracket[:, n] = excised[:, n + m] with `fill` where the target leaves."""
-    width = excised.shape[1]
+    """bracket[..., n] = excised[..., n + m] with `fill` where the target leaves."""
+    width = excised.shape[-1]
     out = np.empty_like(excised)
     if m > 0:
-        out[:, : width - m] = excised[:, m:]
-        out[:, width - m :] = fill
+        out[..., : width - m] = excised[..., m:]
+        out[..., width - m :] = fill
     else:
-        out[:, -m:] = excised[:, :m]
-        out[:, :-m] = fill
+        out[..., -m:] = excised[..., :m]
+        out[..., :-m] = fill
     return out
 
 
-def _brackets(a_zero, a_stack, S, m_list, neg_index, matmul, fill):
-    """Excised inversion brackets of every relation, one lambda per row."""
-    prod = a_stack @ S[:, neg_index] if matmul else a_stack * S[:, neg_index]
+def _brackets(a_zero, a_stack, S, m_list, neg_index):
+    """Excised inversion brackets of every scalar relation, one lambda per row."""
+    prod = a_stack * S[:, neg_index]
     rs = a_zero + prod.sum(axis=1)
     brackets = np.empty_like(S)
     for j, m in enumerate(m_list):
-        brackets[:, j] = _shift_to_target(rs - prod[:, j], m, fill)
+        brackets[:, j] = _shift_to_target(rs - prod[:, j], m, 1.0)
     return brackets
 
 
@@ -267,9 +283,7 @@ def _run_passes(S, step, n_passes, live):
 
 def _scalar_passes(a_zero, a_stack, rhs_stack, m_list, neg_index, n_passes, live):
     def step(S, rows):
-        brackets = _brackets(
-            a_zero[rows], a_stack[rows], S, m_list, neg_index, False, 1.0
-        )
+        brackets = _brackets(a_zero[rows], a_stack[rows], S, m_list, neg_index)
         singular = (brackets == 0).reshape(rows.size, -1).any(axis=1)
         return -rhs_stack[rows] / brackets, singular
 
@@ -278,30 +292,65 @@ def _scalar_passes(a_zero, a_stack, rhs_stack, m_list, neg_index, n_passes, live
 
 
 def _matrix_passes(a_zero, a_stack, rhs_stack, m_list, neg_index, n_passes, live):
-    d = a_zero.shape[-1]
-    ident = np.eye(d, dtype=complex)
+    """The passes of d > 1 on component planes: x[:, i, j] holds entry
+    (i, j) of every block of a row, so the bracket product and the solve
+    are whole-batch elementwise operations, however many blocks there are."""
+    d, n_ops, width = a_stack.shape[2:]
+    # the shift to the target level as one gather: bracket (j, n) reads the
+    # excised sum at flat index j * width + n + m_j, or the identity in a
+    # fill slot past the end where the target leaves the window
+    level = np.arange(width) + np.array(m_list)[:, None]
+    inside = (level >= 0) & (level < width)
+    source = np.where(inside, np.arange(n_ops)[:, None] * width + level, n_ops * width)
+    ident = np.eye(d, dtype=complex)[:, :, None]
+    rhs = -rhs_stack
 
     def step(S, rows):
-        brackets = _brackets(
-            a_zero[rows], a_stack[rows], S, m_list, neg_index, True, ident
-        )
-        rhs = -rhs_stack[rows]
-        singular = np.zeros(rows.size, dtype=bool)
-        try:
-            new = np.linalg.solve(brackets.reshape(-1, d, d), rhs.reshape(-1, d, d))
-        except np.linalg.LinAlgError:
-            # LAPACK reports an exactly singular member only for the whole
-            # stack; find the offending lambda values one by one
-            new = np.full(rhs.shape, np.nan, dtype=complex)
-            for i in range(rows.size):
-                try:
-                    new[i] = np.linalg.solve(brackets[i], rhs[i])
-                except np.linalg.LinAlgError:
-                    singular[i] = True
-        return new.reshape(S.shape), singular
+        a = a_stack[rows]
+        s_neg = S[:, :, :, neg_index]
+        prod = a[:, :, :1] * s_neg[:, None, 0]
+        for k in range(1, d):
+            prod += a[:, :, k : k + 1] * s_neg[:, None, k]
+        excised = (a_zero[rows] + prod.sum(axis=3))[:, :, :, None] - prod
+        fill = np.broadcast_to(ident, (rows.size, d, d, 1))
+        padded = np.concatenate([excised.reshape(rows.size, d, d, -1), fill], axis=-1)
+        return _plane_solve(np.take(padded, source, axis=-1), rhs[rows])
 
     S = np.zeros(rhs_stack.shape, dtype=complex)
     return _run_passes(S, step, n_passes, live)
+
+
+def _plane_solve(U, X):
+    """Solve U Y = X for every block at once, U and X in component planes
+    (U[:, i, j] is entry (i, j) of each block).
+
+    Gaussian elimination with partial pivoting on the rows of [U | X]:
+    at column k each element takes as pivot the first row of largest
+    |U[r, k]|, r >= k, the rows being swapped where it says so, and back
+    substitution follows.  Returns Y and a mask of rows with an exactly
+    zero pivot, a singular inversion.
+    """
+    d = U.shape[1]
+    aug = np.concatenate([U, X], axis=2)
+    singular = np.zeros(U.shape[0], dtype=bool)
+    for k in range(d):
+        top = aug[:, k, k:]
+        for r in range(k + 1, d):
+            low = aug[:, r, k:]
+            swap = (np.abs(low[:, 0]) > np.abs(top[:, 0]))[:, None]
+            held = top.copy()
+            np.copyto(top, low, where=swap)
+            np.copyto(low, held, where=swap)
+        pivot = top[:, 0]
+        singular |= ~pivot.all(axis=(1, 2))
+        for r in range(k + 1, d):
+            aug[:, r, k + 1 :] -= (aug[:, r, k] / pivot)[:, None] * top[:, 1:]
+    for k in reversed(range(d)):
+        y = aug[:, k, d:]
+        for c in range(k + 1, d):
+            y -= aug[:, k, c, None] * aug[:, c, d:]
+        y /= aug[:, k, k, None]
+    return aug[:, :, d:], singular
 
 
 def _hill_logdet(density: FourierMatrixDensity, lams, bound: int):

@@ -150,9 +150,9 @@ def test_risken_singular_block_masks_one_lambda():
     assert info.value.level == depth
 
 
-@pytest.mark.parametrize("dim", [1, 2])
+@pytest.mark.parametrize("dim", [1, 2, 3])
 def test_cf_singular_inversion_masks_one_lambda(dim):
-    dens = _undelayed_density([-0.5, -0.3][:dim], [0.1, 0.2][:dim])
+    dens = _undelayed_density([-0.5, -0.3, -0.7][:dim], [0.1, 0.2, 0.15][:dim])
     bad = complex(-0.5, -2.0)  # bracket L_{0,2} - (lambda + 2i) is exactly zero
     lams = np.array([0.1 + 0.2j, bad, -1.0 + 0.3j])
     values = closure_determinant(dens, lams, 4, 4)

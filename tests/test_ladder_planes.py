@@ -1,0 +1,191 @@
+"""The d > 1 insertion pass on component planes against the block pass it
+replaced: stacked `@` and one `np.linalg.solve` per batch on (..., d, d)
+blocks, with a one-lambda-at-a-time fallback when LAPACK reports a
+singular member.  Both run through the same `_run_passes`, so the pass
+counts, breakdown masks and operators must agree."""
+
+import numpy as np
+import pytest
+
+import ddefloquet as df
+from ddefloquet import floquet
+from ddefloquet.errors import CfBreakdown
+
+
+def _block_passes(a_zero, a_stack, rhs_stack, m_list, neg_index, n_passes, live):
+    """Reference pass: the plane inputs moved back to (..., d, d) blocks."""
+    d = a_zero.shape[1]
+    ident = np.eye(d, dtype=complex)
+    a_zero, a_stack, rhs_stack = (
+        np.moveaxis(x, (1, 2), (-2, -1)) for x in (a_zero, a_stack, rhs_stack)
+    )
+
+    def shift(excised, m):
+        width = excised.shape[1]
+        out = np.empty_like(excised)
+        if m > 0:
+            out[:, : width - m] = excised[:, m:]
+            out[:, width - m :] = ident
+        else:
+            out[:, -m:] = excised[:, :m]
+            out[:, :-m] = ident
+        return out
+
+    def step(S, rows):
+        prod = a_stack[rows] @ S[:, neg_index]
+        rs = a_zero[rows] + prod.sum(axis=1)
+        brackets = np.empty_like(S)
+        for j, m in enumerate(m_list):
+            brackets[:, j] = shift(rs - prod[:, j], m)
+        rhs = -rhs_stack[rows]
+        singular = np.zeros(rows.size, dtype=bool)
+        try:
+            new = np.linalg.solve(brackets.reshape(-1, d, d), rhs.reshape(-1, d, d))
+        except np.linalg.LinAlgError:
+            new = np.full(rhs.shape, np.nan, dtype=complex)
+            for i in range(rows.size):
+                try:
+                    new[i] = np.linalg.solve(brackets[i], rhs[i])
+                except np.linalg.LinAlgError:
+                    singular[i] = True
+        return new.reshape(S.shape), singular
+
+    S = np.zeros(rhs_stack.shape, dtype=complex)
+    S, run, cause = floquet._run_passes(S, step, n_passes, live)
+    return np.moveaxis(S, (-2, -1), (1, 2)), run, cause
+
+
+def _on_blocks(f, *args):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(floquet, "_matrix_passes", _block_passes)
+        return f(*args)
+
+
+def _assert_ladders_match(density, lams, n_win, depth, tie=None):
+    """Operators and det M to 1e-12 relative, equal NaN masks, and equal
+    pass counts except where `tie` marks lambda values whose last update
+    lands within roundoff of EARLY_EXIT; those may run one pass more or
+    less."""
+    planes = floquet.ladder_operators(density, lams, n_win, depth)
+    blocks = _on_blocks(floquet.ladder_operators, density, lams, n_win, depth)
+    tie = np.zeros(len(lams), dtype=bool) if tie is None else tie
+    assert np.array_equal(planes.passes[~tie], blocks.passes[~tie])
+    assert np.all(np.abs(planes.passes[tie] - blocks.passes[tie]) <= 1)
+    assert planes.ops.keys() == blocks.ops.keys()
+    ours = np.stack([planes.ops[m] for m in sorted(planes.ops)], axis=1)
+    ref = np.stack([blocks.ops[m] for m in sorted(blocks.ops)], axis=1)
+    assert ours.shape == ref.shape
+    assert ours.flags.c_contiguous
+    assert np.array_equal(np.isnan(ours), np.isnan(ref))
+    ok = ~np.isnan(ref).reshape(len(lams), -1).any(axis=1)
+    scale = np.abs(ref[ok]).reshape(ok.sum(), -1).max(axis=1)
+    err = np.abs(ours[ok] - ref[ok]).reshape(ok.sum(), -1).max(axis=1)
+    assert np.all(err <= 1e-12 * np.maximum(scale, 1e-300))
+
+    det = floquet.closure_determinant(density, lams, n_win, depth)
+    det_ref = _on_blocks(floquet.closure_determinant, density, lams, n_win, depth)
+    assert np.array_equal(np.isnan(det), np.isnan(det_ref))
+    fine = ~np.isnan(det_ref)
+    assert np.all(
+        np.abs(det[fine] - det_ref[fine]) <= 1e-12 * np.abs(det_ref[fine])
+    )
+    return planes
+
+
+def _grid(re, im, shape):
+    r = np.linspace(re[0], re[1], shape[0])
+    i = np.linspace(im[0], im[1], shape[1])
+    return (r[:, None] + 1j * i[None, :]).ravel()
+
+
+def _undelayed_density(l0, l1):
+    """K = 1 kernel with its only point mass at theta = 0; the brackets of
+    the first pass are then exactly l0 - (lambda + i p) I."""
+    coeffs = np.zeros((1, 3) + np.shape(l0), dtype=complex)
+    coeffs[0, 1] = l0
+    coeffs[0, 0] = coeffs[0, 2] = l1
+    return df.FourierMatrixDensity(1.0, np.array([0.0]), coeffs)
+
+
+def _wide_band_pair():
+    """The K = 3 wide-band weights of tests/test_batch.py on the diagonal of
+    a d = 2 kernel, the two components coupled off the diagonal."""
+    coeffs = np.zeros((2, 7, 2, 2), dtype=complex)
+    coeffs[0, 3] = [[-0.5, 0.2], [0.1, -0.4]]
+    coeffs[1, 3] = [[-0.3, 0.05], [-0.1, -0.2]]
+    coeffs[1, 2] = coeffs[1, 4] = [[0.05, 0.02], [0.0, 0.04]]
+    coeffs[1, 0] = coeffs[1, 6] = [[0.01, 0.0], [0.01, 0.02]]
+    return df.FourierMatrixDensity(1.0, np.array([-1.0, 0.0]), coeffs)
+
+
+def test_s2_scan_grid_matches_the_block_pass(vdp_linearization):
+    density = vdp_linearization[0]
+    # the scan grid of find_exponents at the verify settings: box
+    # (-0.6, 0.3, -0.5, 0.5) at grid 10 x 9, widened by IM_PAD = 1
+    lams = _grid((-0.6, 0.3), (-1.5, 1.5), (10, 25))
+    # the grid holds lambda = 0 and +-i, translates of the zero mode at
+    # -0.000624: there the updates shrink by only about 0.45 a pass and the
+    # last one lands within roundoff of EARLY_EXIT on either side
+    tie = np.abs(lams - np.round(lams.imag) * 1j) < 1e-12
+    assert tie.sum() == 3
+    _assert_ladders_match(density, lams, 8, 8, tie)
+
+
+def test_wide_band_pair_matches_the_block_pass():
+    lams = _grid((-3.0, 1.0), (-2.5, 2.5), (4, 6))
+    ladders = _assert_ladders_match(_wide_band_pair(), lams, 8, 8)
+    assert ladders.table.dim == 2 and ladders.table.bandwidth == 3
+
+
+def test_settling_d3_kernel_matches_the_block_pass():
+    rng = np.random.default_rng(7)
+    shape = (2, 5, 3, 3)
+    coeffs = 0.1 * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+    coeffs[1, 2] -= 0.5 * np.eye(3)
+    density = df.FourierMatrixDensity(1.0, np.array([-1.0, 0.0]), coeffs)
+    lams = _grid((0.0, 1.0), (-0.8, 0.8), (4, 5))
+    ladders = _assert_ladders_match(density, lams, 6, 6)
+    budget = 2 * (6 + 6) + 1 + floquet.EXTRA_PASSES
+    assert np.all(ladders.passes < budget)
+
+
+def test_zero_leading_entry_takes_the_row_swap():
+    # at lambda = -0.5 - 2i the first-pass bracket at level 2 is
+    # [[0, 0.3], [0.3, 0.2]]: nonsingular, but column 0 has its only
+    # nonzero entry in row 1, so elimination must swap the rows
+    l0 = np.array([[-0.5, 0.3], [0.3, -0.3]])
+    density = _undelayed_density(l0, 0.1 * np.eye(2))
+    swap = complex(-0.5, -2.0)
+    lams = np.array([0.1 + 0.2j, swap, -1.0 + 0.3j])
+    ladders = _assert_ladders_match(density, lams, 4, 4)
+    assert np.all(np.isfinite(ladders.ops[1]))
+
+
+def test_exactly_zero_pivot_is_a_singular_level():
+    density = _undelayed_density(np.diag([-0.5, -0.3]), np.diag([0.1, 0.2]))
+    bad = complex(-0.5, -2.0)  # bracket entry (0, 0) and its column are zero
+    with pytest.raises(CfBreakdown, match="singular inversion level"):
+        floquet.ladder_operators(density, bad, 4, 4)
+    with pytest.raises(CfBreakdown, match="singular inversion level"):
+        _on_blocks(floquet.ladder_operators, density, bad, 4, 4)
+    _assert_ladders_match(density, np.array([0.1 + 0.2j, bad, -1.0 + 0.3j]), 4, 4)
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_plane_solve_matches_lapack(d):
+    rng = np.random.default_rng(d)
+    shape = (5, 3, 7, d, d)
+    U = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    X = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    # block (1, 0, 0): zero leading entry, nonsingular; block (3, 2, 5):
+    # its first column is zero, an exactly singular inversion
+    U[1, 0, 0, 0, 0] = 0.0
+    U[3, 2, 5, :, 0] = 0.0
+    planes = [np.moveaxis(x, (-2, -1), (1, 2)).copy() for x in (U, X)]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        Y, singular = floquet._plane_solve(*planes)
+    assert list(singular) == [False, False, False, True, False]
+    ours = np.moveaxis(Y, (1, 2), (-2, -1))
+    ok = np.arange(5) != 3
+    ref = np.linalg.solve(U[ok], X[ok])
+    assert np.allclose(ours[ok], ref, rtol=0.0, atol=1e-12 * np.abs(ref).max())
