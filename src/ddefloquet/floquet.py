@@ -19,8 +19,8 @@ budget is fixed (early exit only once updates drop below roundoff).  For
 d > 1 a pass works on component planes: entry (i, j) of every d x d block,
 over all levels, relations and lambda values of a batch, is one array, so
 the bracket products are d^3 elementwise multiply-adds and the inversions
-are one Gaussian elimination with partial pivoting, written elementwise
-over the planes, for the whole batch; an inversion level is singular when
+are one Gaussian elimination with partial pivoting (`linalg.plane_solve`)
+over the planes for the whole batch; an inversion level is singular when
 a pivot is exactly zero.  For d = 1 a pass keeps its scalar arithmetic, a
 division by each bracket, singular where a bracket is exactly zero.  Every
 value is then an explicit finite composition of matrix inversions,
@@ -47,7 +47,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CfBreakdown, NullSpaceAmbiguous
-from .linalg import determinant
+from .linalg import determinant, plane_solve
 from .model import (
     FourierMatrixDensity,
     LMatrixTable,
@@ -257,6 +257,7 @@ def _run_passes(S, step, n_passes, live):
     were) or an update below roundoff.  Returns (S, passes run, cause).
     """
     count = S.shape[0]
+    axes = tuple(range(1, S.ndim))
     run = np.zeros(count, dtype=int)
     cause = np.zeros(count, dtype=int)
     active = np.flatnonzero(live)
@@ -264,19 +265,24 @@ def _run_passes(S, step, n_passes, live):
         for _ in range(n_passes):
             if active.size == 0:
                 break
-            old = S[active]
+            # while every row runs, S itself is the batch: nothing to
+            # gather before the step or to scatter after it
+            whole = active.size == count
+            old = S if whole else S[active]
             new, singular = step(old, active)
-            size = np.abs(new.reshape(active.size, -1)).max(axis=1)
-            finite = np.isfinite(new.reshape(active.size, -1)).all(axis=1)
-            diverging = ~singular & (~finite | (size > DIVERGENCE_GUARD))
+            # the largest |entry| is NaN or inf exactly when an entry is not
+            # finite
+            size = np.abs(new).max(axis=axes)
+            diverging = ~singular & ~(size <= DIVERGENCE_GUARD)
             cause[active[singular]] = _SINGULAR
             cause[active[diverging]] = _DIVERGING
             good = ~(singular | diverging)
-            change = np.abs((new - old).reshape(active.size, -1)).max(axis=1)
-            delta = change / (1.0 + size)
-            rows = active[good]
-            S[rows] = new[good]
-            run[rows] += 1
+            delta = np.abs(new - old).max(axis=axes) / (1.0 + size)
+            if whole and good.all():
+                S = new
+            else:
+                S[active[good]] = new[good]
+            run[active[good]] += 1
             active = active[good & ~(delta <= EARLY_EXIT)]
     return S, run, cause
 
@@ -284,7 +290,7 @@ def _run_passes(S, step, n_passes, live):
 def _scalar_passes(a_zero, a_stack, rhs_stack, m_list, neg_index, n_passes, live):
     def step(S, rows):
         brackets = _brackets(a_zero[rows], a_stack[rows], S, m_list, neg_index)
-        singular = (brackets == 0).reshape(rows.size, -1).any(axis=1)
+        singular = (brackets == 0).any(axis=(1, 2))
         return -rhs_stack[rows] / brackets, singular
 
     S = np.zeros(rhs_stack.shape, dtype=complex)
@@ -292,9 +298,9 @@ def _scalar_passes(a_zero, a_stack, rhs_stack, m_list, neg_index, n_passes, live
 
 
 def _matrix_passes(a_zero, a_stack, rhs_stack, m_list, neg_index, n_passes, live):
-    """The passes of d > 1 on component planes: x[:, i, j] holds entry
-    (i, j) of every block of a row, so the bracket product and the solve
-    are whole-batch elementwise operations, however many blocks there are."""
+    """The passes of d > 1 on component planes: x[i, j] holds entry (i, j)
+    of every block of every row, so the bracket product and the solve are
+    whole-batch elementwise operations, however many blocks there are."""
     d, n_ops, width = a_stack.shape[2:]
     # the shift to the target level as one gather: bracket (j, n) reads the
     # excised sum at flat index j * width + n + m_j, or the identity in a
@@ -302,55 +308,28 @@ def _matrix_passes(a_zero, a_stack, rhs_stack, m_list, neg_index, n_passes, live
     level = np.arange(width) + np.array(m_list)[:, None]
     inside = (level >= 0) & (level < width)
     source = np.where(inside, np.arange(n_ops)[:, None] * width + level, n_ops * width)
-    ident = np.eye(d, dtype=complex)[:, :, None]
-    rhs = -rhs_stack
+    ident = np.eye(d, dtype=complex)[:, :, None, None]
+    # the step works with the block axes first, the layout of plane_solve;
+    # _run_passes sees S as a (row, d, d, ...) view of its result
+    a_zero, a_stack, rhs = (
+        np.moveaxis(x, 0, 2).copy() for x in (a_zero, a_stack, -rhs_stack)
+    )
 
     def step(S, rows):
-        a = a_stack[rows]
-        s_neg = S[:, :, :, neg_index]
-        prod = a[:, :, :1] * s_neg[:, None, 0]
+        a = a_stack[:, :, rows]
+        s_neg = np.moveaxis(S, 0, 2)[:, :, :, neg_index]
+        prod = a[:, :1] * s_neg[None, 0]
         for k in range(1, d):
-            prod += a[:, :, k : k + 1] * s_neg[:, None, k]
-        excised = (a_zero[rows] + prod.sum(axis=3))[:, :, :, None] - prod
-        fill = np.broadcast_to(ident, (rows.size, d, d, 1))
-        padded = np.concatenate([excised.reshape(rows.size, d, d, -1), fill], axis=-1)
-        return _plane_solve(np.take(padded, source, axis=-1), rhs[rows])
+            prod += a[:, k : k + 1] * s_neg[None, k]
+        excised = (a_zero[:, :, rows] + prod.sum(axis=3))[:, :, :, None] - prod
+        fill = np.broadcast_to(ident, (d, d, rows.size, 1))
+        padded = np.concatenate([excised.reshape(d, d, rows.size, -1), fill], axis=-1)
+        # an inversion is singular where a pivot is exactly zero
+        Y, pivots = plane_solve(np.take(padded, source, axis=-1), rhs[:, :, rows])
+        return np.moveaxis(Y, 2, 0), ~pivots.all(axis=(0, 2, 3))
 
     S = np.zeros(rhs_stack.shape, dtype=complex)
     return _run_passes(S, step, n_passes, live)
-
-
-def _plane_solve(U, X):
-    """Solve U Y = X for every block at once, U and X in component planes
-    (U[:, i, j] is entry (i, j) of each block).
-
-    Gaussian elimination with partial pivoting on the rows of [U | X]:
-    at column k each element takes as pivot the first row of largest
-    |U[r, k]|, r >= k, the rows being swapped where it says so, and back
-    substitution follows.  Returns Y and a mask of rows with an exactly
-    zero pivot, a singular inversion.
-    """
-    d = U.shape[1]
-    aug = np.concatenate([U, X], axis=2)
-    singular = np.zeros(U.shape[0], dtype=bool)
-    for k in range(d):
-        top = aug[:, k, k:]
-        for r in range(k + 1, d):
-            low = aug[:, r, k:]
-            swap = (np.abs(low[:, 0]) > np.abs(top[:, 0]))[:, None]
-            held = top.copy()
-            np.copyto(top, low, where=swap)
-            np.copyto(low, held, where=swap)
-        pivot = top[:, 0]
-        singular |= ~pivot.all(axis=(1, 2))
-        for r in range(k + 1, d):
-            aug[:, r, k + 1 :] -= (aug[:, r, k] / pivot)[:, None] * top[:, 1:]
-    for k in reversed(range(d)):
-        y = aug[:, k, d:]
-        for c in range(k + 1, d):
-            y -= aug[:, k, c, None] * aug[:, c, d:]
-        y /= aug[:, k, k, None]
-    return aug[:, :, d:], singular
 
 
 def _hill_logdet(density: FourierMatrixDensity, lams, bound: int):

@@ -9,6 +9,13 @@ per value of lambda) and applies the threshold to each matrix on its own:
 a singular member is flagged in the returned mask and never aborts the
 stack.  `solve_linear` and `determinant` of a single matrix are the
 one-member case.
+
+`plane_solve` is the one batched small-block elimination of the hot
+loops: it takes its blocks as component planes, entry (i, j) of every
+block one array, and returns the pivots instead of a mask, so each caller
+keeps its own singular rule at its call site (the n-diagonal ladder
+passes: a pivot exactly zero; the tridiagonal sweeps: a pivot below
+PIVOT_REL times the block's largest row norm, the rule of `_lu`).
 """
 
 from __future__ import annotations
@@ -17,7 +24,7 @@ import numpy as np
 
 from .errors import SingularMatrix
 
-__all__ = ["solve_batch", "solve_linear", "determinant"]
+__all__ = ["plane_solve", "solve_batch", "solve_linear", "determinant"]
 
 PIVOT_REL = 1e-13
 
@@ -77,6 +84,42 @@ def solve_batch(a, b):
     x = _substitute(lu, perm, b)
     x[~ok] = np.nan
     return x, ok
+
+
+def plane_solve(U, X):
+    """Solve U Y = X for a batch of small blocks held as component planes.
+
+    U has shape (d, d, ...) and X shape (d, r, ...): U[i, j] is entry
+    (i, j) of every block, one array over the trailing batch axes, so each
+    step is one elementwise operation for the whole batch.  Gaussian
+    elimination with partial pivoting on the rows of [U | X]: at column k
+    each block takes as pivot the first row of largest |U[r, k]|, r >= k,
+    the rows being swapped where it says so, and back substitution
+    follows.  Returns (Y, pivots), pivots[k] being diagonal entry k of the
+    eliminated U, so that |prod(pivots)| = |det U|.  Nothing is flagged
+    here: the caller judges the pivots, and the Y of a block it finds
+    singular is meaningless.
+    """
+    d = U.shape[0]
+    aug = np.concatenate([U, X], axis=1)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for k in range(d):
+            top = aug[k, k:]
+            for r in range(k + 1, d):
+                low = aug[r, k:]
+                swap = np.abs(low[0]) > np.abs(top[0])
+                held = top.copy()
+                np.copyto(top, low, where=swap)
+                np.copyto(low, held, where=swap)
+            for r in range(k + 1, d):
+                aug[r, k + 1 :] -= (aug[r, k] / top[0]) * top[1:]
+        for k in reversed(range(d)):
+            y = aug[k, d:]
+            for c in range(k + 1, d):
+                y -= aug[k, c] * aug[c, d:]
+            y /= aug[k, k]
+    diagonal = np.arange(d)
+    return aug[:, d:], aug[diagonal, diagonal]
 
 
 def _substitute(lu, perm, b):

@@ -22,6 +22,15 @@ too, so any disagreement with the n-diagonal route isolates the continued
 fraction iteration itself.  Like that route it evaluates one lambda or a
 1-D array of lambda values with the same code; a breakdown of one value
 marks only that value.
+
+The up and down sweeps of `tridiagonal_closure` are independent, so they
+run as one batch: their blocks are gathered once as component planes, the
+lambda values of the up sweep followed by those of the down sweep, and
+each level is one elementwise bracket product and one call of the
+package's batched elimination `linalg.plane_solve`.  A bracket is
+singular where a pivot falls below PIVOT_REL times its largest row norm,
+the rule of the package's LU, and a breakdown reports the first singular
+level of the up sweep, else of the down sweep.
 """
 
 from __future__ import annotations
@@ -31,7 +40,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CfBreakdown
-from .linalg import determinant, solve_batch
+from .linalg import PIVOT_REL, determinant, plane_solve
 from .model import (
     FourierMatrixDensity,
     LMatrixTable,
@@ -125,9 +134,18 @@ def tridiagonal_closure(blocks: TridiagonalBlocks, depth: int | None = None):
     """Closure matrix [Q_{-1,1} R^+_0 + Q_{0,0} + Q_{1,-1} R^-_0].
 
     Both ladder recursions start from R = 0 at the boundary block and are
-    exact single sweeps, run over every lambda of the blocks at once.  For
-    one lambda a breakdown raises CfBreakdown with the block index
-    attached; for an array it leaves NaN in the closure of that lambda.
+    exact single sweeps, inward from level +depth and from level -depth.
+    The two sweeps are independent, so they run as one batch: the far,
+    near and right-hand blocks of every level of both sweeps are gathered
+    once as component planes over the lambda values of the up sweep
+    followed by those of the down sweep, and each of the `depth` steps is
+    one bracket far @ R + near, formed entry by entry, and one
+    `plane_solve` for the whole batch.  A bracket is singular where a
+    pivot falls below PIVOT_REL times its largest row norm, the rule of
+    the package's LU.  For one lambda a breakdown raises CfBreakdown with
+    the level of the first singular bracket of the up sweep, or else of
+    the down sweep, attached; for an array it leaves NaN in the closure of
+    that lambda.
     """
     if depth is None:
         depth = blocks.depth
@@ -140,30 +158,43 @@ def tridiagonal_closure(blocks: TridiagonalBlocks, depth: int | None = None):
     off = blocks.depth + 1
     count = diag.shape[0]
     bd = blocks.block_dim
-    level = np.zeros(count, dtype=int)
-    broken = np.zeros(count, dtype=bool)
+    # step s solves level L = depth - s of the up sweep, bracket
+    # Q_{-1,L+1} R^+ + Q_{0,L} with right side Q_{1,L-1}, and level
+    # L = s - depth of the down sweep, bracket Q_{1,L-1} R^- + Q_{0,L} with
+    # right side Q_{-1,L+1}; block L sits at index L + off
+    up = np.arange(depth, 0, -1) + off
+    down = np.arange(-depth, 0) + off
 
-    def sweep(r, q_far, q_near, q_rhs, at_level):
-        r, ok = solve_batch(q_far @ r + q_near, -q_rhs)
-        fresh = ~ok & ~broken
-        level[fresh] = at_level
-        broken[fresh] = True
-        return r
+    def planes(up_blocks, down_blocks):
+        # (depth, bd, bd, 2 * count): the lambda axis of both sweeps last
+        both = np.concatenate([up_blocks, down_blocks])
+        return np.ascontiguousarray(both.transpose(1, 2, 3, 0))
 
+    far = planes(upper[:, up], lower[:, down - 1])
+    near = planes(diag[:, up], diag[:, down])
+    rhs = -planes(lower[:, up - 1], upper[:, down])
+    sweep_sign = np.repeat([1, -1], count)
+    level = np.zeros(2 * count, dtype=int)
+    broken = np.zeros(2 * count, dtype=bool)
+    r = np.zeros((bd, bd, 2 * count), dtype=complex)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        r_up = np.zeros((count, bd, bd), dtype=complex)
-        for n in range(depth - 1, -1, -1):
-            # bracket Q_{-1,n+2} R^+ + Q_{0,n+1}, right side Q_{1,n}
-            i = n + off
-            r_up = sweep(r_up, upper[:, i + 1], diag[:, i + 1], lower[:, i], n + 1)
-        r_down = np.zeros((count, bd, bd), dtype=complex)
-        for n in range(-depth + 1, 1):
-            # bracket Q_{1,n-2} R^- + Q_{0,n-1}, right side Q_{-1,n}
-            i = n + off
-            r_down = sweep(
-                r_down, lower[:, i - 2], diag[:, i - 1], upper[:, i - 1], n - 1
-            )
+        for s in range(depth):
+            bracket = far[s, :, :1] * r[0]
+            for k in range(1, bd):
+                bracket += far[s, :, k : k + 1] * r[k]
+            bracket += near[s]
+            r, pivots = plane_solve(bracket, rhs[s])
+            row_norm = np.abs(bracket).sum(axis=1).max(axis=0)
+            tiny = PIVOT_REL * np.maximum(row_norm, 1e-300)
+            fresh = (np.abs(pivots) < tiny).any(axis=0) & ~broken
+            level[fresh] = sweep_sign[fresh] * (depth - s)
+            broken |= fresh
+        r_up = r[..., :count].transpose(2, 0, 1)
+        r_down = r[..., count:].transpose(2, 0, 1)
         closure = upper[:, off] @ r_up + diag[:, off] + lower[:, off - 1] @ r_down
+    up_broken, down_broken = broken[:count], broken[count:]
+    level = np.where(up_broken, level[:count], level[count:])
+    broken = up_broken | down_broken
     if one:
         if broken[0]:
             at = int(level[0])

@@ -169,23 +169,3 @@ def test_exactly_zero_pivot_is_a_singular_level():
     with pytest.raises(CfBreakdown, match="singular inversion level"):
         _on_blocks(floquet.ladder_operators, density, bad, 4, 4)
     _assert_ladders_match(density, np.array([0.1 + 0.2j, bad, -1.0 + 0.3j]), 4, 4)
-
-
-@pytest.mark.parametrize("d", [2, 3])
-def test_plane_solve_matches_lapack(d):
-    rng = np.random.default_rng(d)
-    shape = (5, 3, 7, d, d)
-    U = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-    X = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-    # block (1, 0, 0): zero leading entry, nonsingular; block (3, 2, 5):
-    # its first column is zero, an exactly singular inversion
-    U[1, 0, 0, 0, 0] = 0.0
-    U[3, 2, 5, :, 0] = 0.0
-    planes = [np.moveaxis(x, (-2, -1), (1, 2)).copy() for x in (U, X)]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        Y, singular = floquet._plane_solve(*planes)
-    assert list(singular) == [False, False, False, True, False]
-    ours = np.moveaxis(Y, (1, 2), (-2, -1))
-    ok = np.arange(5) != 3
-    ref = np.linalg.solve(U[ok], X[ok])
-    assert np.allclose(ours[ok], ref, rtol=0.0, atol=1e-12 * np.abs(ref).max())

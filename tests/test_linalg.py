@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from ddefloquet import SingularMatrix, determinant, solve_linear
+from ddefloquet.linalg import plane_solve
 
 
 def cofactor_det(a):
@@ -74,3 +75,29 @@ def test_determinant_multiplicative(rng):
 def test_determinant_singular_returns_zero():
     a = np.array([[1.0, 2.0], [2.0, 4.0]])
     assert determinant(a) == 0
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_plane_solve_matches_lapack(d):
+    rng = np.random.default_rng(d)
+    shape = (5, 3, 7, d, d)
+    U = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    X = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    # block (1, 0, 0): zero leading entry, nonsingular; block (3, 2, 5):
+    # its first column is zero, an exactly singular inversion
+    U[1, 0, 0, 0, 0] = 0.0
+    U[3, 2, 5, :, 0] = 0.0
+    planes = [np.moveaxis(x, (-2, -1), (0, 1)).copy() for x in (U, X)]
+    Y, pivots = plane_solve(*planes)
+    assert Y.shape == planes[1].shape and pivots.shape == (d,) + shape[:3]
+    # the pivots are the diagonal of the eliminated U; the singular block
+    # has an exactly zero one, after which its elimination is meaningless
+    zero = ~pivots.all(axis=0)
+    assert list(np.flatnonzero(zero)) == [np.ravel_multi_index((3, 2, 5), shape[:3])]
+    det = np.abs(np.prod(pivots, axis=0))[~zero]
+    ref_det = np.abs(np.linalg.det(U))[~zero]
+    assert np.allclose(det, ref_det, rtol=1e-12, atol=0.0)
+    ours = np.moveaxis(Y, (0, 1), (-2, -1))
+    ok = np.arange(5) != 3
+    ref = np.linalg.solve(U[ok], X[ok])
+    assert np.allclose(ours[ok], ref, rtol=0.0, atol=1e-12 * np.abs(ref).max())

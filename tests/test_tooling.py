@@ -9,7 +9,8 @@ import os
 
 import numpy as np
 
-from ddefloquet import floquet, oracles, rootfind
+import ddefloquet as df
+from ddefloquet import floquet, linalg, oracles, risken, rootfind
 from ddefloquet.systems import constant_density
 
 SPANS = os.path.join(os.path.dirname(__file__), os.pardir, "bench", "spans.py")
@@ -79,3 +80,26 @@ def test_monodromy_spans_split_the_march_from_eigvals(monkeypatch):
     monkeypatch.setattr(oracles, "_monodromy_matrix", traced_march)
     oracles.monodromy_exponents(dens, 20, re_min=-1.2)
     assert events == ["march", "map", "eigvals"] * 2
+
+
+def test_both_routes_eliminate_through_one_plane_solve(monkeypatch):
+    # the d > 1 ladder passes and the tridiagonal sweeps share the one
+    # batched elimination of linalg; floquet keeps no copy of its own
+    assert not hasattr(floquet, "_plane_solve")
+    callers = []
+    for module in (floquet, risken):
+        assert module.plane_solve is linalg.plane_solve
+
+        def counted(U, X, name=module.__name__):
+            callers.append(name)
+            return linalg.plane_solve(U, X)
+
+        monkeypatch.setattr(module, "plane_solve", counted)
+    coeffs = np.zeros((1, 3, 2, 2), dtype=complex)
+    coeffs[0, 1] = [[-0.5, 0.3], [0.3, -0.3]]
+    coeffs[0, 0] = coeffs[0, 2] = 0.1 * np.eye(2)
+    dens = df.FourierMatrixDensity(1.0, np.array([0.0]), coeffs)
+    floquet.ladder_operators(dens, 0.1 + 0.2j, 2, 2)
+    assert set(callers) == {"ddefloquet.floquet"}
+    risken.closure_determinant_risken(dens, 0.1 + 0.2j, 2)
+    assert set(callers) == {"ddefloquet.floquet", "ddefloquet.risken"}
