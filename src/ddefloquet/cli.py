@@ -4,6 +4,7 @@ Subcommands
 -----------
 orbit      perturbation orbit tables plus a residual scaling report
 spectrum   Floquet exponents by the selected methods plus a comparison table
+           and the roots no other method matched
 adjoint    adjoint modes, normalization and the biorthonormality report
 verify     built in invariant suite; exit code 0 only if everything passes
 
@@ -28,6 +29,7 @@ from .model import linearize_about_orbit
 from .oracles import monodromy_exponents
 from .orbit import expand_pl, expand_shohat
 from .risken import find_exponents_risken
+from .rootfind import CLASS_TOL, to_strip
 from .systems import constant_density
 from .verify import run_all
 
@@ -248,6 +250,25 @@ def cmd_spectrum(cfg) -> int:
                 )
         write_text(f"{cfg['out']}/comparison.csv", "\n".join(lines) + "\n")
         print(f"spectrum: max pairwise |delta| = {worst:.3e}")
+        # the comparison pairs only the reference's roots; list every root
+        # that no other method found within CLASS_TOL (modulo i) as well
+        unmatched = ["method,lambda_re,lambda_im"]
+        for method in methods:
+            others = [_lam_of(e) for m in methods if m != method for e in results[m]]
+            for entry in results[method]:
+                lam = _lam_of(entry)
+                if all(abs(to_strip(lam - z)) >= CLASS_TOL for z in others):
+                    unmatched.append(
+                        f"{method},{format_float(lam.real)},{format_float(lam.imag)}"
+                    )
+        write_text(f"{cfg['out']}/unmatched.csv", "\n".join(unmatched) + "\n")
+        counts = [len(results[m]) for m in methods]
+        if len(set(counts)) > 1:
+            listed = ", ".join(f"{m} {n}" for m, n in zip(methods, counts))
+            print(
+                f"spectrum: root counts differ ({listed}); "
+                f"{len(unmatched) - 1} unmatched root(s) in unmatched.csv"
+            )
     if not any(results.values()):
         print("spectrum: no roots in box (informational)")
     return 0

@@ -15,25 +15,30 @@ with the boundary convention S = 0 beyond |n| = n_win + depth.  The
 relations are evaluated by recursive insertion from that zero boundary:
 each pass substitutes the current operators into every relation at once,
 deepening the evaluated continued fraction tree by one level, and the pass
-budget is fixed (early exit only once updates drop below roundoff).  For
+budget is fixed (early exit only once updates drop below roundoff).  Only
+the relations of coupled offsets are formed, those m where L_m or L_{-m}
+has a nonzero coefficient (an even-harmonic kernel couples no odd m): for
+any other m, S^m has a zero right-hand side and is identically 0.  For
 d > 1 a pass works on component planes: entry (i, j) of every d x d block,
 over all levels, relations and lambda values of a batch, is one array, so
-the bracket products are d^3 elementwise multiply-adds and the inversions
-are one Gaussian elimination with partial pivoting (`linalg.plane_solve`)
-over the planes for the whole batch; an inversion level is singular when
-a pivot is exactly zero.  For d = 1 a pass keeps its scalar arithmetic, a
-division by each bracket, singular where a bracket is exactly zero.  Every
-value is then an explicit finite composition of matrix inversions,
-analytic in lambda away from its breakdown poles; that analyticity is what
-lets the determinant root search work with plain Newton iterations.  Where
-an exponent sits close to a truncation resonance the continued fraction
-determinant pinches its zero against a pole; a Newton run there stalls at
-a floor, and the search hands it over at that stall to the entire Hill
-determinant of the same window, which also runs the root's truncation
-check.  Mode components can be read off the window null space instead of
-the ladder chains.  The n = 0
-closure gives the finite matrix M(lambda) whose determinant vanishes at
-the Floquet exponents.
+the bracket products are elementwise multiply-adds, at most d^3 of them
+(a term a[i, k] s[k, j] whose coefficient plane a[i, k] is all zero is
+skipped), and the inversions are one Gaussian elimination with partial
+pivoting (`linalg.plane_solve`) over the planes for the whole batch; an
+inversion level is singular when a pivot is exactly zero.  Skipping exact
+zeros leaves every other value bit-identical.  For d = 1 a pass keeps its
+scalar arithmetic, a division by each bracket, singular where a bracket is
+exactly zero.  Every value is then an explicit finite composition of
+matrix inversions, analytic in lambda away from its breakdown poles; that
+analyticity is what lets the determinant root search work with plain
+Newton iterations.  Where an exponent sits close to a truncation resonance
+the continued fraction determinant pinches its zero against a pole; a
+Newton run there stalls at a floor, and the search hands it over at that
+stall to the entire Hill determinant of the same window, which also runs
+the root's truncation check.  Mode components can be read off the window
+null space instead of the ladder chains.  The n = 0 closure gives the
+finite matrix M(lambda) whose determinant vanishes at the Floquet
+exponents.
 
 Exponents are defined mod i because the ansatz exp(lambda*xi) times a
 2*pi periodic factor absorbs integer imaginary shifts; reported modes carry
@@ -102,12 +107,14 @@ _BREAKDOWN = {
 class LadderSet:
     """Ladder operators S^m_n on the truncated window.
 
-    `ops[m]` is an array of shape (2B+1, d, d) indexed by the source level
-    n = -B..B, where B = n_win + depth; operators whose source or target
-    leaves the window are zero.  `passes` is the number of insertion
-    passes actually run.  Built for a 1-D array of lambda, every array
-    (and `passes`) carries a leading lambda axis, and the operators of a
-    lambda whose passes broke down are NaN.
+    `ops` holds the coupled offsets m, those where L_m or L_{-m} has a
+    nonzero coefficient; `get` gives zeros for every other m, whose
+    operators are identically 0.  `ops[m]` is an array of shape (2B+1, d, d)
+    indexed by the source level n = -B..B, where B = n_win + depth;
+    operators whose source or target leaves the window are zero.  `passes`
+    is the number of insertion passes actually run.  Built for a 1-D array
+    of lambda, every array (and `passes`) carries a leading lambda axis,
+    and the operators of a lambda whose passes broke down are NaN.
     """
 
     lam: complex | np.ndarray
@@ -162,14 +169,14 @@ def ladder_operators(
     one = np.ndim(table.lam) == 0
     entries = table.entries[None] if one else table.entries
     count = entries.shape[0]
-    if K == 0:
+    m_list = _coupled_offsets(density)
+    if not m_list:
         run = 0 if one else np.zeros(count, dtype=int)
         return LadderSet(table.lam, n_win, depth, table, {}, run)
 
     width = 2 * B + 1
     lams = np.reshape(table.lam, -1)
     ident = np.eye(d, dtype=complex)[:, :, None]
-    m_list = [m for m in range(-K, K + 1) if m != 0]
     m_index = {m: j for j, m in enumerate(m_list)}
     neg_index = np.array([m_index[-m] for m in m_list])
 
@@ -222,6 +229,18 @@ def ladder_operators(
     return LadderSet(
         table.lam, n_win, depth, table, {m: S[:, j] for j, m in enumerate(m_list)}, run
     )
+
+
+def _coupled_offsets(density: FourierMatrixDensity) -> list:
+    """The band offsets m != 0 whose relations are formed: those where L_m
+    or L_{-m} has a nonzero coefficient.  For any other m both L_{+-m} are
+    exactly zero, so S^m has a zero right-hand side and is identically 0,
+    and the term of S^{-m} in every bracket is zero too."""
+    K = density.bandwidth
+    weighted = (density.coeffs != 0).any(axis=(0, 2, 3))
+    return [
+        m for m in range(-K, K + 1) if m != 0 and (weighted[K + m] or weighted[K - m])
+    ]
 
 
 def _shift_to_target(excised, m, fill):
@@ -301,32 +320,43 @@ def _matrix_passes(a_zero, a_stack, rhs_stack, m_list, neg_index, n_passes, live
     """The passes of d > 1 on component planes: x[i, j] holds entry (i, j)
     of every block of every row, so the bracket product and the solve are
     whole-batch elementwise operations, however many blocks there are."""
-    d, n_ops, width = a_stack.shape[2:]
+    count, d, _, n_ops, width = a_stack.shape
     # the shift to the target level as one gather: bracket (j, n) reads the
     # excised sum at flat index j * width + n + m_j, or the identity in a
     # fill slot past the end where the target leaves the window
     level = np.arange(width) + np.array(m_list)[:, None]
     inside = (level >= 0) & (level < width)
     source = np.where(inside, np.arange(n_ops)[:, None] * width + level, n_ops * width)
-    ident = np.eye(d, dtype=complex)[:, :, None, None]
+    fill = np.broadcast_to(np.eye(d, dtype=complex)[:, :, None, None], (d, d, count, 1))
+    # the terms a[i, k] s[k, j] of block row i whose a-plane is not all
+    # zero over the live rows; the others add exact zeros
+    weighted = (a_stack[live] != 0).any(axis=(0, 3, 4))
+    terms = [np.flatnonzero(row) for row in weighted]
     # the step works with the block axes first, the layout of plane_solve;
     # _run_passes sees S as a (row, d, d, ...) view of its result
-    a_zero, a_stack, rhs = (
-        np.moveaxis(x, 0, 2).copy() for x in (a_zero, a_stack, -rhs_stack)
-    )
+    to_planes, to_rows = (1, 2, 0, 3, 4), (2, 0, 1, 3, 4)
+    a_zero = a_zero.transpose(1, 2, 0, 3).copy()
+    a_stack, rhs = (x.transpose(to_planes).copy() for x in (a_stack, -rhs_stack))
 
     def step(S, rows):
-        a = a_stack[:, :, rows]
-        s_neg = np.moveaxis(S, 0, 2)[:, :, :, neg_index]
-        prod = a[:, :1] * s_neg[None, 0]
-        for k in range(1, d):
-            prod += a[:, k : k + 1] * s_neg[None, k]
-        excised = (a_zero[:, :, rows] + prod.sum(axis=3))[:, :, :, None] - prod
-        fill = np.broadcast_to(ident, (d, d, rows.size, 1))
-        padded = np.concatenate([excised.reshape(d, d, rows.size, -1), fill], axis=-1)
+        n = rows.size
+        # while every row runs, the inputs are the batch: nothing to gather
+        whole = n == count
+        a, a0, b = (x if whole else x[:, :, rows] for x in (a_stack, a_zero, rhs))
+        s_neg = S.transpose(to_planes)[:, :, :, neg_index]
+        excised = np.empty((d, d, n, n_ops, width), dtype=complex)
+        for i, ks in enumerate(terms):
+            if ks.size == 0:
+                excised[i] = a0[i][:, :, None]
+                continue
+            prod = a[i, ks[0]] * s_neg[ks[0]]
+            for k in ks[1:]:
+                prod += a[i, k] * s_neg[k]
+            excised[i] = (a0[i] + prod.sum(axis=2))[:, :, None] - prod
+        padded = np.concatenate([excised.reshape(d, d, n, -1), fill[:, :, :n]], axis=-1)
         # an inversion is singular where a pivot is exactly zero
-        Y, pivots = plane_solve(np.take(padded, source, axis=-1), rhs[:, :, rows])
-        return np.moveaxis(Y, 2, 0), ~pivots.all(axis=(0, 2, 3))
+        Y, pivots = plane_solve(np.take(padded, source, axis=-1), b)
+        return Y.transpose(to_rows), ~pivots.all(axis=(0, 2, 3))
 
     S = np.zeros(rhs_stack.shape, dtype=complex)
     return _run_passes(S, step, n_passes, live)
@@ -383,12 +413,10 @@ def assemble_M(
         ladders = ladder_operators(density, lam, n_win, depth)
     table = ladders.table
     d = table.dim
-    K = table.bandwidth
     lam = np.asarray(lam, dtype=complex)[..., None, None]
     m = table.get(0, 0) - lam * np.eye(d, dtype=complex)
-    for k in range(-K, K + 1):
-        if k == 0:
-            continue
+    # the other offsets carry S = 0, adding exact zeros
+    for k in sorted(-j for j in ladders.ops):
         m = m + table.get(k, -k) @ ladders.get(-k, 0)
     return m
 

@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import os
 
@@ -163,19 +165,21 @@ def test_cli_orbit_runs_and_is_deterministic(tmp_path):
     assert abs(report["freq_coeffs"][1] - np.sin(0.5)) < 1e-9
 
 
-def test_cli_spectrum_all_methods(tmp_path):
-    out = tmp_path / "spec"
-    code = main(
-        [
-            "spectrum",
-            "--system",
-            "builtin:s3",
-            "--method",
-            "all",
-            "--out",
-            str(out),
-        ]
-    )
+@pytest.fixture(scope="module")
+def s3_all_methods(tmp_path_factory):
+    """`spectrum --method all` on s3 at the defaults: (exit code, output
+    directory, stdout)."""
+    out = tmp_path_factory.mktemp("spec")
+    printed = io.StringIO()
+    with contextlib.redirect_stdout(printed):
+        code = main(
+            ["spectrum", "--system", "builtin:s3", "--method", "all", "--out", str(out)]
+        )
+    return code, out, printed.getvalue()
+
+
+def test_cli_spectrum_all_methods(s3_all_methods):
+    code, out, _ = s3_all_methods
     assert code == 0
     for name in ("spectrum_cf.json", "spectrum_risken.json", "spectrum_monodromy.json"):
         recs = json.loads((out / name).read_text())
@@ -184,6 +188,26 @@ def test_cli_spectrum_all_methods(tmp_path):
     assert table[0].startswith("method,")
     worst = max(float(line.split(",")[-1]) for line in table[1:])
     assert worst < 1e-4
+
+
+def test_cli_spectrum_lists_the_unmatched_roots(s3_all_methods):
+    # cf and risken miss the fold pair -2.763908 +- 0.461916i at the CLI
+    # defaults; comparison.csv pairs only the cf roots, so the monodromy
+    # pair shows in unmatched.csv and the differing counts on stdout
+    code, out, printed = s3_all_methods
+    assert code == 0
+    rows = (out / "unmatched.csv").read_text().strip().splitlines()
+    assert rows[0] == "method,lambda_re,lambda_im"
+    fields = [r.split(",") for r in rows[1:]]
+    assert [f[0] for f in fields] == ["monodromy", "monodromy"]
+    lams = [complex(float(f[1]), float(f[2])) for f in fields]
+    for lam, im in zip(sorted(lams, key=lambda z: z.imag), (-0.461916, 0.461916)):
+        assert abs(lam - complex(-2.763908, im)) < 1e-6
+    counts = [line for line in printed.splitlines() if "root counts differ" in line]
+    assert counts == [
+        "spectrum: root counts differ (cf 2, monodromy 4, risken 2); "
+        "2 unmatched root(s) in unmatched.csv"
+    ]
 
 
 def test_cli_spectrum_empty_box_exit_0(tmp_path, capsys):

@@ -2,7 +2,10 @@
 replaced: stacked `@` and one `np.linalg.solve` per batch on (..., d, d)
 blocks, with a one-lambda-at-a-time fallback when LAPACK reports a
 singular member.  Both run through the same `_run_passes`, so the pass
-counts, breakdown masks and operators must agree."""
+counts, breakdown masks and operators must agree.  The passes form only
+the relations of coupled offsets and the product terms of nonzero
+coefficient planes; against a reference that forms the whole band and
+every term, that pruning must be bit-identical."""
 
 import numpy as np
 import pytest
@@ -169,3 +172,153 @@ def test_exactly_zero_pivot_is_a_singular_level():
     with pytest.raises(CfBreakdown, match="singular inversion level"):
         _on_blocks(floquet.ladder_operators, density, bad, 4, 4)
     _assert_ladders_match(density, np.array([0.1 + 0.2j, bad, -1.0 + 0.3j]), 4, 4)
+
+
+def _full_plane_passes(a_zero, a_stack, rhs_stack, m_list, neg_index, n_passes, live):
+    """Reference pass on component planes that forms every one of the d^3
+    terms a[i, k] s[k, j], zero coefficient planes included."""
+    d, n_ops, width = a_stack.shape[2:]
+    level = np.arange(width) + np.array(m_list)[:, None]
+    inside = (level >= 0) & (level < width)
+    source = np.where(inside, np.arange(n_ops)[:, None] * width + level, n_ops * width)
+    ident = np.eye(d, dtype=complex)[:, :, None, None]
+    a_zero, a_stack, rhs = (
+        np.moveaxis(x, 0, 2).copy() for x in (a_zero, a_stack, -rhs_stack)
+    )
+
+    def step(S, rows):
+        a = a_stack[:, :, rows]
+        s_neg = np.moveaxis(S, 0, 2)[:, :, :, neg_index]
+        prod = a[:, :1] * s_neg[None, 0]
+        for k in range(1, d):
+            prod += a[:, k : k + 1] * s_neg[None, k]
+        excised = (a_zero[:, :, rows] + prod.sum(axis=3))[:, :, :, None] - prod
+        fill = np.broadcast_to(ident, (d, d, rows.size, 1))
+        padded = np.concatenate([excised.reshape(d, d, rows.size, -1), fill], axis=-1)
+        U = np.take(padded, source, axis=-1)
+        Y, pivots = floquet.plane_solve(U, rhs[:, :, rows])
+        return np.moveaxis(Y, 2, 0), ~pivots.all(axis=(0, 2, 3))
+
+    S = np.zeros(rhs_stack.shape, dtype=complex)
+    return floquet._run_passes(S, step, n_passes, live)
+
+
+def _full_closure(density, lam, n_win, depth, ladders=None):
+    """Reference M(lambda), summed over every offset of the band."""
+    if ladders is None:
+        ladders = floquet.ladder_operators(density, lam, n_win, depth)
+    table = ladders.table
+    K = table.bandwidth
+    lam = np.asarray(lam, dtype=complex)[..., None, None]
+    m = table.get(0, 0) - lam * np.eye(table.dim, dtype=complex)
+    for k in range(-K, K + 1):
+        if k:
+            m = m + table.get(k, -k) @ ladders.get(-k, 0)
+    return m
+
+
+def _full_band(f, *args):
+    """`f` with every relation m != 0 of the band formed, every plane term
+    multiplied out and M(lambda) summed over the whole band."""
+
+    def every_offset(density):
+        K = density.bandwidth
+        return [m for m in range(-K, K + 1) if m]
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(floquet, "_coupled_offsets", every_offset)
+        mp.setattr(floquet, "_matrix_passes", _full_plane_passes)
+        mp.setattr(floquet, "assemble_M", _full_closure)
+        return f(*args)
+
+
+def _assert_bit_identical(pruned, full):
+    """The pruned ladders hold a subset of the full band's offsets, with
+    equal arrays; every offset left out is zero in the full band (NaN on
+    the rows that broke down)."""
+    assert np.array_equal(pruned.passes, full.passes)
+    assert set(pruned.ops) <= set(full.ops)
+    broken = None
+    for m, ref in full.ops.items():
+        if m in pruned.ops:
+            assert np.array_equal(pruned.ops[m], ref, equal_nan=True)
+            broken = np.isnan(ref)
+        else:
+            assert np.all((ref == 0) | np.isnan(ref))
+    for m, ref in full.ops.items():
+        if m not in pruned.ops:
+            assert np.array_equal(np.isnan(ref), broken)
+
+
+def _assert_prunes_bit_identically(density, lams, n_win, depth):
+    pruned = floquet.ladder_operators(density, lams, n_win, depth)
+    full = _full_band(floquet.ladder_operators, density, lams, n_win, depth)
+    _assert_bit_identical(pruned, full)
+    det = floquet.closure_determinant(density, lams, n_win, depth)
+    det_full = _full_band(floquet.closure_determinant, density, lams, n_win, depth)
+    assert np.array_equal(det, det_full, equal_nan=True)
+    return pruned
+
+
+def test_s2_prunes_to_the_even_offsets_bit_identically(vdp_linearization):
+    density = vdp_linearization[0]
+    lams = _grid((-0.6, 0.3), (-1.5, 1.5), (10, 25))
+    ladders = _assert_prunes_bit_identically(density, lams, 8, 8)
+    assert sorted(ladders.ops) == [-6, -4, -2, 2, 4, 6]
+    # the three points of a pinched Newton step at the zero mode
+    lam = -0.000624
+    h = 1e-6 * (1.0 + abs(lam))
+    triple = np.array([lam, lam + h, lam - h], dtype=complex)
+    ladders = _assert_prunes_bit_identically(density, triple, 8, 8)
+    assert np.all(ladders.passes == 2 * 16 + 1 + floquet.EXTRA_PASSES)
+
+
+def test_s2_transposed_ladders_prune_bit_identically(vdp_linearization):
+    from ddefloquet.adjoint import _transposed_ladders
+
+    density = vdp_linearization[0]
+    lams = np.array([-0.000624 + 1.0j, -0.3 + 0.2j, 0.1 - 0.4j])
+    pruned = _transposed_ladders(density, lams, 8, 8)
+    full = _full_band(_transposed_ladders, density, lams, 8, 8)
+    _assert_bit_identical(pruned, full)
+    assert sorted(pruned.ops) == [-6, -4, -2, 2, 4, 6]
+
+
+def test_scalar_band_with_only_the_second_harmonic():
+    # d = 1, K = 3 with coefficients only at k = 0 and k = +-2
+    coeffs = np.zeros((2, 7, 1, 1), dtype=complex)
+    coeffs[0, 3] = -0.5
+    coeffs[1, 3] = -0.3
+    coeffs[0, 1] = coeffs[0, 5] = 0.08
+    coeffs[1, 1] = coeffs[1, 5] = 0.05
+    density = df.FourierMatrixDensity(1.0, np.array([-1.0, 0.0]), coeffs)
+    lams = _grid((-2.0, 0.5), (-1.5, 1.5), (6, 7))
+    ladders = _assert_prunes_bit_identically(density, lams, 6, 6)
+    assert sorted(ladders.ops) == [-2, 2]
+
+
+def test_d3_kernel_with_a_zero_block_row():
+    rng = np.random.default_rng(11)
+    shape = (2, 5, 3, 3)
+    coeffs = 0.1 * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+    coeffs[1, 2] -= 0.5 * np.eye(3)
+    # block row 1 of every L_m, m != 0, is zero, and so is column 2 of row 0
+    coeffs[:, [0, 1, 3, 4], 1, :] = 0.0
+    coeffs[:, [0, 1, 3, 4], 0, 2] = 0.0
+    density = df.FourierMatrixDensity(1.0, np.array([-1.0, 0.0]), coeffs)
+    lams = _grid((0.0, 1.0), (-0.8, 0.8), (4, 5))
+    ladders = _assert_prunes_bit_identically(density, lams, 6, 6)
+    assert sorted(ladders.ops) == [-2, -1, 1, 2]
+
+
+def test_one_sided_offset_keeps_both_relations():
+    # L_2 != 0 but L_{-2} = 0: S^{-2} is zero, yet both relations are formed
+    coeffs = np.zeros((2, 5, 2, 2), dtype=complex)
+    coeffs[0, 2] = [[-0.5, 0.2], [0.1, -0.4]]
+    coeffs[1, 2] = [[-0.3, 0.05], [-0.1, -0.2]]
+    coeffs[1, 4] = [[0.05, 0.02], [0.0, 0.04]]
+    density = df.FourierMatrixDensity(1.0, np.array([-1.0, 0.0]), coeffs)
+    lams = _grid((-2.0, 0.5), (-1.5, 1.5), (5, 6))
+    ladders = _assert_prunes_bit_identically(density, lams, 6, 6)
+    assert sorted(ladders.ops) == [-2, 2]
+    assert np.all(ladders.ops[-2][np.isfinite(ladders.ops[-2])] == 0)

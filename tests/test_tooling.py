@@ -103,3 +103,41 @@ def test_both_routes_eliminate_through_one_plane_solve(monkeypatch):
     assert set(callers) == {"ddefloquet.floquet"}
     risken.closure_determinant_risken(dens, 0.1 + 0.2j, 2)
     assert set(callers) == {"ddefloquet.floquet", "ddefloquet.risken"}
+
+
+def test_s2_passes_form_only_the_even_offsets(vdp_linearization, monkeypatch):
+    # the s2 linearization has only even harmonics, so the relations of
+    # m = +-1, +-3, +-5 are never formed
+    seen = []
+    passes = floquet._matrix_passes
+
+    def recorded(a_zero, a_stack, rhs_stack, m_list, *rest):
+        seen.append(list(m_list))
+        assert a_stack.shape[3] == rhs_stack.shape[3] == len(m_list)
+        return passes(a_zero, a_stack, rhs_stack, m_list, *rest)
+
+    monkeypatch.setattr(floquet, "_matrix_passes", recorded)
+    density = vdp_linearization[0]
+    assert density.bandwidth == 6
+    floquet.ladder_operators(density, np.array([-0.3 + 0.2j, 0.1j]), 8, 8)
+    assert seen == [[-6, -4, -2, 2, 4, 6]]
+
+
+def test_band_without_coupled_offsets_takes_the_k0_return():
+    coeffs = np.zeros((2, 5, 2, 2), dtype=complex)
+    coeffs[0, 2] = [[-0.5, 0.2], [0.1, -0.4]]
+    coeffs[1, 2] = [[-0.3, 0.05], [-0.1, -0.2]]
+    wide = df.FourierMatrixDensity(1.0, np.array([-1.0, 0.0]), coeffs)
+    narrow = df.FourierMatrixDensity(1.0, wide.delays, coeffs[:, 2:3])
+    assert wide.bandwidth == 2 and narrow.bandwidth == 0
+    lams = np.array([-0.3 + 0.2j, 0.4 - 0.1j])
+    for lam in (lams[0], lams):
+        ladders = floquet.ladder_operators(wide, lam, 4, 4)
+        assert ladders.ops == {}
+        assert np.array_equal(ladders.passes, np.zeros(np.shape(lam), dtype=int))
+        k0 = floquet.ladder_operators(narrow, lam, 4, 4)
+        assert np.array_equal(ladders.passes, k0.passes)
+        assert np.array_equal(
+            floquet.assemble_M(wide, lam, 4, 4, ladders=ladders),
+            floquet.assemble_M(narrow, lam, 4, 4),
+        )
