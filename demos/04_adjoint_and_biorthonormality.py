@@ -1,10 +1,12 @@
 """Adjoint eigensolutions, the delay bilinear form and biorthonormality.
 
 For each exponent of the parametric benchmark kernel the adjoint Fourier
-components are built from the primal ladder operators by the prescription
-linking the two ladder families.  After symmetric normalization the Gram
-matrix of all (adjoint, primal) pairs must be the identity and each
-pairing must not depend on the phase at which it is evaluated.
+components are built from the ladder operators of the transposed
+recurrence, by the same continued fraction passes as the primal ones; the
+prescription L S = Z L links the two ladder families as an identity.
+After symmetric normalization the Gram matrix of all (adjoint, primal)
+pairs must be the identity and each pairing must not depend on the phase
+at which it is evaluated.
 """
 
 import warnings

@@ -43,7 +43,7 @@ from .floquet import (
     ladder_operators,
 )
 from .fourier import FourierSeries, fourier_product
-from .linalg import determinant, solve_batch, solve_linear
+from .linalg import determinant, solve_linear
 from .model import (
     DdeSystem,
     FourierMatrixDensity,

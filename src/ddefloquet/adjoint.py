@@ -4,15 +4,17 @@ The adjoint Fourier components obey the left sided recurrence
 
     0 = sum_k psi_{j+k} [L_{k,j} - delta_{k0} (lambda + i j) I],
 
-whose ladder operators Z^m_j (psi_{j+m} = psi_j Z^m_j) are linked to the
-primal ones by the prescription
+whose ladder operators Z^m_j (psi_{j+m} = psi_j Z^m_j) are computed as
+primal ladders of the transposed recurrence, by the same continued
+fraction passes and in one batched call.  They are linked to the primal
+ones by the prescription
 
-    L_{k,n-k} S^{-k}_n = Z^{-k}_n L_{-k,n}.
+    L_{k,n-k} S^{-k}_n = Z^{-k}_n L_{-k,n},
 
-The prescription is used wherever the right factor is invertible; where it
-is singular (structurally rank deficient coupling matrices are common) the
-Z set falls back to a direct iteration of the transposed recurrence, which
-is the same fixed point machinery the primal ladders use.
+an identity between the two ladder families that the tests check, not a
+second route: it cannot give Z where L_{-k,n} is singular, and
+structurally rank deficient coupling matrices are common (the delayed
+van der Pol kernel has them at every level).
 
 The delay adapted bilinear pairing between adjoint and primal segments is
 
@@ -29,17 +31,11 @@ the phase xi, both up to truncation error.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    PrescriptionFallbackWarning,
-    ResonantForcing,
-    SingularMatrix,
-    ZeroPairing,
-)
+from .errors import ResonantForcing, ZeroPairing
 from .floquet import (
     FloquetMode,
     _climb,
@@ -113,7 +109,10 @@ def adjoint_modes(
 
     psi_0 is the left null direction of the same closure matrix M(lambda)
     that defines the primal mode; the remaining components follow from the
-    Z^{+-1} ladders, prescription first, transposed iteration as fallback.
+    Z ladders, the transposes of the primal style ladders of the transposed
+    recurrence (`_transposed_ladders`).  The prescription
+    L_{k,n-k} S^{-k}_n = Z^{-k}_n L_{-k,n} holds between them and the
+    primal ladders wherever both sides are defined.
     """
     lam = complex(lam)
     K = density.bandwidth
@@ -126,30 +125,8 @@ def adjoint_modes(
     else:
         u, s, _ = np.linalg.svd(m_mat)
         psi0 = np.conj(u[:, -1])
-
-    direct = None
-    fell_back = False
-
-    def z_op(m: int, j: int) -> np.ndarray:
-        # prescription: Z^m_j = L_{-m, j+m} S^m_j L_{m,j}^{-1}
-        nonlocal direct, fell_back
-        lhs = table.get(-m, j + m) @ ladders.get(m, j)
-        try:
-            zt = solve_linear(table.get(m, j).T, lhs.T)
-            return zt.T
-        except SingularMatrix:
-            if direct is None:
-                direct = _transposed_ladders(density, lam, n_win, depth)
-                fell_back = True
-            return direct.get(m, j).T
-
-    comps = _climb(psi0, n_win, K, lambda m, src, v: v @ z_op(m, src))
-    if fell_back:
-        warnings.warn(
-            "adjoint prescription hit singular L blocks; direct Z iteration "
-            "used for those levels",
-            PrescriptionFallbackWarning,
-        )
+    direct = _transposed_ladders(density, lam, n_win, depth)
+    comps = _climb(psi0, n_win, K, lambda m, src, v: v @ direct.get(m, src).T)
     return AdjointMode(
         lam=to_strip(lam),
         lam_raw=lam,

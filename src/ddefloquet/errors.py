@@ -6,7 +6,7 @@ class DdeFloquetError(Exception):
 
 
 class SingularMatrix(DdeFloquetError):
-    """A pivot fell below the breakdown threshold during LU elimination."""
+    """A linear solve met an exactly singular matrix."""
 
 
 class CutoffTooSmall(DdeFloquetError):
@@ -86,11 +86,6 @@ class NoRootsInBoxWarning(DdeFloquetWarning):
 
 class NewtonStallWarning(DdeFloquetWarning):
     """A Newton seed failed to converge and was dropped."""
-
-
-class PrescriptionFallbackWarning(DdeFloquetWarning):
-    """Adjoint ladder prescription hit a singular L block; direct
-    iteration used instead."""
 
 
 class DegenerateSecularWarning(DdeFloquetWarning):

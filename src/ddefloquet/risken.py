@@ -29,8 +29,8 @@ lambda values of the up sweep followed by those of the down sweep, and
 each level is one elementwise bracket product and one call of the
 package's batched elimination `linalg.plane_solve`.  A bracket is
 singular where a pivot falls below PIVOT_REL times its largest row norm,
-the rule of the package's LU, and a breakdown reports the first singular
-level of the up sweep, else of the down sweep.
+and a breakdown reports the first singular level of the up sweep, else of
+the down sweep.
 """
 
 from __future__ import annotations
@@ -40,7 +40,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CfBreakdown
-from .linalg import PIVOT_REL, determinant, plane_solve
+from .linalg import determinant, plane_solve
 from .model import (
     FourierMatrixDensity,
     LMatrixTable,
@@ -57,6 +57,10 @@ __all__ = [
     "closure_determinant_risken",
     "find_exponents_risken",
 ]
+
+# a bracket pivot below PIVOT_REL times the bracket's largest row norm is
+# a breakdown of the sweep, not roundoff
+PIVOT_REL = 1e-13
 
 
 def _stack_width(bandwidth: int) -> int:
@@ -141,11 +145,10 @@ def tridiagonal_closure(blocks: TridiagonalBlocks, depth: int | None = None):
     followed by those of the down sweep, and each of the `depth` steps is
     one bracket far @ R + near, formed entry by entry, and one
     `plane_solve` for the whole batch.  A bracket is singular where a
-    pivot falls below PIVOT_REL times its largest row norm, the rule of
-    the package's LU.  For one lambda a breakdown raises CfBreakdown with
-    the level of the first singular bracket of the up sweep, or else of
-    the down sweep, attached; for an array it leaves NaN in the closure of
-    that lambda.
+    pivot falls below PIVOT_REL times its largest row norm.  For one
+    lambda a breakdown raises CfBreakdown with the level of the first
+    singular bracket of the up sweep, or else of the down sweep, attached;
+    for an array it leaves NaN in the closure of that lambda.
     """
     if depth is None:
         depth = blocks.depth

@@ -83,15 +83,40 @@ def test_k0_adjoint_is_left_eigvec():
         assert np.max(np.abs(psi.component(j))) < 1e-12
 
 
-def test_prescription_identity(s3, s3_modes):
+@pytest.fixture(scope="module")
+def s2_zero_mode(vdp_linearization):
+    density = vdp_linearization[0]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        modes = df.find_exponents(
+            density, box=(-0.6, 0.3, -0.5, 0.5), n_win=8, depth=8,
+            grid=(10, 9), tol=1e-9,
+        )
+    return min(modes, key=lambda m: abs(m.lam))
+
+
+@pytest.mark.parametrize(
+    "kernel, offsets, levels",
+    [
+        pytest.param("s3", (-1, 1), (-2, 0, 3), id="s3"),
+        # the s2 kernel couples only even offsets, and its L_{-k,n} are
+        # singular at every level, so the identity cannot be solved for Z
+        pytest.param("s2", (-6, -4, -2, 2, 4, 6), (-2, 0, 2, 3), id="s2"),
+    ],
+)
+def test_prescription_identity(request, kernel, offsets, levels):
     # L_{k,n-k} S^{-k}_n = Z^{-k}_n L_{-k,n} where both sides are defined
-    mode = s3_modes[0]
-    lam = mode.lam_raw
-    lad = ladder_operators(s3, lam, 8, 8)
-    zlad = _transposed_ladders(s3, lam, 8, 8)
+    if kernel == "s3":
+        density = request.getfixturevalue("s3")
+        lam = request.getfixturevalue("s3_modes")[0].lam_raw
+    else:
+        density = request.getfixturevalue("vdp_linearization")[0]
+        lam = request.getfixturevalue("s2_zero_mode").lam_raw
+    lad = ladder_operators(density, lam, 8, 8)
+    zlad = _transposed_ladders(density, lam, 8, 8)
     tab = lad.table
-    for k in (-1, 1):
-        for n in (-2, 0, 3):
+    for k in offsets:
+        for n in levels:
             lhs = tab.get(k, n - k) @ lad.get(-k, n)
             rhs = zlad.get(-k, n).T @ tab.get(-k, n)
             assert np.max(np.abs(lhs - rhs)) < 1e-9
@@ -215,18 +240,14 @@ def test_resonant_forcing_reports_defect(s3, s3_pairs):
     assert abs(info.value.defect) > 1e-6
 
 
-def test_vdp_zero_mode_pairs_to_zero_with_amplitude_mode(vdp_linearization):
+def test_vdp_zero_mode_pairs_to_zero_with_amplitude_mode(
+    vdp_linearization, s2_zero_mode
+):
     # the adjoint of the neutral mode annihilates every other simple mode
     from ddefloquet.floquet import _hill_refine, _window_null_mode
 
     density = vdp_linearization[0]
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        modes = df.find_exponents(
-            density, box=(-0.6, 0.3, -0.5, 0.5), n_win=8, depth=8,
-            grid=(10, 9), tol=1e-9,
-        )
-    zero = min(modes, key=lambda m: abs(m.lam))
+    zero = s2_zero_mode
     amp_root, ok = _hill_refine(density, complex(-0.1, 1.0), 16, 1e-9)
     assert ok
     other = _window_null_mode(density, amp_root, 8, 8)

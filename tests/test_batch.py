@@ -1,6 +1,8 @@
 """Batched closure evaluations against one-lambda evaluations, per-lambda
 masking of breakdowns, and the array form of the scan's seed picking."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -8,7 +10,7 @@ import ddefloquet as df
 from ddefloquet import floquet, rootfind
 from ddefloquet.errors import CfBreakdown, ExponentOverflow
 from ddefloquet.floquet import closure_determinant, ladder_operators
-from ddefloquet.linalg import determinant, solve_batch
+from ddefloquet.linalg import determinant
 from ddefloquet.risken import closure_determinant_risken, tridiagonal_closure
 from ddefloquet.rootfind import _minima_seeds, _newton
 
@@ -163,20 +165,38 @@ def test_cf_singular_inversion_masks_one_lambda(dim):
         ladder_operators(dens, bad, 4, 4)
 
 
-def test_solve_batch_flags_only_the_singular_member(rng):
-    a = rng.standard_normal((3, 3, 3)) + 1j * rng.standard_normal((3, 3, 3))
-    a[1, 2] = a[1, 0] + a[1, 1]
-    b = rng.standard_normal((3, 3, 2)) + 1j * rng.standard_normal((3, 3, 2))
-    x, ok = solve_batch(a, b)
-    assert list(ok) == [True, False, True]
-    assert np.all(np.isnan(x[1]))
-    for i in (0, 2):
-        assert np.max(np.abs(a[i] @ x[i] - b[i])) < 1e-12
-        assert np.array_equal(x[i], df.solve_linear(a[i], b[i]))
-    dets = determinant(a)
+def test_determinant_of_a_stack_is_the_determinant_of_each_member(rng):
+    a = rng.standard_normal((5, 3, 3)) + 1j * rng.standard_normal((5, 3, 3))
+    a[1, :, 2] = 0.0  # exactly singular
+    a[2, 0, 1] = np.nan
+    a[3] *= 1e200  # its determinant overflows
+    a[4] = np.triu(a[4])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        dets = determinant(a)
+        singles = [determinant(m) for m in a]
+    assert np.array_equal(dets, np.array(singles), equal_nan=True)
     assert dets[1] == 0
-    for i in (0, 2):
-        assert dets[i] == determinant(a[i])
+    assert np.isnan(dets[2])
+    assert not np.isfinite(dets[3])
+    assert abs(dets[4] - np.prod(np.diagonal(a[4]))) < 1e-12 * abs(dets[4])
+    assert abs(dets[0] - np.linalg.det(a[0])) < 1e-12 * abs(dets[0])
+    scalars = rng.standard_normal((4, 1, 1)) + 1j * rng.standard_normal((4, 1, 1))
+    assert np.array_equal(determinant(scalars), scalars[:, 0, 0])
+    assert determinant(scalars[0]) == scalars[0, 0, 0]
+
+
+def test_solve_linear_is_lapack_with_the_package_errors(rng):
+    a = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+    for shape in ((4,), (4, 2)):
+        b = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        assert np.array_equal(df.solve_linear(a, b), np.linalg.solve(a, b))
+    with pytest.raises(df.SingularMatrix):
+        df.solve_linear(np.array([[1.0, 2.0], [2.0, 4.0]]), np.ones(2))
+    with pytest.raises(ValueError):
+        df.solve_linear(np.ones((2, 3)), np.ones(2))
+    with pytest.raises(ValueError):
+        df.solve_linear(a, np.ones(3))
 
 
 def test_newton_reports_unevaluable_points():

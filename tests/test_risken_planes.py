@@ -1,8 +1,10 @@
 """The tridiagonal sweeps on component planes, both directions in one batch,
 against the per-level sweep they replaced: one stacked `@` and one
 `solve_batch` per level, the up sweep run to the end before the down sweep.
-With block dimension 2 the arithmetic is the same, so the closures must be
-bit-equal; wider blocks sum the substitution in another order."""
+That sweep's stacked LU (`_lu`, `solve_batch`, `_substitute`) is kept here
+as the reference, with the same PIVOT_REL rule.  With block dimension 2
+the arithmetic is the same, so the closures must be bit-equal; wider
+blocks sum the substitution in another order."""
 
 import dataclasses
 
@@ -12,9 +14,72 @@ import pytest
 import ddefloquet as df
 from ddefloquet import risken
 from ddefloquet.errors import CfBreakdown
-from ddefloquet.linalg import PIVOT_REL, solve_batch
+from ddefloquet.risken import PIVOT_REL
 
 OVERFLOW = -800.0  # Re(lambda) * theta = 800 > 700 at theta = -1
+
+
+def _lu(a: np.ndarray):
+    """LU factorization with partial pivoting of each matrix of a stack.
+
+    `a` has shape (N, d, d).  Returns (lu, perm, nswaps, ok): `ok[i]` is
+    False when a pivot of matrix i fell below eps_pivot = 1e-13 times its
+    largest row norm; the factors of such a member are meaningless.
+    """
+    lu = a.copy()
+    count, d = a.shape[0], a.shape[1]
+    rows = np.arange(count)
+    row_norms = np.abs(a).sum(axis=2).max(axis=1)
+    eps_pivot = PIVOT_REL * np.maximum(row_norms, 1e-300)
+    perm = np.tile(np.arange(d), (count, 1))
+    nswaps = np.zeros(count, dtype=int)
+    ok = np.ones(count, dtype=bool)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for k in range(d):
+            p = k + np.argmax(np.abs(lu[:, k:, k]), axis=1)
+            ok &= ~(np.abs(lu[rows, p, k]) < eps_pivot)
+            top = lu[rows, k].copy()
+            lu[rows, k] = lu[rows, p]
+            lu[rows, p] = top
+            top = perm[rows, k].copy()
+            perm[rows, k] = perm[rows, p]
+            perm[rows, p] = top
+            nswaps += p != k
+            lu[:, k + 1 :, k] /= lu[:, k, k, None]
+            lu[:, k + 1 :, k + 1 :] -= lu[:, k + 1 :, k, None] * lu[:, k, None, k + 1 :]
+    return lu, perm, nswaps, ok
+
+
+def solve_batch(a, b):
+    """Solve a[i] x[i] = b[i] for a stack of complex square matrices.
+
+    `a` has shape (N, d, d) and `b` shape (N, d, r).  Returns (x, ok); the
+    solution of a member whose pivot fell below the threshold is NaN and
+    its `ok` entry is False.
+    """
+    a = np.asarray(a, dtype=complex)
+    b = np.asarray(b, dtype=complex)
+    if a.ndim != 3 or a.shape[1] != a.shape[2]:
+        raise ValueError("matrix stack must have shape (N, d, d)")
+    if b.ndim != 3 or b.shape[:2] != a.shape[:2]:
+        raise ValueError("right hand side length does not match")
+    lu, perm, _, ok = _lu(a)
+    x = _substitute(lu, perm, b)
+    x[~ok] = np.nan
+    return x, ok
+
+
+def _substitute(lu, perm, b):
+    d = lu.shape[1]
+    y = b[np.arange(b.shape[0])[:, None], perm]
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for k in range(1, d):
+            y[:, k] -= (lu[:, k, None, :k] @ y[:, :k])[:, 0]
+        for k in range(d - 1, -1, -1):
+            y[:, k] = (y[:, k] - (lu[:, k, None, k + 1 :] @ y[:, k + 1 :])[:, 0]) / lu[
+                :, k, k, None
+            ]
+    return y
 
 
 def _level_sweeps(blocks, depth=None):

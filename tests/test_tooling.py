@@ -10,7 +10,7 @@ import os
 import numpy as np
 
 import ddefloquet as df
-from ddefloquet import floquet, linalg, oracles, risken, rootfind
+from ddefloquet import adjoint, errors, floquet, linalg, oracles, risken, rootfind
 from ddefloquet.systems import constant_density
 
 SPANS = os.path.join(os.path.dirname(__file__), os.pardir, "bench", "spans.py")
@@ -141,3 +141,24 @@ def test_band_without_coupled_offsets_takes_the_k0_return():
             floquet.assemble_M(wide, lam, 4, 4, ladders=ladders),
             floquet.assemble_M(narrow, lam, 4, 4),
         )
+
+
+def test_one_adjoint_route_and_one_hand_written_elimination(s3, s3_modes, monkeypatch):
+    # linalg keeps plane_solve as its only elimination, and adjoint_modes
+    # takes its Z ladders from one batched transposed ladder call, with no
+    # per-level prescription solve and no fallback warning
+    for name in ("_lu", "_substitute", "solve_batch"):
+        assert not hasattr(linalg, name)
+    assert not hasattr(errors, "PrescriptionFallbackWarning")
+    calls = []
+    transposed = adjoint._transposed_ladders
+
+    def counted(*args):
+        calls.append(args)
+        return transposed(*args)
+
+    monkeypatch.delattr(adjoint, "solve_linear")
+    monkeypatch.setattr(adjoint, "_transposed_ladders", counted)
+    mode = s3_modes[0]
+    adjoint.adjoint_modes(s3, mode.lam_raw, mode.n_win, mode.depth)
+    assert len(calls) == 1
