@@ -42,7 +42,6 @@ DEFAULTS = {
     "n_win": 10,
     "depth": 10,
     "box": [-3.0, 1.0, -0.5, 0.5],
-    "grid": [61, 31],
     "tol": 1e-10,
     "method": "all",
     "monodromy_grid": 200,
@@ -194,16 +193,13 @@ def cmd_orbit(cfg) -> int:
 def _run_methods(cfg, density):
     out = {}
     box = tuple(float(v) for v in cfg["box"])
-    grid = tuple(int(v) for v in cfg["grid"])
     tol = float(cfg["tol"])
     n_win, depth = int(cfg["n_win"]), int(cfg["depth"])
     want = cfg["method"]
     if want in ("cf", "all"):
-        out["cf"] = find_exponents(
-            density, box=box, n_win=n_win, depth=depth, tol=tol, grid=grid
-        )
+        out["cf"] = find_exponents(density, box=box, n_win=n_win, depth=depth, tol=tol)
     if want in ("risken", "all"):
-        pairs = find_exponents_risken(density, box=box, depth=depth, tol=tol, grid=grid)
+        pairs = find_exponents_risken(density, box=box, depth=depth, tol=tol)
         out["risken"] = [(lam, complex(np.exp(2.0 * np.pi * lam))) for lam, _ in pairs]
     if want in ("monodromy", "all"):
         out["monodromy"] = monodromy_exponents(
@@ -283,7 +279,6 @@ def cmd_adjoint(cfg) -> int:
         n_win=int(cfg["n_win"]),
         depth=int(cfg["depth"]),
         tol=float(cfg["tol"]),
-        grid=tuple(int(v) for v in cfg["grid"]),
     )
     ctx = BilinearContext(density)
     pairs = []

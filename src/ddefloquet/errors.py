@@ -88,6 +88,11 @@ class NewtonStallWarning(DdeFloquetWarning):
     """A Newton seed failed to converge and was dropped."""
 
 
+class ContourCountWarning(DdeFloquetWarning):
+    """A contour solve found a number of eigenvalues other than the
+    winding number of its determinant: classes may be missing."""
+
+
 class DegenerateSecularWarning(DdeFloquetWarning):
     """A secular condition was vacuous; the affected parameter was
     fixed by convention and flagged."""

@@ -29,16 +29,15 @@ inversion level is singular when a pivot is exactly zero.  Skipping exact
 zeros leaves every other value bit-identical.  For d = 1 a pass keeps its
 scalar arithmetic, a division by each bracket, singular where a bracket is
 exactly zero.  Every value is then an explicit finite composition of
-matrix inversions, analytic in lambda away from its breakdown poles; that
-analyticity is what lets the determinant root search work with plain
-Newton iterations.  Where an exponent sits close to a truncation resonance
-the continued fraction determinant pinches its zero against a pole; a
-Newton run there stalls at a floor, and the search hands it over at that
-stall to the entire Hill determinant of the same window, which also runs
-the root's truncation check.  Mode components can be read off the window
-null space instead of the ladder chains.  The n = 0 closure gives the
+matrix inversions, analytic in lambda away from its breakdown poles, so
+plain Newton iterations refine its roots.  The n = 0 closure gives the
 finite matrix M(lambda) whose determinant vanishes at the Floquet
-exponents.
+exponents.  The search locates each exponent class once, as an eigenvalue
+of the Hill matrix T(lambda) of the same window (`rootfind.
+contour_classes`), and runs one Newton iteration on det M per class.
+Where an exponent sits close to a truncation resonance, det M pinches its
+zero against a pole and that run fails; the Hill eigenvalue and its null
+vector are then the answer.
 
 Exponents are defined mod i because the ansatz exp(lambda*xi) times a
 2*pi periodic factor absorbs integer imaginary shifts; reported modes carry
@@ -47,7 +46,7 @@ both the raw root and its strip representative with Im in (-1/2, 1/2].
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -57,7 +56,6 @@ from .model import (
     FourierMatrixDensity,
     LMatrixTable,
     build_L,
-    table_nbytes,
     truncated_matrix,
 )
 from .rootfind import (
@@ -67,7 +65,7 @@ from .rootfind import (
     FLOOR_TOL,
     _damped_newton,
     _newton,
-    find_classes,
+    contour_classes,
     strip_shift,
     to_strip,
 )
@@ -88,10 +86,11 @@ DIVERGENCE_GUARD = 1e12
 
 # Hill refinement: iteration budget
 HILL_MAX_ITER = 60
-# find_exponents: imaginary widening of the scan band, the largest move of
-# a root at the enlarged truncation that still counts as converged, and
-# the largest usable mode residual
-IM_PAD = 1.0
+# find_exponents: the Newton budget from a Hill eigenvalue (a few steps
+# wherever det M has its zero there), the largest move of a root at the
+# enlarged truncation that still counts as converged, and the largest
+# usable mode residual
+SEEDED_ITER = 8
 CONV_TOL = 1e-8
 MODE_TOL = 1e-2
 
@@ -515,7 +514,6 @@ def extract_mode(
     lam: complex,
     n_win: int,
     depth: int,
-    converged: bool = True,
 ) -> FloquetMode:
     """Null direction of M(lambda) propagated outward through the ladders.
 
@@ -546,39 +544,6 @@ def extract_mode(
         n_win=n_win,
         depth=depth,
         bandwidth=K,
-        converged=converged,
-    )
-
-
-def _window_null_mode(density, lam, n_win, depth, converged=True):
-    """Mode components from the null space of the full window matrix.
-
-    Solves the truncated recurrence directly instead of chaining ladder
-    operators; used as a fallback when the ladder route has degraded.
-    Returns None when the null direction is ambiguous.
-    """
-    lam = complex(lam)
-    B = n_win + depth
-    table = build_L(density, lam, B)
-    full = truncated_matrix(table, B)
-    _, s, vh = np.linalg.svd(full)
-    if s[-2] <= 10.0 * s[-1]:
-        return None
-    vec = np.conj(vh[-1]).reshape(2 * B + 1, density.dim)
-    comps = vec[B - n_win : B + n_win + 1].copy()
-    center = comps[n_win]
-    scale = np.max(np.abs(center))
-    if scale > 1e-12 * np.max(np.abs(comps)):
-        comps = comps / center[int(np.argmax(np.abs(center)))]
-    return FloquetMode(
-        lam=to_strip(lam),
-        lam_raw=lam,
-        components=comps,
-        residual=recurrence_residual(comps, table),
-        n_win=n_win,
-        depth=depth,
-        bandwidth=density.bandwidth,
-        converged=converged,
     )
 
 
@@ -590,25 +555,21 @@ def find_exponents(
     tol: float = 1e-10,
     grid=DEFAULT_GRID,
 ):
-    """Scan det M(lambda) over `box` and refine each minimum by Newton.
+    """One Floquet mode per exponent class whose strip value lies in `box`.
 
-    On the truncated window det M vanishes at the mod-i translate of an
-    exponent class where the zeroth Fourier component dominates, which may
-    lie outside the scanned strip; the scan band is therefore widened by
-    IM_PAD in the imaginary direction (same grid step) and a converged
-    root is kept whenever the root itself or its strip representative
-    falls in `box`.  A Newton run that stalls against a truncation
-    resonance pole hands over to the entire Hill determinant of the same
-    window.  Roots are deduplicated within 10*tol, then collapsed per mod-i
-    class: raw roots whose strip representatives agree modulo i within
-    CLASS_TOL keep the one of smallest |Im|.  The comparison is modulo i,
-    so the two edges Im = +-1/2 of the strip, where a negative real
-    multiplier sits, are one class; so are the final modes closer than
-    CLASS_TOL.  Each retained root is re-polished at the enlarged
-    truncation (n_win+2, depth+2) on the route that found it, continued
-    fraction or Hill; the mode's `converged` flag records whether it moved
-    by less than CONV_TOL.  Modes whose recurrence residual exceeds
-    MODE_TOL are dropped.
+    `rootfind.contour_classes` locates the classes once, as eigenvalues of
+    the Hill matrix T(lambda) on |n| <= n_win + depth, each at the
+    translate where its null vector peaks at n = 0, so that det M(lambda)
+    has its zero there.  One Newton run on det M per class starts from that
+    translate, and the mode is read off the ladders at its root.  Where the
+    run pinches its zero against a truncation resonance pole (it fails, or
+    ends more than CLASS_TOL from its class modulo i), or the ladders give
+    no usable mode (a breakdown, an ambiguous null space, a residual above
+    MODE_TOL), the mode is the Hill eigenvalue with its null vector cut to
+    the window.  The root is re-polished at the enlarged truncation
+    (n_win+2, depth+2) on its route, continued fraction or else the entire
+    Hill determinant; the `converged` flag records whether it moved by less
+    than CONV_TOL.  `grid` is unused: the search has no grid.
 
     Returns FloquetMode objects sorted by (-Re, Im) of the strip
     representative.  An empty list (plus a NoRootsInBoxWarning) means the
@@ -619,64 +580,36 @@ def find_exponents(
         return closure_determinant(density, lams, nw, dp)
 
     bound = n_win + depth
-    # roots that came through the Hill fallback
-    by_hill = set()
-
-    def refine(seed):
-        root, ok = _newton(det_at, seed, tol)
-        if ok:
-            return root, True
-        # the continued fraction determinant can pinch a zero against a
-        # truncation resonance pole, where its Newton run stalls; the
-        # entire Hill determinant of the same window separates them cleanly
-        root, ok = _hill_refine(density, root, bound, tol)
-        by_hill.add(root)
-        return root, ok
-
-    classes = find_classes(
-        det_at,
-        box,
-        grid,
-        IM_PAD,
-        tol,
-        refine=refine,
-        point_bytes=table_nbytes(density, bound),
-    )
+    classes = contour_classes(density, box, bound)
     modes = []
-    for root in classes:
-        # a continued fraction run at a Hill root only repeats its pinch
-        ok = False
-        if root not in by_hill:
+    for lam, null in classes:
+        root, ok = _newton(det_at, lam, tol, SEEDED_ITER)
+        mode = None
+        if ok and abs(to_strip(root - lam)) <= CLASS_TOL:
+            try:
+                mode = extract_mode(density, root, n_win, depth)
+            except (CfBreakdown, NullSpaceAmbiguous):
+                pass
+        if mode is None or mode.residual > MODE_TOL:
+            # the contour eigenvalue answers, and only the entire Hill
+            # determinant can re-polish it: a continued fraction run there
+            # would repeat the pinch
+            root, ok = lam, False
+            comps = null[bound - n_win : bound + n_win + 1]
+            mode = FloquetMode(
+                lam=to_strip(lam),
+                lam_raw=lam,
+                components=comps,
+                residual=recurrence_residual(comps, build_L(density, lam, n_win)),
+                n_win=n_win,
+                depth=depth,
+                bandwidth=density.bandwidth,
+            )
+        else:
             bigger, ok = _newton(lambda z: det_at(z, n_win + 2, depth + 2), root, tol)
         if not (ok and abs(bigger - root) <= CONV_TOL):
             bigger, ok = _hill_refine(density, root, bound + 2, tol)
         converged = bool(ok and abs(bigger - root) <= CONV_TOL)
-        try:
-            mode = extract_mode(density, root, n_win, depth, converged=converged)
-        except (CfBreakdown, NullSpaceAmbiguous):
-            continue  # truncation resonance shadow, not a usable mode
-        if mode.residual > MODE_TOL:
-            # ladder chains lose accuracy where the iteration is nearly
-            # critical; polish the root on the entire Hill determinant of
-            # the same window and read the components off its null space
-            polished, ok = _hill_refine(density, root, bound, tol)
-            if ok or abs(polished - root) < 0.1:
-                retry = _window_null_mode(
-                    density, polished, n_win, depth, converged=converged
-                )
-                if retry is not None and retry.residual < mode.residual:
-                    mode = retry
-        if mode.residual > MODE_TOL:
-            continue
-        modes.append(mode)
-    # the classes are CLASS_TOL apart, but the window null space polish may
-    # move a root by up to 0.1, onto another class: collapse strip values
-    # closer than CLASS_TOL modulo i, keeping the mode with the smallest
-    # recurrence residual
-    deduped: list = []
-    for mode in sorted(modes, key=lambda m: m.residual):
-        if any(abs(to_strip(mode.lam - kept.lam)) < CLASS_TOL for kept in deduped):
-            continue
-        deduped.append(mode)
-    deduped.sort(key=lambda m: (-m.lam.real, m.lam.imag))
-    return deduped
+        modes.append(replace(mode, converged=converged))
+    modes.sort(key=lambda m: (-m.lam.real, m.lam.imag))
+    return modes

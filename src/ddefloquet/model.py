@@ -29,7 +29,6 @@ __all__ = [
     "DdeSystem",
     "FourierMatrixDensity",
     "LMatrixTable",
-    "table_nbytes",
     "rescale",
     "linearize_about_orbit",
     "build_L",
@@ -195,12 +194,6 @@ class LMatrixTable:
         if abs(n) > self.n_win:
             raise IndexError(f"n = {n} outside table window {self.n_win}")
         return self.entries[..., k + K, n + self.n_win, :, :]
-
-
-def table_nbytes(density: FourierMatrixDensity, n_win: int) -> int:
-    """Bytes of the L table of one lambda on |n| <= n_win."""
-    d = density.dim
-    return (2 * density.bandwidth + 1) * (2 * n_win + 1) * d * d * 16
 
 
 def build_L(density: FourierMatrixDensity, lam, n_win: int) -> LMatrixTable:

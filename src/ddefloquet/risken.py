@@ -35,20 +35,20 @@ the down sweep.
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CfBreakdown
+from .errors import CfBreakdown, NewtonStallWarning
 from .linalg import determinant, plane_solve
 from .model import (
     FourierMatrixDensity,
     LMatrixTable,
     build_L,
     recurrence_blocks,
-    table_nbytes,
 )
-from .rootfind import DEFAULT_BOX, DEFAULT_GRID, find_classes, to_strip
+from .rootfind import CLASS_TOL, DEFAULT_BOX, _newton, contour_classes, to_strip
 
 __all__ = [
     "TridiagonalBlocks",
@@ -219,34 +219,26 @@ def find_exponents_risken(
     box=DEFAULT_BOX,
     depth: int = 10,
     tol: float = 1e-10,
-    grid=DEFAULT_GRID,
 ):
     """Strip representatives of the closure determinant roots in `box`.
 
-    Stacking makes the closure determinant periodic under lambda ->
-    lambda + 2i w0, and each exponent class only produces zeros at the
-    translates where a dominant Fourier component enters the block zero
-    unknown; the scan band is therefore widened by one stack period in the
-    imaginary direction (with a proportionally refined grid) and converged
-    roots are kept whenever their strip representative falls in `box`.
-    Returns (strip root, raw root) pairs sorted by (-Re, Im).
+    `rootfind.contour_classes` locates each exponent class once, on the
+    Hill matrix T(lambda) of the L table window the blocks are cut from,
+    at the translate where its null vector peaks at p = 0, inside block
+    zero: there the closure determinant has its zero.  One
+    Newton run per class starts from that translate; a run that stalls, or
+    converges more than CLASS_TOL away from its class modulo i, drops the
+    class with a NewtonStallWarning.  Returns (strip root, raw root) pairs
+    sorted by (-Re, Im).
     """
-
-    def det_at(lams):
-        return closure_determinant_risken(density, lams, depth)
-
-    # the closure determinant is periodic under lambda -> lambda + 2 i w0,
-    # so a band of height 2 w0 plus margin is guaranteed to contain a zero
-    # of every class
-    w0 = _stack_width(density.bandwidth)
-    classes = find_classes(
-        det_at,
-        box,
-        grid,
-        w0 + 0.5,
-        tol,
-        point_bytes=table_nbytes(density, _window(density, depth)),
-    )
-    out = [(to_strip(root), root) for root in classes]
+    classes = contour_classes(density, box, _window(density, depth))
+    out = []
+    for lam, _ in classes:
+        root, ok = _newton(lambda z: closure_determinant_risken(density, z, depth), lam, tol)
+        if ok and abs(to_strip(root - lam)) <= CLASS_TOL:
+            out.append((to_strip(root), root))
+    if len(out) < len(classes):
+        dropped = len(classes) - len(out)
+        warnings.warn(f"{dropped} Newton run(s) failed, classes dropped", NewtonStallWarning)
     out.sort(key=lambda t: (-t[0].real, t[0].imag))
     return out

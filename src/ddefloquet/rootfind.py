@@ -1,13 +1,11 @@
-"""Grid scan plus Newton refinement for roots of analytic scalar functions.
+"""Root searches: a log|f| grid scan plus Newton for analytic scalar
+functions, and a contour eigensolver for the Hill matrix T(lambda).
 
-Used for every determinant style root search in the package: the continued
-fraction closure det M(lambda), its tridiagonal block variant, and the
-constant coefficient characteristic function.  The scan maps log|f| over a
-rectangle, seeds Newton at the local minima and deduplicates the converged
-roots.  The functions searched are vectorized: they take a 1-D array of
-lambda values and return NaN where a value cannot be evaluated (continued
-fraction breakdown, exponent overflow); those points are masked out of the
-seeding.
+`find_roots` seeds Newton at the local minima of log|f| on a grid; the
+functions it searches take a 1-D array of lambda and return NaN where a
+value cannot be evaluated, and those points are masked.  `contour_classes`
+locates the exponent classes of a periodic kernel for both continued
+fraction routes, which refine one seed per class with `_newton`.
 """
 
 from __future__ import annotations
@@ -17,9 +15,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NewtonStallWarning, NoRootsInBoxWarning
+from .errors import (
+    ContourCountWarning,
+    ExponentOverflow,
+    NewtonStallWarning,
+    NoRootsInBoxWarning,
+)
+from .model import build_L, truncated_matrix
 
-__all__ = ["SearchBox", "find_roots", "find_classes", "strip_shift", "to_strip"]
+__all__ = ["SearchBox", "find_roots", "strip_shift", "to_strip"]
 
 DEFAULT_BOX = (-3.0, 1.0, -0.5, 0.5)
 DEFAULT_GRID = (61, 31)
@@ -32,9 +36,20 @@ CHUNK_BYTES = 128 * 1024
 # row have not set a new smallest step
 FLOOR_TOL = 1e-4
 STALL_STEPS = 6
-# distance modulo i below which two roots are one exponent class: the
-# cluster scale of a Hill-refined root, not the Newton tolerance
+# distance modulo i below which two roots are one exponent class: a
+# Newton run from a Hill eigenvalue that ends farther off has left its
+# class
 CLASS_TOL = 1e-4
+# the rounding error of an exponent on the strip edge Im = 1/2
+STRIP_SLACK = 1e-12
+# contour_classes: the lower strip edge, the Gauss-Legendre nodes per
+# side, the probe columns to start from, the rank cut relative to the
+# quadrature's scale, and the halvings allowed when the counts disagree
+STRIP_EDGE = -0.25
+SIDE_NODES = 64
+PROBE_COLUMNS = 8
+RANK_TOL = 1e-10
+MAX_SPLITS = 3
 
 
 @dataclass(frozen=True)
@@ -56,8 +71,10 @@ class SearchBox:
 
 
 def strip_shift(lam: complex) -> int:
-    """Integer s with Im(lam - i*s) in (-1/2, 1/2]."""
-    return int(np.ceil(lam.imag - 0.5))
+    """Integer s with Im(lam - i*s) in (-1/2, 1/2], up to STRIP_SLACK: a
+    class of a real kernel at the edge Im = +-1/2 comes out a rounding
+    error to either side, and is reported at +1/2 either way."""
+    return int(np.ceil(lam.imag - 0.5 - STRIP_SLACK))
 
 
 def to_strip(lam: complex) -> complex:
@@ -159,8 +176,6 @@ def find_roots(
     box=DEFAULT_BOX,
     grid=DEFAULT_GRID,
     tol: float = 1e-10,
-    accept=None,
-    refine=None,
     point_bytes: int = 16,
 ):
     """All roots of an analytic f found from a log|f| grid scan in `box`.
@@ -171,18 +186,12 @@ def find_roots(
     evaluated in chunks of CHUNK_BYTES // point_bytes points, where
     `point_bytes` is the size of f's largest working array per lambda.
 
-    Returns the converged roots, deduplicated within 10*tol and sorted by
+    Returns the converged roots that stay inside the scanned box (Newton
+    may walk out of it), deduplicated within 10*tol and sorted by
     (-Re, Im).  Non-evaluable grid points are masked; seeds whose Newton
-    iteration stalls are dropped with a warning.  `accept(root)` filters
-    converged roots; by default roots must stay inside the scanned box
-    (Newton may walk out of it).  `refine(seed)` replaces the default Newton
-    refinement when given; it must return (root, converged).
+    iteration stalls are dropped with a warning.
     """
     sb = box if isinstance(box, SearchBox) else SearchBox(*box)
-    if accept is None:
-        accept = lambda z: sb.contains(z, slack=1e-6)
-    if refine is None:
-        refine = lambda seed: _newton(f, seed, tol)
     nr, ni = grid
     res = np.linspace(sb.re_min, sb.re_max, nr)
     ims = np.linspace(sb.im_min, sb.im_max, ni)
@@ -201,12 +210,11 @@ def find_roots(
     roots: list[complex] = []
     stalled = 0
     for i, j in _minima_seeds(logabs):
-        seed = complex(res[i], ims[j])
-        root, ok = refine(seed)
+        root, ok = _newton(f, complex(res[i], ims[j]), tol)
         if not ok:
             stalled += 1
             continue
-        if not accept(root):
+        if not sb.contains(root, slack=1e-6):
             continue
         if any(abs(root - r) <= 10 * tol for r in roots):
             continue
@@ -222,50 +230,119 @@ def find_roots(
     return roots
 
 
-def find_classes(
-    f, box, grid, pad: float, tol: float, refine=None, point_bytes: int = 16
-) -> list[complex]:
-    """One raw root of f per mod-i class whose strip representative lies
-    in `box`.
+def contour_classes(density, box, bound: int) -> list:
+    """One eigenvalue of the Hill matrix T(lambda) per exponent class of
+    `density` whose strip value lies in `box`, with its null vector.
 
-    Truncated closure determinants vanish at the mod-i translate of an
-    exponent class where a dominant Fourier component sits at the block
-    center, which may lie outside the strip.  The scan therefore covers
-    `box` widened by at least `pad` in the imaginary direction, at the same
-    grid step, and a converged root is kept when the root itself or its
-    strip representative falls in `box`.  Roots whose strip values agree
-    modulo i within CLASS_TOL are one class, so the two edges Im = +-1/2
-    of the strip meet, and so do the translates of one exponent that a
-    Hill refinement located only to the cluster scale; a class keeps the
-    raw root of smallest |Im|.  Returns the raw roots in the order their
-    classes were found.
+    T(lambda) is the truncated recurrence matrix on |n| <= `bound`
+    (`model.truncated_matrix`).  Every class has one eigenvalue in each
+    period strip, and `_contour_solve` finds those in Re [box.re_min,
+    box.re_max] of the strip with edges Im = STRIP_EDGE and STRIP_EDGE + 1,
+    where a real kernel's real multipliers, at Im 0 and 1/2, lie inside
+    rather than on an edge.  Each eigenvalue is returned as the translate
+    lam + i*n* at which its null vector peaks at n = 0: T(lam + i m) is
+    T(lam) with its indices shifted by m, so the null vector is reindexed
+    to that translate, cut to the window, and scaled so that its largest
+    central entry is 1.  Returns (lam, components) pairs, components[n +
+    bound] the block of index n, sorted by (-Re, Im) of the strip value.
     """
     sb = box if isinstance(box, SearchBox) else SearchBox(*box)
-    nr, ni = grid
-    step = (sb.im_max - sb.im_min) / max(ni - 1, 1)
-    extra = int(np.ceil(pad / step)) if pad > 0 else 0
-    wide = SearchBox(
-        sb.re_min, sb.re_max, sb.im_min - extra * step, sb.im_max + extra * step
-    )
+    size = (2 * bound + 1) * density.dim
+    chunk = max(1, CHUNK_BYTES // (16 * size * size))
 
-    def accept(z):
-        return sb.contains(z, slack=1e-6) or sb.contains(to_strip(z), slack=1e-6)
+    def hill(lams):
+        return truncated_matrix(build_L(density, lams, bound), bound)
 
-    raw = find_roots(
-        f,
-        box=wide,
-        grid=(nr, ni + 2 * extra),
-        tol=tol,
-        accept=accept,
-        refine=refine,
-        point_bytes=point_bytes,
+    found = []
+    for lam, null in _contour_solve(hill, sb.re_min, sb.re_max, size, chunk, MAX_SPLITS):
+        if not sb.contains(to_strip(lam), slack=1e-6):
+            continue
+        blocks = null.reshape(2 * bound + 1, density.dim)
+        # a real mode of a real kernel has |phi_n| = |phi_-n|; norms equal
+        # to 8 digits tie, and the tie goes to the lowest n, not to rounding
+        norms = np.linalg.norm(blocks, axis=1)
+        peak = int(np.argmax(np.round(norms / norms.max(), 8))) - bound
+        source = np.arange(-bound, bound + 1) + peak
+        held = np.abs(source) <= bound
+        comps = np.zeros_like(blocks)
+        comps[held] = blocks[source[held] + bound]
+        center = comps[bound]
+        found.append((lam + 1j * peak, comps / center[np.argmax(np.abs(center))]))
+    if not found:
+        warnings.warn("no roots found in the search box", NoRootsInBoxWarning)
+    found.sort(key=lambda t: (-to_strip(t[0]).real, to_strip(t[0]).imag))
+    return found
+
+
+def _contour_solve(hill, re0: float, re1: float, size: int, chunk: int, splits: int):
+    """Eigenvalues of T in the strip rectangle over Re [re0, re1], with
+    their null vectors, by Beyn's integral method (Linear Algebra Appl.
+    436, 2012).
+
+    The moments A_j = (1/2 pi i) contour-integral z^j T(z)^-1 V dz, j = 0, 1,
+    are summed by Gauss-Legendre quadrature on each side, over chunks of
+    `chunk` nodes.  The rank k of A_0 counts the eigenvalues inside, and
+    the probe columns V are doubled while k equals their number.  With
+    A_0 = U S W^H cut to rank k, the eigenvalues are those of
+    U^H A_1 W S^-1 and the null vectors U times its eigenvectors.
+    Quadrature leakage lets in eigenvalues just outside; only those inside
+    are kept, and their number must equal the winding number of det T
+    along the rectangle, from the phases `slogdet` gives at the same
+    nodes.  Where it does not, the rectangle is halved along Re, at most
+    `splits` times, and then kept with a ContourCountWarning.
+    """
+    corners = np.array([re0, re1, re1 + 1j, re0 + 1j]) + 1j * STRIP_EDGE
+    half = (np.roll(corners, -1) - corners)[:, None] / 2
+    x, w = np.polynomial.legendre.leggauss(SIDE_NODES)
+    z = (corners[:, None] + half * (1 + x)).ravel()
+    weights = (half * w).ravel()
+    columns = min(PROBE_COLUMNS, size)
+    while True:
+        # deterministic probe columns, with no random generator: column c
+        # holds the powers z_c^r, r = 1..size, of the distinct points
+        # z_c = exp(2 pi i frac(c g)) of the unit circle, g the golden ratio
+        turns = np.mod(np.arange(1, columns + 1) * (1 + 5**0.5) / 2, 1.0)
+        probe = np.exp(2j * np.pi * np.mod(np.arange(1, size + 1)[:, None] * turns, 1.0))
+        m0 = np.zeros((size, columns), dtype=complex)
+        m1 = np.zeros((size, columns), dtype=complex)
+        phases = np.empty(z.size, dtype=complex)
+        # the size of the quadrature's terms, which its rounding scales with
+        scale = 0.0
+        for start in range(0, z.size, chunk):
+            nodes = z[start : start + chunk]
+            T = hill(nodes)
+            if not np.all(np.isfinite(T)):
+                raise ExponentOverflow("the search box reaches the exponent guard")
+            X = np.linalg.solve(T, np.broadcast_to(probe, (nodes.size, size, columns)))
+            wx = weights[start : start + chunk, None, None] * X
+            scale += float(np.abs(wx).max(axis=(1, 2)).sum())
+            m0 += wx.sum(axis=0)
+            m1 += (nodes[:, None, None] * wx).sum(axis=0)
+            phases[start : start + chunk] = np.linalg.slogdet(T)[0]
+        U, s, Wh = np.linalg.svd(m0 / (2j * np.pi), full_matrices=False)
+        rank = int(np.count_nonzero(s > RANK_TOL * scale / (2 * np.pi)))
+        if rank < columns or columns == size:
+            break
+        columns = min(2 * columns, size)
+    U, s, W = U[:, :rank], s[:rank], Wh[:rank].conj().T
+    lams, vecs = np.linalg.eig(U.conj().T @ (m1 / (2j * np.pi)) @ W / s)
+    inside = [
+        (complex(lam), U @ vec)
+        for lam, vec in zip(lams, vecs.T)
+        if re0 <= lam.real <= re1 and STRIP_EDGE <= lam.imag <= STRIP_EDGE + 1
+    ]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        winding = np.angle(np.roll(phases, -1) / phases).sum() / (2 * np.pi)
+    if abs(winding - len(inside)) < 0.5:
+        return inside
+    if splits > 0:
+        mid = 0.5 * (re0 + re1)
+        return _contour_solve(hill, re0, mid, size, chunk, splits - 1) + _contour_solve(
+            hill, mid, re1, size, chunk, splits - 1
+        )
+    warnings.warn(
+        f"{len(inside)} eigenvalue(s) in Re [{re0:.6g}, {re1:.6g}] against a "
+        f"winding number of {winding:.3f}",
+        ContourCountWarning,
     )
-    by_class: dict = {}
-    for root in raw:
-        strip = to_strip(root)
-        key = next((k for k in by_class if abs(to_strip(strip - k)) <= CLASS_TOL), None)
-        if key is None:
-            by_class[strip] = root
-        elif abs(root.imag) < abs(by_class[key].imag):
-            by_class[key] = root
-    return list(by_class.values())
+    return inside

@@ -81,7 +81,6 @@ def check_zero_mode(
         box=(-0.6, 0.3, -0.5, 0.5),
         n_win=n_win,
         depth=depth,
-        grid=(10, 9),
         tol=1e-9,
     )
     if not modes:

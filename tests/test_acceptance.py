@@ -50,15 +50,17 @@ def test_c02_constant_coefficient_exactness():
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         modes = find_exponents(dens, box=(-3, 1, -2, 2), n_win=6, depth=6, tol=1e-12)
+    # the classes of Lambert-W branches k = 0, +-1 (raw Im +-pi/2 and
+    # +-7.647); the window |n| <= 12 holds no translate of k = +-2
     char = characteristic_roots(
-        0.0, -np.pi / 2, 1.0, 1.0, box=(-3, 1, -2, 2), tol=1e-13
+        0.0, -np.pi / 2, 1.0, 1.0, box=(-3, 1, -8, 8), grid=(61, 121), tol=1e-13
     )
-    strips = sorted((to_strip(r) for r in char), key=lambda z: z.imag)
-    got = sorted((m.lam for m in modes), key=lambda z: z.imag)
+    strips = sorted((to_strip(r) for r in char), key=lambda z: (z.imag, z.real))
+    got = sorted((m.lam for m in modes), key=lambda z: (z.imag, z.real))
     worst = max(abs(a - b) for a, b in zip(got, strips))
     _report(
         "2 constant-coefficient",
-        len(got) == 2 and worst < 1e-10,
+        len(got) == len(strips) == 4 and worst < 1e-10,
         f"max |delta lambda| = {worst:.2e} (< 1e-10) over {len(got)} roots",
     )
 

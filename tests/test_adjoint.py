@@ -84,15 +84,16 @@ def test_k0_adjoint_is_left_eigvec():
 
 
 @pytest.fixture(scope="module")
-def s2_zero_mode(vdp_linearization):
+def s2_modes(vdp_linearization):
     density = vdp_linearization[0]
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        modes = df.find_exponents(
-            density, box=(-0.6, 0.3, -0.5, 0.5), n_win=8, depth=8,
-            grid=(10, 9), tol=1e-9,
-        )
-    return min(modes, key=lambda m: abs(m.lam))
+    return df.find_exponents(
+        density, box=(-0.6, 0.3, -0.5, 0.5), n_win=8, depth=8, tol=1e-9
+    )
+
+
+@pytest.fixture(scope="module")
+def s2_zero_mode(s2_modes):
+    return min(s2_modes, key=lambda m: abs(m.lam))
 
 
 @pytest.mark.parametrize(
@@ -119,7 +120,9 @@ def test_prescription_identity(request, kernel, offsets, levels):
         for n in levels:
             lhs = tab.get(k, n - k) @ lad.get(-k, n)
             rhs = zlad.get(-k, n).T @ tab.get(-k, n)
-            assert np.max(np.abs(lhs - rhs)) < 1e-9
+            # relative to the block: at the outer s2 offsets both sides are
+            # 1e-9 or less, where an absolute bound would pass with Z = 0
+            assert np.max(np.abs(lhs - rhs)) < 1e-9 * np.max(np.abs(lhs))
 
 
 def test_adjoint_recurrence_residual(s3_pairs):
@@ -241,23 +244,18 @@ def test_resonant_forcing_reports_defect(s3, s3_pairs):
 
 
 def test_vdp_zero_mode_pairs_to_zero_with_amplitude_mode(
-    vdp_linearization, s2_zero_mode
+    vdp_linearization, s2_modes, s2_zero_mode
 ):
-    # the adjoint of the neutral mode annihilates every other simple mode
-    from ddefloquet.floquet import _hill_refine, _window_null_mode
-
+    # the adjoint of the neutral mode annihilates every other simple mode;
+    # the amplitude mode is the other class find_exponents reports
     density = vdp_linearization[0]
     zero = s2_zero_mode
-    amp_root, ok = _hill_refine(density, complex(-0.1, 1.0), 16, 1e-9)
-    assert ok
-    other = _window_null_mode(density, amp_root, 8, 8)
-    assert abs(other.lam - zero.lam) > 1e-2
+    (other,) = [m for m in s2_modes if m is not zero]
+    assert abs(other.lam - (-0.0778793241)) < 1e-9
     psi0 = adjoint_modes(density, zero.lam_raw, 8, 8)
     ctx = BilinearContext(density)
     cross = abs(ctx.pair(psi0, other, 0.0))
     self_pair = abs(ctx.pair(psi0, zero, 0.0))
-    # orthogonality holds to the accuracy of the modes themselves, which
-    # for this near-degenerate kernel is the few 1e-3 residual level
     assert cross < 5e-2 * self_pair
 
 

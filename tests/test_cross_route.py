@@ -1,0 +1,83 @@
+"""Every route finds the same exponent classes of small random real kernels.
+
+The kernels dq/dxi = W_1(xi) q(xi - 1) + W_2(xi) q(xi) have d in {1, 2}
+components and harmonics |k| <= K in {0, 1, 2}, coefficient magnitudes
+falling by 4 per harmonic and a damping -0.5 I on the undelayed weight.
+They are drawn once, from a fixed seed, before any route runs.  Inside
+the CLI default box the contour solve on the Hill matrix, both continued
+fraction routes and the monodromy oracle must agree class for class, and
+for K = 0 so must the characteristic roots.
+"""
+
+import warnings
+
+import numpy as np
+import pytest
+
+from ddefloquet import (
+    FourierMatrixDensity,
+    characteristic_roots,
+    find_exponents,
+    monodromy_exponents,
+)
+from ddefloquet.errors import NewtonStallWarning
+from ddefloquet.risken import find_exponents_risken
+from ddefloquet.rootfind import contour_classes, to_strip
+
+SEED = 7
+BOX = (-3.0, 1.0, -0.5, 0.5)
+CASES = [(d, K) for d in (1, 2) for K in (0, 1, 2)]
+
+
+def _draw_kernels(seed):
+    rng = np.random.default_rng(seed)
+    kernels = {}
+    for d, K in CASES:
+        shape = (2, 2 * K + 1, d, d)
+        c = rng.normal(0.0, 0.4, shape) + 1j * rng.normal(0.0, 0.4, shape)
+        c *= (0.25 ** np.abs(np.arange(-K, K + 1)))[None, :, None, None]
+        # a real kernel: C_{-k} = conj(C_k)
+        c = 0.5 * (c + np.conj(c[:, ::-1]))
+        c[1, K] -= 0.5 * np.eye(d)
+        kernels[d, K] = FourierMatrixDensity(1.0, np.array([-1.0, 0.0]), c)
+    return kernels
+
+
+KERNELS = _draw_kernels(SEED)
+
+
+def _same_classes(name, got, want, tol=1e-6):
+    """Each value of `got` within tol of one of `want` modulo i, and back."""
+    assert len(got) == len(want), (name, got, want)
+    for z in got:
+        assert min(abs(to_strip(z - w)) for w in want) < tol, (name, z)
+    for w in want:
+        assert min(abs(to_strip(z - w)) for z in got) < tol, (name, w)
+
+
+@pytest.mark.parametrize("d, K", CASES, ids=[f"d{d}-K{K}" for d, K in CASES])
+def test_routes_agree_class_for_class(d, K):
+    density = KERNELS[d, K]
+    mono = [
+        lam
+        for lam, _ in monodromy_exponents(density, 400, re_min=BOX[0])
+        if lam.real <= BOX[1]
+    ]
+    assert mono
+    routes = {
+        # the Hill window of find_exponents at its defaults, |n| <= 20
+        "contour": [lam for lam, _ in contour_classes(density, BOX, 20)],
+        "cf": [m.lam for m in find_exponents(density, box=BOX)],
+        "risken": [lam for lam, _ in find_exponents_risken(density, box=BOX)],
+    }
+    if K == 0:
+        a, b = density.coeffs[1, 0], density.coeffs[0, 0]
+        # raw roots, which reach Im +-10 in Re >= -3; the grid scan drops
+        # the seeds that lead nowhere with a warning
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", NewtonStallWarning)
+            routes["characteristic"] = characteristic_roots(
+                a, b, box=(BOX[0], BOX[1], -12.0, 12.0), grid=(41, 241)
+            )
+    for name, got in routes.items():
+        _same_classes(name, got, mono)

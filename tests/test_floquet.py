@@ -100,10 +100,11 @@ def test_ladder_defining_relations_matrix(vdp_linearization):
 def test_constant_coefficient_roots_match_characteristic():
     dens = s1_density()
     modes = find_exponents(dens, box=(-3, 1, -2, 2), n_win=6, depth=6, tol=1e-12)
+    # raw roots of Lambert-W branches k = 0, +-1: Im +-pi/2 and +-7.647
     char = df.characteristic_roots(
-        0.0, -np.pi / 2, 1.0, 1.0, box=(-3, 1, -2, 2), tol=1e-12
+        0.0, -np.pi / 2, 1.0, 1.0, box=(-3, 1, -8, 8), grid=(61, 121), tol=1e-12
     )
-    assert len(modes) == 2
+    assert len(modes) == len(char) == 4
     for m in modes:
         assert min(abs(m.lam_raw - r) for r in char) < 1e-10
         # strip representative reported alongside the raw root

@@ -191,23 +191,25 @@ def test_cli_spectrum_all_methods(s3_all_methods):
 
 
 def test_cli_spectrum_lists_the_unmatched_roots(s3_all_methods):
-    # cf and risken miss the fold pair -2.763908 +- 0.461916i at the CLI
-    # defaults; comparison.csv pairs only the cf roots, so the monodromy
-    # pair shows in unmatched.csv and the differing counts on stdout
+    # every route reports the same four classes, so no root is unmatched
+    # and the counts agree
     code, out, printed = s3_all_methods
     assert code == 0
-    rows = (out / "unmatched.csv").read_text().strip().splitlines()
-    assert rows[0] == "method,lambda_re,lambda_im"
-    fields = [r.split(",") for r in rows[1:]]
-    assert [f[0] for f in fields] == ["monodromy", "monodromy"]
-    lams = [complex(float(f[1]), float(f[2])) for f in fields]
-    for lam, im in zip(sorted(lams, key=lambda z: z.imag), (-0.461916, 0.461916)):
-        assert abs(lam - complex(-2.763908, im)) < 1e-6
-    counts = [line for line in printed.splitlines() if "root counts differ" in line]
-    assert counts == [
-        "spectrum: root counts differ (cf 2, monodromy 4, risken 2); "
-        "2 unmatched root(s) in unmatched.csv"
-    ]
+    rows = (out / "unmatched.csv").read_text().splitlines()
+    assert rows == ["method,lambda_re,lambda_im"]
+    assert "root counts differ" not in printed
+
+
+def test_cli_spectrum_reports_the_fold_pair(s3_all_methods):
+    # the k = +-1 pair, whose dominant Fourier component sits at n = -+8
+    # of the strip value, from both continued fraction routes
+    _, out, _ = s3_all_methods
+    for method in ("cf", "risken"):
+        recs = json.loads((out / f"spectrum_{method}.json").read_text())
+        lams = [complex(r["lambda_re"], r["lambda_im"]) for r in recs]
+        assert len(lams) == 4
+        for im in (-0.461916, 0.461916):
+            assert min(abs(z - complex(-2.763908, im)) for z in lams) < 1e-6
 
 
 def test_cli_spectrum_empty_box_exit_0(tmp_path, capsys):

@@ -123,8 +123,7 @@ def _wide_band_pair():
 
 def test_s2_scan_grid_matches_the_block_pass(vdp_linearization):
     density = vdp_linearization[0]
-    # the scan grid of find_exponents at the verify settings: box
-    # (-0.6, 0.3, -0.5, 0.5) at grid 10 x 9, widened by IM_PAD = 1
+    # a 10 x 25 grid over the verify box (-0.6, 0.3) x (-1.5, 1.5)
     lams = _grid((-0.6, 0.3), (-1.5, 1.5), (10, 25))
     # the grid holds lambda = 0 and +-i, translates of the zero mode at
     # -0.000624: there the updates shrink by only about 0.45 a pass and the

@@ -207,6 +207,21 @@ def test_s2_zero_mode_search_hands_pinched_runs_over_early(
     assert cosine_similarity(mode.components, target) > 0.999
 
 
+def test_s2_reports_the_zero_and_the_amplitude_class(vdp_linearization):
+    # both odd-family classes near Re 0 at the verify settings, real to
+    # rounding on this real kernel and matching the monodromy oracle
+    density = vdp_linearization[0]
+    modes = find_exponents(
+        density, box=(-0.6, 0.3, -0.5, 0.5), n_win=8, depth=8, tol=1e-9
+    )
+    mono = [lam for lam, _ in df.monodromy_exponents(density, 200, re_min=-0.6)]
+    assert len(modes) == len(mono) == 2
+    for mode, want in zip(modes, (-0.0006242654, -0.0778793241)):
+        assert abs(mode.lam.real - want) < 1e-9
+        assert abs(mode.lam.imag) < 1e-12
+        assert min(abs(mode.lam - lam) for lam in mono) < 1e-6
+
+
 def test_hill_refine_rejected_lambda_does_not_converge():
     dens = parametric_density(-0.4, 0.3, -0.3)
     assert _hill_refine(dens, complex(OVERFLOW, 0.2), 6, 1e-10) == (

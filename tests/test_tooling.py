@@ -6,11 +6,13 @@ import importlib
 import importlib.util
 import inspect
 import os
+import subprocess
+import sys
 
 import numpy as np
 
 import ddefloquet as df
-from ddefloquet import adjoint, errors, floquet, linalg, oracles, risken, rootfind
+from ddefloquet import adjoint, cli, errors, floquet, linalg, oracles, risken, rootfind
 from ddefloquet.systems import constant_density
 
 SPANS = os.path.join(os.path.dirname(__file__), os.pardir, "bench", "spans.py")
@@ -47,10 +49,65 @@ def test_special_wrappers_match_the_call_shapes():
     dens = constant_density(-1.0, 0.0, omega=1.0, tau=1.0)
     modes = floquet.find_exponents(dens, box=(-2, 0.5, -0.5, 0.5), n_win=4, depth=4)
     assert isinstance(modes, list) and len(modes) == 1
-    # the benchmark passes these by keyword, and nothing else is settable
+    # the benchmark passes these by keyword, and nothing else is settable;
+    # `grid` is unused and stays only because the benchmark passes it
     assert list(inspect.signature(floquet.find_exponents).parameters) == [
         "density", "box", "n_win", "depth", "tol", "grid"
     ]
+
+
+def test_the_widened_grid_scan_is_gone():
+    # the contour solve on T(lambda) locates every class once: no widened
+    # scan band, no refinement hook, no window null space retry, no grid
+    assert not hasattr(rootfind, "find_classes")
+    assert not hasattr(floquet, "IM_PAD")
+    assert not hasattr(floquet, "_window_null_mode")
+    assert list(inspect.signature(rootfind.find_roots).parameters) == [
+        "f", "box", "grid", "tol", "point_bytes"
+    ]
+    assert "grid" not in inspect.signature(risken.find_exponents_risken).parameters
+    assert "grid" not in cli.DEFAULTS
+
+
+def test_a_search_leaves_numpy_random_unimported():
+    # the contour probe is deterministic; importing numpy.random alone adds
+    # about 5 MB to the peak memory the benchmark bounds
+    script = (
+        "import sys\n"
+        "from ddefloquet import find_exponents\n"
+        "from ddefloquet.systems import s3_density\n"
+        "assert len(find_exponents(s3_density())) == 4\n"
+        "assert 'numpy.random' not in sys.modules\n"
+    )
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, timeout=120
+    )
+    assert done.returncode == 0, done.stderr.decode()
+
+
+def test_one_continued_fraction_run_per_class_on_s3(s3, monkeypatch):
+    # each class gets one Newton run on det M at the search window (10, 10);
+    # the runs at (12, 12) are the truncation checks
+    windows = []
+    determinant, newton = floquet.closure_determinant, floquet._newton
+
+    def recorded(density, lam, n_win, depth):
+        windows[-1].add((n_win, depth))
+        return determinant(density, lam, n_win, depth)
+
+    def counted(*args):
+        windows.append(set())
+        return newton(*args)
+
+    monkeypatch.setattr(floquet, "closure_determinant", recorded)
+    monkeypatch.setattr(floquet, "_newton", counted)
+    modes = floquet.find_exponents(s3)
+    assert len(modes) == 4
+    assert windows.count({(10, 10)}) == 4
+    assert windows.count({(12, 12)}) == 4
+    assert len(windows) == 8
 
 
 def test_monodromy_spans_split_the_march_from_eigvals(monkeypatch):
