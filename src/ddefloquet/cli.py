@@ -145,11 +145,9 @@ def cmd_orbit(cfg) -> int:
 
     from .oracles import oscillator_residual
 
-    sweep = []
-    fn = expand_pl if cfg["scheme"] == "pl" else expand_shohat
-    for mu in MU_SWEEP:
-        e = fn(model, mu, int(cfg["order"]), cutoff=cfg["cutoff"])
-        sweep.append((mu, oscillator_residual(e)))
+    sweep = [
+        (mu, oscillator_residual(_expansion(dict(cfg, mu=mu), model))) for mu in MU_SWEEP
+    ]
     slope = float(
         np.polyfit(np.log([m for m, _ in sweep]), np.log([r for _, r in sweep]), 1)[0]
     )

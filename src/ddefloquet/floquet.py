@@ -18,26 +18,27 @@ deepening the evaluated continued fraction tree by one level, and the pass
 budget is fixed (early exit only once updates drop below roundoff).  Only
 the relations of coupled offsets are formed, those m where L_m or L_{-m}
 has a nonzero coefficient (an even-harmonic kernel couples no odd m): for
-any other m, S^m has a zero right-hand side and is identically 0.  For
-d > 1 a pass works on component planes: entry (i, j) of every d x d block,
-over all levels, relations and lambda values of a batch, is one array, so
-the bracket products are elementwise multiply-adds, at most d^3 of them
-(a term a[i, k] s[k, j] whose coefficient plane a[i, k] is all zero is
-skipped), and the inversions are one Gaussian elimination with partial
-pivoting (`linalg.plane_solve`) over the planes for the whole batch; an
-inversion level is singular when a pivot is exactly zero.  Skipping exact
-zeros leaves every other value bit-identical.  For d = 1 a pass keeps its
-scalar arithmetic, a division by each bracket, singular where a bracket is
-exactly zero.  Every value is then an explicit finite composition of
-matrix inversions, analytic in lambda away from its breakdown poles, so
-plain Newton iterations refine its roots.  The n = 0 closure gives the
-finite matrix M(lambda) whose determinant vanishes at the Floquet
-exponents.  The search locates each exponent class once, as an eigenvalue
-of the Hill matrix T(lambda) of the same window (`rootfind.
-contour_classes`), and runs one Newton iteration on det M per class.
-Where an exponent sits close to a truncation resonance, det M pinches its
-zero against a pole and that run fails; the Hill eigenvalue and its null
-vector are then the answer.
+any other m, S^m has a zero right-hand side and is identically 0.  Every
+pass reads its coefficients A and L from the coupled diagonals of the
+recurrence matrix T(lambda) of `model.recurrence_blocks`, the one
+assembler of T, and works on component planes for every d: entry (i, j)
+of every d x d block, over all levels, relations and lambda values of a
+batch, is one array, so the bracket products are elementwise
+multiply-adds, at most d^3 of them (a term a[i, k] s[k, j] whose
+coefficient plane a[i, k] is all zero is skipped), and the inversions are
+one Gaussian elimination with partial pivoting (`linalg.plane_solve`) over
+the planes for the whole batch, a division when d = 1; an inversion level
+is singular when a pivot is exactly zero.  Skipping exact zeros leaves
+every other value bit-identical.  Every value is then an explicit finite
+composition of matrix inversions, analytic in lambda away from its
+breakdown poles, so plain Newton iterations refine its roots.  The n = 0
+closure gives the finite matrix M(lambda) whose determinant vanishes at
+the Floquet exponents.  The search locates each exponent class once, as
+an eigenvalue of the Hill matrix T(lambda) of the same window
+(`rootfind.contour_classes`), and runs one Newton iteration on det M per
+class.  Where an exponent sits close to a truncation resonance, det M
+pinches its zero against a pole and that run fails; the Hill eigenvalue
+and its null vector are then the answer.
 
 Exponents are defined mod i because the ansatz exp(lambda*xi) times a
 2*pi periodic factor absorbs integer imaginary shifts; reported modes carry
@@ -56,6 +57,7 @@ from .model import (
     FourierMatrixDensity,
     LMatrixTable,
     build_L,
+    recurrence_blocks,
     truncated_matrix,
 )
 from .rootfind import (
@@ -66,6 +68,7 @@ from .rootfind import (
     _damped_newton,
     _newton,
     contour_classes,
+    spectrum_key,
     strip_shift,
     to_strip,
 )
@@ -150,17 +153,16 @@ def ladder_operators(
     operators into all inversion relations simultaneously; the pass budget
     (window width plus EXTRA_PASSES) is spent unless an update falls
     below roundoff first, so the result is a fixed finite composition of
-    matrix inversions, analytic in lambda.  For d > 1 each pass runs on
-    component planes, one elementwise pivoted Gaussian elimination for the
-    whole batch, and a level is singular when a pivot is exactly zero; for
-    d = 1 it divides by the scalar brackets, singular where one is exactly
-    zero.  For a single `lam` a singular inversion level or a diverging
-    operator, the signs of lambda sitting at a resonance of the truncated
-    problem, raises CfBreakdown.  For a 1-D array of lambda every value
-    runs its own passes, stops where its own loop would, and a breakdown
-    only marks that value (NaN operators).
+    matrix inversions, analytic in lambda.  Every pass reads the coupled
+    diagonals of T(lambda) and runs on component planes, one elementwise
+    pivoted Gaussian elimination for the whole batch (a division for
+    d = 1), and a level is singular when a pivot is exactly zero.  For a
+    single `lam` a singular inversion level or a diverging operator, the
+    signs of lambda sitting at a resonance of the truncated problem, raises
+    CfBreakdown.  For a 1-D array of lambda every value runs its own
+    passes, stops where its own loop would, and a breakdown only marks that
+    value (NaN operators).
     """
-    K = density.bandwidth
     d = density.dim
     B = n_win + depth
     n_passes = 2 * B + 1 + EXTRA_PASSES
@@ -173,48 +175,33 @@ def ladder_operators(
         run = 0 if one else np.zeros(count, dtype=int)
         return LadderSet(table.lam, n_win, depth, table, {}, run)
 
-    width = 2 * B + 1
-    lams = np.reshape(table.lam, -1)
-    ident = np.eye(d, dtype=complex)[:, :, None]
+    n_ops = len(m_list)
     m_index = {m: j for j, m in enumerate(m_list)}
     neg_index = np.array([m_index[-m] for m in m_list])
 
-    # component planes: planes[:, i, j, k + K, p + B] is entry (i, j) of
-    # L_{k,p}, so entry (i, j) of every block is one array over the levels
-    planes = np.moveaxis(entries, (-2, -1), (1, 2))
-    # a_zero[..., p] = L_{0,p} - (lam + i p) I; a_stack[..., j, p] = A_{m_j, p},
-    # zeroed where the coupled source level p - m_j leaves the window
-    p = np.arange(-B, B + 1)
-    a_zero = planes[:, :, :, K] - (lams[:, None] + 1j * p)[:, None, None] * ident
-    a_stack = np.stack(
-        [_shift_to_target(planes[:, :, :, k + K], -k, 0.0) for k in m_list], axis=3
-    )
-    # rhs_stack[..., j, n] = L_{m_j, n}; an operator exists only when its
-    # target n + m_j stays inside the window
-    rhs_stack = planes[:, :, :, [m + K for m in m_list]]
-    for j, m in enumerate(m_list):
-        if m > 0:
-            rhs_stack[..., j, width - m :] = 0.0
-        else:
-            rhs_stack[..., j, :-m] = 0.0
+    # the coefficients are entries of T(lambda) on |n| <= B, read along its
+    # coupled diagonals: a_zero[p] = T_{p,p}, a_stack[j, p] = T_{p,p-m_j}
+    # and rhs_stack[j, n] = T_{n+m_j,n} = L_{m_j,n}; an entry whose row or
+    # column leaves the window is zero (the operator S^{m_j}_n exists only
+    # while its target n + m_j stays inside); such a column is clipped into
+    # the window for the gather, and its entry masked
+    level = np.arange(-B, B + 1)
+    rows = level + np.array([0] * (1 + n_ops) + m_list)[:, None]
+    cols = level - np.array([0] + m_list + [0] * n_ops)[:, None]
+    inside = (np.abs(rows) <= B) & (np.abs(cols) <= B)
+    coeffs = recurrence_blocks(table, rows.ravel(), np.clip(cols, -B, B).ravel(), 1)
+    coeffs = np.where(inside[..., None, None], coeffs.reshape(count, *rows.shape, d, d), 0.0)
+    # component planes: entry (i, j) of every block is one array over the
+    # diagonals and levels
+    planes = np.moveaxis(coeffs, (-2, -1), (1, 2))
+    a_zero = planes[:, :, :, 0]
+    a_stack, rhs_stack = planes[:, :, :, 1 : 1 + n_ops], planes[:, :, :, 1 + n_ops :]
     # lambda values the exponent guard rejected never start
     live = np.isfinite(entries).reshape(count, -1).all(axis=1)
 
-    if d == 1:
-        S, run, cause = _scalar_passes(
-            a_zero[:, 0, 0],
-            a_stack[:, 0, 0],
-            rhs_stack[:, 0, 0],
-            m_list,
-            neg_index,
-            n_passes,
-            live,
-        )
-        S = S[:, None, None]
-    else:
-        S, run, cause = _matrix_passes(
-            a_zero, a_stack, rhs_stack, m_list, neg_index, n_passes, live
-        )
+    S, run, cause = _matrix_passes(
+        a_zero, a_stack, rhs_stack, m_list, neg_index, n_passes, live
+    )
     # back to blocks: S[:, j, n + B] is the d x d operator S^{m_j}_n
     S = np.ascontiguousarray(S.transpose(0, 3, 4, 1, 2))
     if one:
@@ -240,29 +227,6 @@ def _coupled_offsets(density: FourierMatrixDensity) -> list:
     return [
         m for m in range(-K, K + 1) if m != 0 and (weighted[K + m] or weighted[K - m])
     ]
-
-
-def _shift_to_target(excised, m, fill):
-    """bracket[..., n] = excised[..., n + m] with `fill` where the target leaves."""
-    width = excised.shape[-1]
-    out = np.empty_like(excised)
-    if m > 0:
-        out[..., : width - m] = excised[..., m:]
-        out[..., width - m :] = fill
-    else:
-        out[..., -m:] = excised[..., :m]
-        out[..., :-m] = fill
-    return out
-
-
-def _brackets(a_zero, a_stack, S, m_list, neg_index):
-    """Excised inversion brackets of every scalar relation, one lambda per row."""
-    prod = a_stack * S[:, neg_index]
-    rs = a_zero + prod.sum(axis=1)
-    brackets = np.empty_like(S)
-    for j, m in enumerate(m_list):
-        brackets[:, j] = _shift_to_target(rs - prod[:, j], m, 1.0)
-    return brackets
 
 
 def _run_passes(S, step, n_passes, live):
@@ -305,20 +269,11 @@ def _run_passes(S, step, n_passes, live):
     return S, run, cause
 
 
-def _scalar_passes(a_zero, a_stack, rhs_stack, m_list, neg_index, n_passes, live):
-    def step(S, rows):
-        brackets = _brackets(a_zero[rows], a_stack[rows], S, m_list, neg_index)
-        singular = (brackets == 0).any(axis=(1, 2))
-        return -rhs_stack[rows] / brackets, singular
-
-    S = np.zeros(rhs_stack.shape, dtype=complex)
-    return _run_passes(S, step, n_passes, live)
-
-
 def _matrix_passes(a_zero, a_stack, rhs_stack, m_list, neg_index, n_passes, live):
-    """The passes of d > 1 on component planes: x[i, j] holds entry (i, j)
-    of every block of every row, so the bracket product and the solve are
-    whole-batch elementwise operations, however many blocks there are."""
+    """The passes on component planes: x[i, j] holds entry (i, j) of every
+    d x d block of every row, so the bracket product and the solve are
+    whole-batch elementwise operations, however many blocks there are (for
+    d = 1 the solve is one division by each bracket)."""
     count, d, _, n_ops, width = a_stack.shape
     # the shift to the target level as one gather: bracket (j, n) reads the
     # excised sum at flat index j * width + n + m_j, or the identity in a
@@ -571,9 +526,9 @@ def find_exponents(
     Hill determinant; the `converged` flag records whether it moved by less
     than CONV_TOL.  `grid` is unused: the search has no grid.
 
-    Returns FloquetMode objects sorted by (-Re, Im) of the strip
-    representative.  An empty list (plus a NoRootsInBoxWarning) means the
-    box contained no roots.
+    Returns FloquetMode objects sorted by `rootfind.spectrum_key` of the
+    strip representative.  An empty list (plus a NoRootsInBoxWarning)
+    means the box contained no roots.
     """
 
     def det_at(lams, nw=n_win, dp=depth):
@@ -611,5 +566,5 @@ def find_exponents(
             bigger, ok = _hill_refine(density, root, bound + 2, tol)
         converged = bool(ok and abs(bigger - root) <= CONV_TOL)
         modes.append(replace(mode, converged=converged))
-    modes.sort(key=lambda m: (-m.lam.real, m.lam.imag))
+    modes.sort(key=lambda m: spectrum_key(m.lam))
     return modes

@@ -24,6 +24,7 @@ import numpy as np
 from .errors import ConfigError
 from .model import DdeSystem, FourierMatrixDensity, MonomialTerm
 from .orbit import DrivenOscillator
+from .rootfind import spectrum_key
 from . import systems as bundled
 
 __all__ = [
@@ -278,5 +279,5 @@ def spectrum_records(entries, method: str, include_components: bool = False):
                     [complex(v) for v in row] for row in e.components
                 ]
         records.append(rec)
-    records.sort(key=lambda r: (-r["lambda_re"], r["lambda_im"]))
+    records.sort(key=lambda r: spectrum_key(complex(r["lambda_re"], r["lambda_im"])))
     return records

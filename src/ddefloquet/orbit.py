@@ -149,10 +149,6 @@ def _frequency_series(freq, scheme: str) -> np.ndarray:
 # -- power series of Fourier series ("None" marks an all-zero order) ----
 
 
-def _ps_scale(a, fac):
-    return [None if s is None else s.scale(fac) for s in a]
-
-
 def _ps_add(a, b):
     out = []
     for x, y in zip(a, b):
@@ -183,10 +179,6 @@ def _ps_pow(a, e, up_to):
     for _ in range(e):
         out = _ps_mul(out, a, up_to)
     return out
-
-
-def _series_or_zero(ps, m):
-    return FourierSeries.zeros(0) if ps[m] is None else ps[m]
 
 
 class _Hierarchy:

@@ -48,7 +48,14 @@ from .model import (
     build_L,
     recurrence_blocks,
 )
-from .rootfind import CLASS_TOL, DEFAULT_BOX, _newton, contour_classes, to_strip
+from .rootfind import (
+    CLASS_TOL,
+    DEFAULT_BOX,
+    _newton,
+    contour_classes,
+    spectrum_key,
+    to_strip,
+)
 
 __all__ = [
     "TridiagonalBlocks",
@@ -229,7 +236,7 @@ def find_exponents_risken(
     Newton run per class starts from that translate; a run that stalls, or
     converges more than CLASS_TOL away from its class modulo i, drops the
     class with a NewtonStallWarning.  Returns (strip root, raw root) pairs
-    sorted by (-Re, Im).
+    sorted by `rootfind.spectrum_key` of the strip root.
     """
     classes = contour_classes(density, box, _window(density, depth))
     out = []
@@ -240,5 +247,5 @@ def find_exponents_risken(
     if len(out) < len(classes):
         dropped = len(classes) - len(out)
         warnings.warn(f"{dropped} Newton run(s) failed, classes dropped", NewtonStallWarning)
-    out.sort(key=lambda t: (-t[0].real, t[0].imag))
+    out.sort(key=lambda t: spectrum_key(t[0]))
     return out

@@ -23,7 +23,7 @@ from .errors import (
 )
 from .model import build_L, truncated_matrix
 
-__all__ = ["SearchBox", "find_roots", "strip_shift", "to_strip"]
+__all__ = ["SearchBox", "find_roots", "spectrum_key", "strip_shift", "to_strip"]
 
 DEFAULT_BOX = (-3.0, 1.0, -0.5, 0.5)
 DEFAULT_GRID = (61, 31)
@@ -79,6 +79,14 @@ def strip_shift(lam: complex) -> int:
 
 def to_strip(lam: complex) -> complex:
     return lam - 1j * strip_shift(lam)
+
+
+def spectrum_key(lam: complex) -> tuple:
+    """Sort key of every spectrum: descending Re, then ascending Im.  Re
+    is rounded to 12 decimals, far above roundoff, so the two members of
+    a conjugate pair, whose Re may differ by an ulp, tie on it and the
+    lower member comes first."""
+    return (-round(float(lam.real), 12), float(lam.imag))
 
 
 def _minima_seeds(logabs: np.ndarray) -> list[tuple[int, int]]:
@@ -188,8 +196,8 @@ def find_roots(
 
     Returns the converged roots that stay inside the scanned box (Newton
     may walk out of it), deduplicated within 10*tol and sorted by
-    (-Re, Im).  Non-evaluable grid points are masked; seeds whose Newton
-    iteration stalls are dropped with a warning.
+    `spectrum_key`.  Non-evaluable grid points are masked; seeds whose
+    Newton iteration stalls are dropped with a warning.
     """
     sb = box if isinstance(box, SearchBox) else SearchBox(*box)
     nr, ni = grid
@@ -226,7 +234,7 @@ def find_roots(
         )
     if not roots:
         warnings.warn("no roots found in the search box", NoRootsInBoxWarning)
-    roots.sort(key=lambda z: (-z.real, z.imag))
+    roots.sort(key=spectrum_key)
     return roots
 
 
@@ -244,7 +252,8 @@ def contour_classes(density, box, bound: int) -> list:
     T(lam) with its indices shifted by m, so the null vector is reindexed
     to that translate, cut to the window, and scaled so that its largest
     central entry is 1.  Returns (lam, components) pairs, components[n +
-    bound] the block of index n, sorted by (-Re, Im) of the strip value.
+    bound] the block of index n, sorted by `spectrum_key` of the strip
+    value.
     """
     sb = box if isinstance(box, SearchBox) else SearchBox(*box)
     size = (2 * bound + 1) * density.dim
@@ -270,7 +279,7 @@ def contour_classes(density, box, bound: int) -> list:
         found.append((lam + 1j * peak, comps / center[np.argmax(np.abs(center))]))
     if not found:
         warnings.warn("no roots found in the search box", NoRootsInBoxWarning)
-    found.sort(key=lambda t: (-to_strip(t[0]).real, to_strip(t[0]).imag))
+    found.sort(key=lambda t: spectrum_key(to_strip(t[0])))
     return found
 
 

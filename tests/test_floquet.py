@@ -174,6 +174,19 @@ def test_conjugate_pairing(s3_modes):
         assert min(abs(target - other) for other in lams) < 1e-10
 
 
+def test_conjugate_pairs_list_their_lower_member_first(s3, s3_modes):
+    # the members of a pair differ in Re by about an ulp; the spectrum key
+    # ties them, so both routes and the monodromy oracle agree on the order
+    risken = [strip for strip, _ in df.find_exponents_risken(s3)]
+    monodromy = [lam for lam, _ in df.monodromy_exponents(s3, 200, re_min=-3.0)]
+    for lams in ([m.lam for m in s3_modes], risken, monodromy):
+        assert len(lams) == 4
+        for lower, upper in (lams[0:2], lams[2:4]):
+            assert abs(lower - np.conj(upper)) < 1e-8
+            assert lower.imag < 0 < upper.imag
+    assert [np.round(m.lam.real, 4) for m in s3_modes] == [-0.8898] * 2 + [-2.7639] * 2
+
+
 def test_truncation_convergence_monotone(s3):
     # |lambda(N) - lambda(N+2)| decreases (to the solver floor) as N grows
     from ddefloquet.rootfind import _newton

@@ -117,6 +117,18 @@ def test_spectrum_records_shape(s3_modes):
     assert recs == spectrum_records(s3_modes, "cf")
 
 
+def test_spectrum_records_tie_a_pair_an_ulp_apart():
+    re = -0.8898044857539491
+    upper = complex(np.nextafter(re, 0.0), 0.0623)
+    lower = complex(re, -0.0623)
+    # without the rounded key the larger Re, the upper member, came first
+    assert upper.real > lower.real
+    entries = [(upper, np.exp(2 * np.pi * upper)), (lower, np.exp(2 * np.pi * lower))]
+    for order in (entries, entries[::-1]):
+        recs = spectrum_records(order, "monodromy")
+        assert [r["lambda_im"] for r in recs] == [-0.0623, 0.0623]
+
+
 def test_trajectory_csv_roundtrip():
     from ddefloquet import integrate_mos
     from ddefloquet.io import trajectory_csv

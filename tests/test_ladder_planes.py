@@ -1,11 +1,14 @@
-"""The d > 1 insertion pass on component planes against the block pass it
-replaced: stacked `@` and one `np.linalg.solve` per batch on (..., d, d)
-blocks, with a one-lambda-at-a-time fallback when LAPACK reports a
-singular member.  Both run through the same `_run_passes`, so the pass
-counts, breakdown masks and operators must agree.  The passes form only
-the relations of coupled offsets and the product terms of nonzero
-coefficient planes; against a reference that forms the whole band and
-every term, that pruning must be bit-identical."""
+"""The insertion pass on component planes, which every d runs with
+coefficients read from the coupled diagonals of T(lambda), against the
+passes it replaced: the block pass, stacked `@` and one `np.linalg.solve`
+per batch on (..., d, d) blocks with a one-lambda-at-a-time fallback when
+LAPACK reports a singular member, and the scalar pass of d = 1, one
+division by each bracket.  All run through the same `_run_passes`, so the
+pass counts, breakdown masks and operators must agree, and against the
+scalar pass bit for bit.  The passes form only the relations of coupled
+offsets and the product terms of nonzero coefficient planes; against a
+reference that forms the whole band and every term, that pruning must be
+bit-identical."""
 
 import numpy as np
 import pytest
@@ -58,6 +61,35 @@ def _block_passes(a_zero, a_stack, rhs_stack, m_list, neg_index, n_passes, live)
     return np.moveaxis(S, (-2, -1), (1, 2)), run, cause
 
 
+def _scalar_passes(a_zero, a_stack, rhs_stack, m_list, neg_index, n_passes, live):
+    """Reference pass of d = 1 in scalar arithmetic: the excised brackets
+    shifted to their target level (1 where it leaves the window), one
+    division by each, singular where a bracket is exactly zero."""
+    a_zero, a_stack, rhs_stack = (x[:, 0, 0] for x in (a_zero, a_stack, rhs_stack))
+
+    def shift(excised, m):
+        width = excised.shape[-1]
+        out = np.ones_like(excised)
+        if m > 0:
+            out[:, : width - m] = excised[:, m:]
+        else:
+            out[:, -m:] = excised[:, :m]
+        return out
+
+    def step(S, rows):
+        prod = a_stack[rows] * S[:, neg_index]
+        rs = a_zero[rows] + prod.sum(axis=1)
+        brackets = np.empty_like(S)
+        for j, m in enumerate(m_list):
+            brackets[:, j] = shift(rs - prod[:, j], m)
+        singular = (brackets == 0).any(axis=(1, 2))
+        return -rhs_stack[rows] / brackets, singular
+
+    S = np.zeros(rhs_stack.shape, dtype=complex)
+    S, run, cause = floquet._run_passes(S, step, n_passes, live)
+    return S[:, None, None], run, cause
+
+
 def _on_blocks(f, *args):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(floquet, "_matrix_passes", _block_passes)
@@ -108,6 +140,16 @@ def _undelayed_density(l0, l1):
     coeffs[0, 1] = l0
     coeffs[0, 0] = coeffs[0, 2] = l1
     return df.FourierMatrixDensity(1.0, np.array([0.0]), coeffs)
+
+
+def _wide_band_scalar():
+    """The d = 1, K = 3 wide-band kernel of tests/test_batch.py."""
+    coeffs = np.zeros((2, 7, 1, 1), dtype=complex)
+    coeffs[0, 3] = -0.5
+    coeffs[1, 3] = -0.3
+    coeffs[1, 2] = coeffs[1, 4] = 0.05
+    coeffs[1, 0] = coeffs[1, 6] = 0.01
+    return df.FourierMatrixDensity(1.0, np.array([-1.0, 0.0]), coeffs)
 
 
 def _wide_band_pair():
@@ -171,6 +213,67 @@ def test_exactly_zero_pivot_is_a_singular_level():
     with pytest.raises(CfBreakdown, match="singular inversion level"):
         _on_blocks(floquet.ladder_operators, density, bad, 4, 4)
     _assert_ladders_match(density, np.array([0.1 + 0.2j, bad, -1.0 + 0.3j]), 4, 4)
+
+
+def test_scalar_kernels_match_the_block_pass(s3):
+    lams = _grid((-3.0, 1.0), (-1.5, 1.5), (6, 7))
+    assert _assert_ladders_match(s3, lams, 10, 10).table.dim == 1
+    lams = _grid((-3.0, 1.0), (-2.5, 2.5), (4, 6))
+    wide = _assert_ladders_match(_wide_band_scalar(), lams, 8, 8)
+    assert sorted(wide.ops) == [-3, -1, 1, 3]
+    density = _undelayed_density(np.array([[-0.5]]), np.array([[0.1]]))
+    bad = complex(-0.5, -2.0)  # the first-pass bracket at level 2 is exactly zero
+    _assert_ladders_match(density, np.array([0.1 + 0.2j, bad, -1.0 + 0.3j]), 4, 4)
+
+
+def _on_scalars(f, *args):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(floquet, "_matrix_passes", _scalar_passes)
+        return f(*args)
+
+
+def _assert_matches_the_scalar_pass(density, lams, n_win, depth):
+    """A d = 1 plane pass is the scalar pass bit for bit: operators, pass
+    counts, NaN masks and det M."""
+    planes = floquet.ladder_operators(density, lams, n_win, depth)
+    scalars = _on_scalars(floquet.ladder_operators, density, lams, n_win, depth)
+    assert np.array_equal(planes.passes, scalars.passes)
+    assert planes.ops.keys() == scalars.ops.keys()
+    for m, ref in scalars.ops.items():
+        assert np.array_equal(planes.ops[m], ref, equal_nan=True)
+    det, det_ref = (
+        floquet.determinant(floquet.assemble_M(density, lams, n_win, depth, ladders=x))
+        for x in (planes, scalars)
+    )
+    assert np.array_equal(det, det_ref, equal_nan=True)
+    return planes
+
+
+def test_s3_band_matches_the_scalar_pass_bit_for_bit(s3):
+    # the 61 x 91 band over Re (-3, 1), Im (-1.5, 1.5) and one lambda the
+    # exponent guard rejects
+    lams = np.append(_grid((-3.0, 1.0), (-1.5, 1.5), (61, 91)), -800.0)
+    ladders = _assert_matches_the_scalar_pass(s3, lams, 10, 10)
+    broken = np.isnan(ladders.ops[1]).reshape(len(lams), -1).any(axis=1)
+    assert broken[-1] and not broken[:-1].all()
+
+
+def test_wide_band_scalar_kernel_matches_the_scalar_pass_bit_for_bit():
+    lams = np.append(_grid((-3.0, 1.0), (-2.5, 2.5), (4, 6)), -800.0)
+    _assert_matches_the_scalar_pass(_wide_band_scalar(), lams, 8, 8)
+
+
+def test_zero_bracket_matches_the_scalar_pass_bit_for_bit():
+    density = _undelayed_density(np.array([[-0.5]]), np.array([[0.1]]))
+    bad = complex(-0.5, -2.0)  # the first-pass bracket at level 2 is exactly zero
+    with pytest.raises(CfBreakdown, match="singular inversion level"):
+        floquet.ladder_operators(density, bad, 4, 4)
+    with pytest.raises(CfBreakdown, match="singular inversion level"):
+        _on_scalars(floquet.ladder_operators, density, bad, 4, 4)
+    lams = np.array([0.1 + 0.2j, bad, -1.0 + 0.3j])
+    ladders = _assert_matches_the_scalar_pass(density, lams, 4, 4)
+    assert list(ladders.passes) == [ladders.passes[0], 0, ladders.passes[2]]
+    assert list(np.isnan(ladders.ops[1][:, 0, 0, 0])) == [False, True, False]
 
 
 def _full_plane_passes(a_zero, a_stack, rhs_stack, m_list, neg_index, n_passes, live):

@@ -162,6 +162,29 @@ def test_both_routes_eliminate_through_one_plane_solve(monkeypatch):
     assert set(callers) == {"ddefloquet.floquet", "ddefloquet.risken"}
 
 
+def test_scalar_kernels_take_the_plane_pass_and_read_t(monkeypatch):
+    # d = 1 has no pass of its own, and the ladders read their coefficients
+    # from one recurrence_blocks call instead of shifting L themselves
+    for name in ("_scalar_passes", "_brackets", "_shift_to_target"):
+        assert not hasattr(floquet, name)
+    calls = []
+    for module, name in ((floquet, "plane_solve"), (floquet, "recurrence_blocks")):
+        original = getattr(module, name)
+
+        def counted(*args, name=name, original=original):
+            calls.append(name)
+            return original(*args)
+
+        monkeypatch.setattr(module, name, counted)
+    coeffs = np.zeros((2, 3, 1, 1), dtype=complex)
+    coeffs[:, 1] = [[[-0.5]], [[-0.3]]]
+    coeffs[1, 0] = coeffs[1, 2] = 0.05
+    dens = df.FourierMatrixDensity(1.0, np.array([-1.0, 0.0]), coeffs)
+    ladders = floquet.ladder_operators(dens, np.array([-0.3 + 0.2j, 0.1j]), 4, 4)
+    assert calls.count("recurrence_blocks") == 1
+    assert calls.count("plane_solve") == int(ladders.passes.max())
+
+
 def test_s2_passes_form_only_the_even_offsets(vdp_linearization, monkeypatch):
     # the s2 linearization has only even harmonics, so the relations of
     # m = +-1, +-3, +-5 are never formed
