@@ -6,8 +6,9 @@ whose eigensolution is the derivative of the orbit itself.  This script
 builds the chain orbit -> state -> kernel -> spectrum and compares the
 extracted components against the orbit derivative.  The search also
 reports the amplitude exponent near -0.078; at this kernel every
-continued fraction run pinches, so both modes are the Hill eigenvalues
-with their null vectors.
+continued fraction run pinches and stops at its first step outside
+CLASS_TOL of its class, so both modes are the Hill eigenvalues with their
+null vectors.
 """
 
 import warnings

@@ -37,8 +37,9 @@ the Floquet exponents.  The search locates each exponent class once, as
 an eigenvalue of the Hill matrix T(lambda) of the same window
 (`rootfind.contour_classes`), and runs one Newton iteration on det M per
 class.  Where an exponent sits close to a truncation resonance, det M
-pinches its zero against a pole and that run fails; the Hill eigenvalue
-and its null vector are then the answer.
+pinches its zero against a pole, and the run stops at its first step
+outside CLASS_TOL of its class; the Hill eigenvalue and its null vector
+are then the answer.
 
 Exponents are defined mod i because the ansatz exp(lambda*xi) times a
 2*pi periodic factor absorbs integer imaginary shifts; reported modes carry
@@ -90,7 +91,8 @@ DIVERGENCE_GUARD = 1e12
 # Hill refinement: iteration budget
 HILL_MAX_ITER = 60
 # find_exponents: the Newton budget from a Hill eigenvalue (a few steps
-# wherever det M has its zero there), the largest move of a root at the
+# wherever det M has its zero there; a pinched run stops at its first step
+# outside CLASS_TOL of its class), the largest move of a root at the
 # enlarged truncation that still counts as converged, and the largest
 # usable mode residual
 SEEDED_ITER = 8
@@ -517,14 +519,16 @@ def find_exponents(
     translate where its null vector peaks at n = 0, so that det M(lambda)
     has its zero there.  One Newton run on det M per class starts from that
     translate, and the mode is read off the ladders at its root.  Where the
-    run pinches its zero against a truncation resonance pole (it fails, or
-    ends more than CLASS_TOL from its class modulo i), or the ladders give
-    no usable mode (a breakdown, an ambiguous null space, a residual above
-    MODE_TOL), the mode is the Hill eigenvalue with its null vector cut to
-    the window.  The root is re-polished at the enlarged truncation
-    (n_win+2, depth+2) on its route, continued fraction or else the entire
-    Hill determinant; the `converged` flag records whether it moved by less
-    than CONV_TOL.  `grid` is unused: the search has no grid.
+    run pinches its zero against a truncation resonance pole (it stops,
+    unconverged, at its first step more than CLASS_TOL from its class
+    modulo i), or the ladders give no usable mode (a breakdown, an
+    ambiguous null space, a residual above MODE_TOL), the mode is the Hill
+    eigenvalue with its null vector cut to the window.  The root is
+    re-polished at the enlarged truncation (n_win+2, depth+2) on its route,
+    continued fraction (stopped in the same way at its first step more than
+    CLASS_TOL from the root) or else the entire Hill determinant; the
+    `converged` flag records whether it moved by less than CONV_TOL.
+    `grid` is unused: the search has no grid.
 
     Returns FloquetMode objects sorted by `rootfind.spectrum_key` of the
     strip representative.  An empty list (plus a NoRootsInBoxWarning)
@@ -538,9 +542,9 @@ def find_exponents(
     classes = contour_classes(density, box, bound)
     modes = []
     for lam, null in classes:
-        root, ok = _newton(det_at, lam, tol, SEEDED_ITER)
+        root, ok = _newton(det_at, lam, tol, SEEDED_ITER, radius=CLASS_TOL)
         mode = None
-        if ok and abs(to_strip(root - lam)) <= CLASS_TOL:
+        if ok:
             try:
                 mode = extract_mode(density, root, n_win, depth)
             except (CfBreakdown, NullSpaceAmbiguous):
@@ -561,7 +565,9 @@ def find_exponents(
                 bandwidth=density.bandwidth,
             )
         else:
-            bigger, ok = _newton(lambda z: det_at(z, n_win + 2, depth + 2), root, tol)
+            bigger, ok = _newton(
+                lambda z: det_at(z, n_win + 2, depth + 2), root, tol, radius=CLASS_TOL
+            )
         if not (ok and abs(bigger - root) <= CONV_TOL):
             bigger, ok = _hill_refine(density, root, bound + 2, tol)
         converged = bool(ok and abs(bigger - root) <= CONV_TOL)

@@ -233,19 +233,30 @@ def find_exponents_risken(
     Hill matrix T(lambda) of the L table window the blocks are cut from,
     at the translate where its null vector peaks at p = 0, inside block
     zero: there the closure determinant has its zero.  One
-    Newton run per class starts from that translate; a run that stalls, or
-    converges more than CLASS_TOL away from its class modulo i, drops the
-    class with a NewtonStallWarning.  Returns (strip root, raw root) pairs
-    sorted by `rootfind.spectrum_key` of the strip root.
+    Newton run per class starts from that translate.  A run that stalls, or
+    stops at its first step more than CLASS_TOL from its class modulo i,
+    drops the class with a NewtonStallWarning that names the strip values
+    of the dropped classes.  Returns (strip root, raw root) pairs sorted by
+    `rootfind.spectrum_key` of the strip root.
     """
     classes = contour_classes(density, box, _window(density, depth))
+
+    def det_at(lams):
+        return closure_determinant_risken(density, lams, depth)
+
     out = []
+    dropped = []
     for lam, _ in classes:
-        root, ok = _newton(lambda z: closure_determinant_risken(density, z, depth), lam, tol)
-        if ok and abs(to_strip(root - lam)) <= CLASS_TOL:
+        root, ok = _newton(det_at, lam, tol, radius=CLASS_TOL)
+        if ok:
             out.append((to_strip(root), root))
-    if len(out) < len(classes):
-        dropped = len(classes) - len(out)
-        warnings.warn(f"{dropped} Newton run(s) failed, classes dropped", NewtonStallWarning)
+        else:
+            dropped.append(to_strip(lam))
+    if dropped:
+        names = ", ".join(f"{z:.6g}" for z in dropped)
+        warnings.warn(
+            f"{len(dropped)} Newton run(s) failed, classes dropped: {names}",
+            NewtonStallWarning,
+        )
     out.sort(key=lambda t: spectrum_key(t[0]))
     return out

@@ -37,8 +37,8 @@ CHUNK_BYTES = 128 * 1024
 FLOOR_TOL = 1e-4
 STALL_STEPS = 6
 # distance modulo i below which two roots are one exponent class: a
-# Newton run from a Hill eigenvalue that ends farther off has left its
-# class
+# Newton run from a Hill eigenvalue stops at its first iterate farther off,
+# having left its class
 CLASS_TOL = 1e-4
 # the rounding error of an exponent on the strip edge Im = 1/2
 STRIP_SLACK = 1e-12
@@ -107,14 +107,19 @@ def _minima_seeds(logabs: np.ndarray) -> list[tuple[int, int]]:
     return [(int(i), int(j)) for i, j in np.argwhere(seed)]
 
 
-def _damped_newton(step, lam0: complex, tol: float, max_iter: int, loose_tol=None):
+def _damped_newton(
+    step, lam0: complex, tol: float, max_iter: int, loose_tol=None, radius=None
+):
     """Newton iteration lam <- lam - damping * step(lam).
 
     `step(lam)` returns the Newton step at lam, or None where none can be
-    taken; the iteration then stops, unconverged, at lam.  A step of at
-    most `tol` converges.  Full steps cycle with period two when two roots
-    sit close together; once the step size stops shrinking the iteration
-    switches to damped steps, which settle into the nearer root.
+    taken; the iteration then stops, unconverged, at lam.  With `radius`
+    set, the iteration stops, unconverged, at its first iterate farther
+    than `radius` from lam0 modulo i: a run seeded at an exponent class
+    has left it there.  Otherwise a step of at most `tol` converges.  Full
+    steps cycle with period two when two roots sit close together; once
+    the step size stops shrinking the iteration switches to damped steps,
+    which settle into the nearer root.
     Truncation can split one root into a tight cluster of zeros (or pinch
     it against a pole), and the step size then floors at the cluster
     spacing: the iteration stops at that floor, once the smallest step is
@@ -136,6 +141,8 @@ def _damped_newton(step, lam0: complex, tol: float, max_iter: int, loose_tol=Non
             return lam, False
         lam = lam - damping * delta
         size = abs(delta)
+        if radius is not None and abs(to_strip(lam - lam0)) > radius:
+            return lam, False
         if size <= tol:
             return lam, True
         if size < best:
@@ -159,12 +166,14 @@ def _damped_newton(step, lam0: complex, tol: float, max_iter: int, loose_tol=Non
     return lam, False
 
 
-def _newton(f, lam0: complex, tol: float, max_iter: int = 40):
+def _newton(f, lam0: complex, tol: float, max_iter: int = 40, radius=None):
     """Damped Newton iterations on f with a central difference derivative.
 
     `f` is vectorized; each step evaluates lambda and lambda +- h in one
     call, with h = 1e-6 * (1 + |lam|).  A non-finite value or a zero
-    derivative stops the iteration unconverged.  Returns (root, converged).
+    derivative stops the iteration unconverged, and so does the first
+    iterate farther than `radius` from lam0 modulo i, a run seeded at an
+    exponent class that has left it.  Returns (root, converged).
     """
 
     def step(lam):
@@ -176,7 +185,7 @@ def _newton(f, lam0: complex, tol: float, max_iter: int = 40):
         fp = (f_up - f_down) / (2.0 * h)
         return None if fp == 0 else f0 / fp
 
-    return _damped_newton(step, lam0, tol, max_iter)
+    return _damped_newton(step, lam0, tol, max_iter, radius=radius)
 
 
 def find_roots(

@@ -7,13 +7,14 @@ import numpy as np
 import pytest
 
 import ddefloquet as df
-from ddefloquet import floquet
+from ddefloquet import floquet, rootfind
 from ddefloquet.floquet import _hill_refine, find_exponents, recurrence_residual
 from ddefloquet.model import build_L, recurrence_blocks, truncated_matrix
 from ddefloquet.risken import find_exponents_risken
 from ddefloquet.rootfind import STALL_STEPS, _damped_newton
 from ddefloquet.systems import parametric_density
 from ddefloquet.verify import cosine_similarity
+from test_cross_route import BOX, KERNELS
 
 OVERFLOW = -800.0  # Re(lambda) * theta = 800 > 700 at theta = -1
 
@@ -166,6 +167,79 @@ def test_damped_newton_travelling_run_is_not_stopped(loose_tol):
     step, calls = _counted_steps(sizes)
     root, ok = _damped_newton(step, 1.0, 1e-12, 60, loose_tol)
     assert ok and len(calls) == len(sizes)
+
+
+def test_damped_newton_stops_at_the_first_iterate_outside_its_radius():
+    # the first step lands 2e-4 from the seed, outside a radius of 1e-4: the
+    # run stops there, unconverged, without taking the step that would
+    # converge
+    lam0 = 0.3 + 0.1j
+    step, calls = _counted_steps([2e-4, 1e-13])
+    assert _damped_newton(step, lam0, 1e-12, 8, radius=1e-4) == (lam0 - 2e-4, False)
+    assert len(calls) == 1
+
+
+def test_damped_newton_radius_is_taken_modulo_i():
+    # an iterate translated by exactly i is the same exponent class
+    lam0 = 0.3 + 0.1j
+    step, calls = _counted_steps([-1j, 1e-13])
+    root, ok = _damped_newton(step, lam0, 1e-12, 8, radius=1e-4)
+    assert ok and len(calls) == 2
+    assert root == lam0 + 1j - 1e-13
+
+
+def test_damped_newton_small_step_outside_the_radius_does_not_converge():
+    # the step is within tol, but its iterate has left the radius
+    step, calls = _counted_steps([5e-4])
+    assert _damped_newton(step, 1.0, 1e-3, 8, radius=1e-4) == (1.0 - 5e-4, False)
+    assert len(calls) == 1
+
+
+def test_damped_newton_without_radius_runs_on():
+    # the scripts the radius stops after one step converge without it
+    step, calls = _counted_steps([2e-4, 1e-13])
+    assert _damped_newton(step, 1.0, 1e-12, 8) == (1.0 - 2e-4 - 1e-13, True)
+    assert len(calls) == 2
+    step, calls = _counted_steps([5e-4])
+    assert _damped_newton(step, 1.0, 1e-3, 8, radius=None) == (1.0 - 5e-4, True)
+    assert len(calls) == 1
+
+
+S2_SETTINGS = dict(box=(-0.6, 0.3, -0.5, 0.5), n_win=8, depth=8, tol=1e-9)
+
+
+def _spectra(density, settings):
+    modes = find_exponents(density, **settings)
+    pairs = find_exponents_risken(density, box=settings["box"], tol=settings["tol"])
+    fields = ("lam", "lam_raw", "components", "residual", "converged")
+    return [[getattr(m, name) for name in fields] for m in modes], pairs
+
+
+@pytest.mark.parametrize("case", ["s2", (1, 2), (2, 2)], ids=["s2", "d1-K2", "d2-K2"])
+def test_the_class_radius_only_saves_work(case, request, monkeypatch):
+    # the seeded runs that stop at the class radius would not have been
+    # accepted had they run on: the answers are those of unbounded runs
+    if case == "s2":
+        density = request.getfixturevalue("vdp_linearization")[0]
+        settings = S2_SETTINGS
+    else:
+        density = KERNELS[case]
+        settings = dict(box=BOX, tol=1e-10)
+    shipped = _spectra(density, settings)
+    bounded = rootfind._damped_newton
+    radii = []
+
+    def unbounded(step, lam0, tol, max_iter, loose_tol=None, radius=None):
+        radii.append(radius)
+        return bounded(step, lam0, tol, max_iter, loose_tol)
+
+    monkeypatch.setattr(rootfind, "_damped_newton", unbounded)
+    free = _spectra(density, settings)
+    assert rootfind.CLASS_TOL in radii
+    assert free[1] == shipped[1]
+    assert len(free[0]) == len(shipped[0])
+    for got, want in zip(free[0], shipped[0]):
+        assert all(np.array_equal(x, y) for x, y in zip(got, want))
 
 
 def test_s2_zero_mode_search_hands_pinched_runs_over_early(

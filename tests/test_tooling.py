@@ -14,6 +14,8 @@ import numpy as np
 import ddefloquet as df
 from ddefloquet import adjoint, cli, errors, floquet, linalg, oracles, risken, rootfind
 from ddefloquet.systems import constant_density
+from test_cross_route import BOX as CROSS_BOX
+from test_cross_route import KERNELS as CROSS_KERNELS
 
 SPANS = os.path.join(os.path.dirname(__file__), os.pardir, "bench", "spans.py")
 
@@ -97,9 +99,9 @@ def test_one_continued_fraction_run_per_class_on_s3(s3, monkeypatch):
         windows[-1].add((n_win, depth))
         return determinant(density, lam, n_win, depth)
 
-    def counted(*args):
+    def counted(*args, **kwargs):
         windows.append(set())
-        return newton(*args)
+        return newton(*args, **kwargs)
 
     monkeypatch.setattr(floquet, "closure_determinant", recorded)
     monkeypatch.setattr(floquet, "_newton", counted)
@@ -108,6 +110,47 @@ def test_one_continued_fraction_run_per_class_on_s3(s3, monkeypatch):
     assert windows.count({(10, 10)}) == 4
     assert windows.count({(12, 12)}) == 4
     assert len(windows) == 8
+
+
+def _search_window_evaluations(monkeypatch, density, **settings):
+    """The lambda values passed to det M at the search window by one
+    find_exponents call, and the number of classes it reports."""
+    n_win, depth = settings.get("n_win", 10), settings.get("depth", 10)
+    determinant = floquet.closure_determinant
+    count = 0
+
+    def counted(density, lam, nw, dp):
+        nonlocal count
+        if (nw, dp) == (n_win, depth):
+            count += np.size(lam)
+        return determinant(density, lam, nw, dp)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(floquet, "closure_determinant", counted)
+        modes = floquet.find_exponents(density, **settings)
+    return count, len(modes)
+
+
+def test_a_pinched_run_stops_after_one_newton_step(vdp_linearization, monkeypatch):
+    # every continued fraction run on s2 leaves its class on its first step;
+    # spending the SEEDED_ITER budget took 48 evaluations of det M
+    count, classes = _search_window_evaluations(
+        monkeypatch,
+        vdp_linearization[0],
+        box=(-0.6, 0.3, -0.5, 0.5),
+        n_win=8,
+        depth=8,
+        tol=1e-9,
+    )
+    assert classes == 2
+    assert count == 3 * classes
+    # the seeded d = 1, K = 2 kernel pinches at each of its six classes,
+    # which took 144 evaluations
+    count, classes = _search_window_evaluations(
+        monkeypatch, CROSS_KERNELS[1, 2], box=CROSS_BOX
+    )
+    assert classes == 6
+    assert count <= 3 * classes
 
 
 def test_monodromy_spans_split_the_march_from_eigvals(monkeypatch):
