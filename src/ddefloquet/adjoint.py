@@ -31,7 +31,7 @@ the phase xi, both up to truncation error.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -231,26 +231,11 @@ def normalize(
     if abs(p) < 1e-12 * scale:
         raise ZeroPairing(f"pairing {abs(p):.3e} below 1e-12 of component scale")
     nfac = 1.0 / np.sqrt(p)
-    psi2 = AdjointMode(
-        lam=psi.lam,
-        lam_raw=psi.lam_raw,
-        components=psi.components * nfac,
-        residual=psi.residual,
-        n_win=psi.n_win,
-        depth=psi.depth,
-        bandwidth=psi.bandwidth,
+    return (
+        replace(psi, components=psi.components * nfac),
+        replace(phi, components=phi.components * nfac),
+        complex(nfac),
     )
-    phi2 = FloquetMode(
-        lam=phi.lam,
-        lam_raw=phi.lam_raw,
-        components=phi.components * nfac,
-        residual=phi.residual,
-        n_win=phi.n_win,
-        depth=phi.depth,
-        bandwidth=phi.bandwidth,
-        converged=phi.converged,
-    )
-    return psi2, phi2, complex(nfac)
 
 
 def _forcing_to_array(chi, n_win: int, dim: int) -> np.ndarray:

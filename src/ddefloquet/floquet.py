@@ -39,7 +39,9 @@ an eigenvalue of the Hill matrix T(lambda) of the same window
 class.  Where an exponent sits close to a truncation resonance, det M
 pinches its zero against a pole, and the run stops at its first step
 outside CLASS_TOL of its class; the Hill eigenvalue and its null vector
-are then the answer.
+are then the answer.  Every root, from either route, is checked against
+truncation once, by a Newton run on the entire Hill determinant of the
+window enlarged by two.
 
 Exponents are defined mod i because the ansatz exp(lambda*xi) times a
 2*pi periodic factor absorbs integer imaginary shifts; reported modes carry
@@ -65,7 +67,6 @@ from .rootfind import (
     CLASS_TOL,
     DEFAULT_BOX,
     DEFAULT_GRID,
-    FLOOR_TOL,
     _damped_newton,
     _newton,
     contour_classes,
@@ -331,15 +332,17 @@ def _hill_refine(density, lam0: complex, bound: int, tol: float):
     derivative, the step being 1 / (log det T)'.
 
     The derivative is a central difference over lambda +- h, evaluated as
-    one batch of two.  A rejected lambda +- h stops the iteration
-    unconverged; a determinant that underflows to an exact zero is a root.
-    The point of smallest step is accepted within FLOOR_TOL when the step
-    size floors at the spacing of a truncation cluster (see
-    _damped_newton).
+    one batch of two, with h = 1e-6 * (1 + |lam|) at the first step and at
+    most 1e-3 of the previous Newton step after it, so that lambda +- h
+    stays well inside the distance to the root and the run converges to
+    `tol`.  A rejected lambda +- h stops the iteration unconverged; a
+    determinant that underflows to an exact zero is a root.
     """
+    last = np.inf
 
     def step(lam):
-        h = 1e-6 * (1.0 + abs(lam))
+        nonlocal last
+        h = min(1e-6 * (1.0 + abs(lam)), 1e-3 * last)
         signs, logabs = _hill_logdet(density, np.array([lam + h, lam - h]), bound)
         if not np.all(np.isfinite(signs)):
             return None
@@ -348,9 +351,13 @@ def _hill_refine(density, lam0: complex, bound: int, tol: float):
             return 0.0
         a1, a2 = (float(v) for v in logabs)
         gprime = ((a1 - a2) + np.log(s1 / s2)) / (2.0 * h)
-        return None if gprime == 0 else 1.0 / gprime
+        if gprime == 0:
+            return None
+        delta = 1.0 / gprime
+        last = abs(delta)
+        return delta
 
-    return _damped_newton(step, lam0, tol, HILL_MAX_ITER, FLOOR_TOL)
+    return _damped_newton(step, lam0, tol, HILL_MAX_ITER)
 
 
 def assemble_M(
@@ -523,11 +530,11 @@ def find_exponents(
     unconverged, at its first step more than CLASS_TOL from its class
     modulo i), or the ladders give no usable mode (a breakdown, an
     ambiguous null space, a residual above MODE_TOL), the mode is the Hill
-    eigenvalue with its null vector cut to the window.  The root is
-    re-polished at the enlarged truncation (n_win+2, depth+2) on its route,
-    continued fraction (stopped in the same way at its first step more than
-    CLASS_TOL from the root) or else the entire Hill determinant; the
-    `converged` flag records whether it moved by less than CONV_TOL.
+    eigenvalue with its null vector cut to the window.  Whichever route
+    produced it, the root is checked the same way: a Newton run on the
+    entire Hill determinant at the enlarged truncation |n| <= n_win +
+    depth + 2 (`_hill_refine`) starts from it, and the `converged` flag
+    records whether that run converged within CONV_TOL of the root.
     `grid` is unused: the search has no grid.
 
     Returns FloquetMode objects sorted by `rootfind.spectrum_key` of the
@@ -535,8 +542,8 @@ def find_exponents(
     means the box contained no roots.
     """
 
-    def det_at(lams, nw=n_win, dp=depth):
-        return closure_determinant(density, lams, nw, dp)
+    def det_at(lams):
+        return closure_determinant(density, lams, n_win, depth)
 
     bound = n_win + depth
     classes = contour_classes(density, box, bound)
@@ -550,10 +557,7 @@ def find_exponents(
             except (CfBreakdown, NullSpaceAmbiguous):
                 pass
         if mode is None or mode.residual > MODE_TOL:
-            # the contour eigenvalue answers, and only the entire Hill
-            # determinant can re-polish it: a continued fraction run there
-            # would repeat the pinch
-            root, ok = lam, False
+            # the contour eigenvalue answers
             comps = null[bound - n_win : bound + n_win + 1]
             mode = FloquetMode(
                 lam=to_strip(lam),
@@ -564,13 +568,8 @@ def find_exponents(
                 depth=depth,
                 bandwidth=density.bandwidth,
             )
-        else:
-            bigger, ok = _newton(
-                lambda z: det_at(z, n_win + 2, depth + 2), root, tol, radius=CLASS_TOL
-            )
-        if not (ok and abs(bigger - root) <= CONV_TOL):
-            bigger, ok = _hill_refine(density, root, bound + 2, tol)
-        converged = bool(ok and abs(bigger - root) <= CONV_TOL)
+        bigger, ok = _hill_refine(density, mode.lam_raw, bound + 2, tol)
+        converged = bool(ok and abs(bigger - mode.lam_raw) <= CONV_TOL)
         modes.append(replace(mode, converged=converged))
     modes.sort(key=lambda m: spectrum_key(m.lam))
     return modes

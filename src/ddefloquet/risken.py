@@ -232,12 +232,12 @@ def find_exponents_risken(
     `rootfind.contour_classes` locates each exponent class once, on the
     Hill matrix T(lambda) of the L table window the blocks are cut from,
     at the translate where its null vector peaks at p = 0, inside block
-    zero: there the closure determinant has its zero.  One
-    Newton run per class starts from that translate.  A run that stalls, or
-    stops at its first step more than CLASS_TOL from its class modulo i,
-    drops the class with a NewtonStallWarning that names the strip values
-    of the dropped classes.  Returns (strip root, raw root) pairs sorted by
-    `rootfind.spectrum_key` of the strip root.
+    zero: there the closure determinant has its zero.  One Newton run per
+    class starts from that translate.  A run that does not converge (a
+    failed step, its first step more than CLASS_TOL from its class modulo
+    i, or its budget spent) drops the class with a NewtonStallWarning that
+    names the strip values of the dropped classes.  Returns (strip root,
+    raw root) pairs sorted by `rootfind.spectrum_key` of the strip root.
     """
     classes = contour_classes(density, box, _window(density, depth))
 

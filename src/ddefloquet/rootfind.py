@@ -31,11 +31,6 @@ DEFAULT_GRID = (61, 31)
 # the scan hands f as many grid points at a time as keep each of its
 # working arrays near this size
 CHUNK_BYTES = 128 * 1024
-# a damped Newton run has reached a truncation cluster's floor once its
-# smallest step is within FLOOR_TOL * (1 + |lam|) and STALL_STEPS steps in a
-# row have not set a new smallest step
-FLOOR_TOL = 1e-4
-STALL_STEPS = 6
 # distance modulo i below which two roots are one exponent class: a
 # Newton run from a Hill eigenvalue stops at its first iterate farther off,
 # having left its class
@@ -107,34 +102,23 @@ def _minima_seeds(logabs: np.ndarray) -> list[tuple[int, int]]:
     return [(int(i), int(j)) for i, j in np.argwhere(seed)]
 
 
-def _damped_newton(
-    step, lam0: complex, tol: float, max_iter: int, loose_tol=None, radius=None
-):
+def _damped_newton(step, lam0: complex, tol: float, max_iter: int, radius=None):
     """Newton iteration lam <- lam - damping * step(lam).
 
     `step(lam)` returns the Newton step at lam, or None where none can be
     taken; the iteration then stops, unconverged, at lam.  With `radius`
     set, the iteration stops, unconverged, at its first iterate farther
     than `radius` from lam0 modulo i: a run seeded at an exponent class
-    has left it there.  Otherwise a step of at most `tol` converges.  Full
-    steps cycle with period two when two roots sit close together; once
-    the step size stops shrinking the iteration switches to damped steps,
-    which settle into the nearer root.
-    Truncation can split one root into a tight cluster of zeros (or pinch
-    it against a pole), and the step size then floors at the cluster
-    spacing: the iteration stops at that floor, once the smallest step is
-    within FLOOR_TOL and STALL_STEPS steps have not improved on it, rather
-    than spending its budget.  With `loose_tol` set, the point of smallest
-    step is then accepted if that step is within `loose_tol`.
-    Returns (root, converged).
+    has left it there.  Otherwise a step of at most `tol` converges, and a
+    run that has taken `max_iter` steps without one stops unconverged.
+    Full steps cycle with period two when two roots sit close together;
+    once the step size stops shrinking the iteration switches to damped
+    steps, which settle into the nearer root.  Returns (root, converged).
     """
     lam = complex(lam0)
     prev = np.inf
     flat = 0
     damping = 1.0
-    best = np.inf
-    best_lam = lam
-    since_best = 0
     for _ in range(max_iter):
         delta = step(lam)
         if delta is None:
@@ -145,14 +129,6 @@ def _damped_newton(
             return lam, False
         if size <= tol:
             return lam, True
-        if size < best:
-            best = size
-            best_lam = lam
-            since_best = 0
-        else:
-            since_best += 1
-            if since_best >= STALL_STEPS and best <= FLOOR_TOL * (1.0 + abs(best_lam)):
-                break
         if size >= 0.5 * prev:
             flat += 1
             if flat >= 3:
@@ -161,8 +137,6 @@ def _damped_newton(
             flat = 0
             damping = 1.0
         prev = size
-    if loose_tol is not None and best <= loose_tol * (1.0 + abs(best_lam)):
-        return best_lam, True
     return lam, False
 
 
@@ -206,7 +180,7 @@ def find_roots(
     Returns the converged roots that stay inside the scanned box (Newton
     may walk out of it), deduplicated within 10*tol and sorted by
     `spectrum_key`.  Non-evaluable grid points are masked; seeds whose
-    Newton iteration stalls are dropped with a warning.
+    Newton iteration does not converge are dropped with a warning.
     """
     sb = box if isinstance(box, SearchBox) else SearchBox(*box)
     nr, ni = grid

@@ -64,10 +64,13 @@ def test_routes_agree_class_for_class(d, K):
         if lam.real <= BOX[1]
     ]
     assert mono
+    modes = find_exponents(density, box=BOX)
+    # every mode passes the truncation check, whichever route produced it
+    assert all(m.converged for m in modes)
     routes = {
         # the Hill window of find_exponents at its defaults, |n| <= 20
         "contour": [lam for lam, _ in contour_classes(density, BOX, 20)],
-        "cf": [m.lam for m in find_exponents(density, box=BOX)],
+        "cf": [m.lam for m in modes],
         "risken": [lam for lam, _ in find_exponents_risken(density, box=BOX)],
     }
     if K == 0:

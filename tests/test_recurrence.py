@@ -11,7 +11,7 @@ from ddefloquet import floquet, rootfind
 from ddefloquet.floquet import _hill_refine, find_exponents, recurrence_residual
 from ddefloquet.model import build_L, recurrence_blocks, truncated_matrix
 from ddefloquet.risken import find_exponents_risken
-from ddefloquet.rootfind import STALL_STEPS, _damped_newton
+from ddefloquet.rootfind import _damped_newton, contour_classes
 from ddefloquet.systems import parametric_density
 from ddefloquet.verify import cosine_similarity
 from test_cross_route import BOX, KERNELS
@@ -120,22 +120,6 @@ def test_damped_newton_zero_step_converges_in_place():
     assert ok and root == lam0
 
 
-def test_damped_newton_loose_tol_accepts_the_smallest_step():
-    # the step size floors at 1e-6, far above tol: the point after the
-    # smallest step is accepted only with loose_tol
-    sizes = [1e-3, 1e-6] + [1e-5] * 10
-
-    def run(loose_tol):
-        it = iter(sizes)
-        return _damped_newton(lambda lam: next(it), 1.0, 1e-12, 12, loose_tol)
-
-    best = (1.0 - 1e-3) - 1e-6
-    assert run(1e-4) == (best, True)
-    root, ok = run(None)
-    assert not ok and root != best
-    assert run(1e-9) == (root, False)
-
-
 def _counted_steps(sizes):
     calls = []
 
@@ -146,26 +130,12 @@ def _counted_steps(sizes):
     return step, calls
 
 
-@pytest.mark.parametrize("loose_tol", [None, 1e-4])
-def test_damped_newton_stops_at_a_floor(loose_tol):
-    # a pinched run: the step size floors at 1e-6 and wanders above it;
-    # the run stops STALL_STEPS calls after its last new smallest step
-    # instead of spending its budget
-    sizes = [1e-2, 1e-4, 1e-6] + [3e-6, 2e-6] * 30
-    step, calls = _counted_steps(sizes)
-    root, ok = _damped_newton(step, 1.0, 1e-12, 60, loose_tol)
-    assert len(calls) == 3 + STALL_STEPS
-    best = 1.0 - 1e-2 - 1e-4 - 1e-6
-    assert (root == best) == ok == (loose_tol is not None)
-
-
-@pytest.mark.parametrize("loose_tol", [None, 1e-4])
-def test_damped_newton_travelling_run_is_not_stopped(loose_tol):
-    # steps of about 0.1 that set no new smallest step for more than
-    # STALL_STEPS steps are a run still travelling, not a floor
+def test_damped_newton_travelling_run_is_not_stopped():
+    # steps of about 0.1 that set no new smallest step for many steps are a
+    # run still travelling: it runs on until a step within tol
     sizes = [0.1, 0.12, 0.11] * 4 + [1e-2, 1e-5, 1e-13]
     step, calls = _counted_steps(sizes)
-    root, ok = _damped_newton(step, 1.0, 1e-12, 60, loose_tol)
+    root, ok = _damped_newton(step, 1.0, 1e-12, 60)
     assert ok and len(calls) == len(sizes)
 
 
@@ -229,9 +199,9 @@ def test_the_class_radius_only_saves_work(case, request, monkeypatch):
     bounded = rootfind._damped_newton
     radii = []
 
-    def unbounded(step, lam0, tol, max_iter, loose_tol=None, radius=None):
+    def unbounded(step, lam0, tol, max_iter, radius=None):
         radii.append(radius)
-        return bounded(step, lam0, tol, max_iter, loose_tol)
+        return bounded(step, lam0, tol, max_iter)
 
     monkeypatch.setattr(rootfind, "_damped_newton", unbounded)
     free = _spectra(density, settings)
@@ -283,7 +253,8 @@ def test_s2_zero_mode_search_hands_pinched_runs_over_early(
 
 def test_s2_reports_the_zero_and_the_amplitude_class(vdp_linearization):
     # both odd-family classes near Re 0 at the verify settings, real to
-    # rounding on this real kernel and matching the monodromy oracle
+    # rounding on this real kernel, matching the monodromy oracle and
+    # passing the truncation check
     density = vdp_linearization[0]
     modes = find_exponents(
         density, box=(-0.6, 0.3, -0.5, 0.5), n_win=8, depth=8, tol=1e-9
@@ -294,6 +265,17 @@ def test_s2_reports_the_zero_and_the_amplitude_class(vdp_linearization):
         assert abs(mode.lam.real - want) < 1e-9
         assert abs(mode.lam.imag) < 1e-12
         assert min(abs(mode.lam - lam) for lam in mono) < 1e-6
+        assert mode.converged
+
+
+def test_hill_refine_converges_from_a_contour_value(vdp_linearization):
+    # the difference step shrinks with the Newton step, so the run converges
+    # to tol instead of stopping at the spacing of its fixed step
+    density = vdp_linearization[0]
+    lam = contour_classes(density, S2_SETTINGS["box"], 16)[0][0]
+    assert abs(lam.real + 0.0006242654) < 1e-9
+    root, ok = _hill_refine(density, lam, 18, 1e-9)
+    assert ok and abs(root - lam) < 1e-9
 
 
 def test_hill_refine_rejected_lambda_does_not_converge():

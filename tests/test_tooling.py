@@ -90,10 +90,13 @@ def test_a_search_leaves_numpy_random_unimported():
 
 
 def test_one_continued_fraction_run_per_class_on_s3(s3, monkeypatch):
-    # each class gets one Newton run on det M at the search window (10, 10);
-    # the runs at (12, 12) are the truncation checks
+    # each class gets one Newton run on det M at the search window (10, 10),
+    # and one truncation check on the Hill determinant at bound 22, with no
+    # continued fraction re-run at (12, 12)
     windows = []
+    bounds = []
     determinant, newton = floquet.closure_determinant, floquet._newton
+    hill_refine = floquet._hill_refine
 
     def recorded(density, lam, n_win, depth):
         windows[-1].add((n_win, depth))
@@ -103,13 +106,28 @@ def test_one_continued_fraction_run_per_class_on_s3(s3, monkeypatch):
         windows.append(set())
         return newton(*args, **kwargs)
 
+    def checked(density, lam0, bound, tol):
+        bounds.append(bound)
+        return hill_refine(density, lam0, bound, tol)
+
     monkeypatch.setattr(floquet, "closure_determinant", recorded)
     monkeypatch.setattr(floquet, "_newton", counted)
+    monkeypatch.setattr(floquet, "_hill_refine", checked)
     modes = floquet.find_exponents(s3)
     assert len(modes) == 4
-    assert windows.count({(10, 10)}) == 4
-    assert windows.count({(12, 12)}) == 4
-    assert len(windows) == 8
+    assert windows == [{(10, 10)}] * 4
+    assert bounds == [22] * 4
+
+
+def test_one_newton_stopping_rule():
+    # a damped Newton run stops on a failed step, on leaving its radius, on
+    # a step within tol or at the end of its budget; no stall floor and no
+    # loose acceptance
+    assert not hasattr(rootfind, "FLOOR_TOL")
+    assert not hasattr(rootfind, "STALL_STEPS")
+    assert list(inspect.signature(rootfind._damped_newton).parameters) == [
+        "step", "lam0", "tol", "max_iter", "radius"
+    ]
 
 
 def _search_window_evaluations(monkeypatch, density, **settings):
