@@ -130,12 +130,14 @@ def _counted_steps(sizes):
     return step, calls
 
 
-def test_damped_newton_travelling_run_is_not_stopped():
-    # steps of about 0.1 that set no new smallest step for many steps are a
-    # run still travelling: it runs on until a step within tol
-    sizes = [0.1, 0.12, 0.11] * 4 + [1e-2, 1e-5, 1e-13]
+@pytest.mark.parametrize("radius", [None, 1e-4])
+def test_damped_newton_travelling_run_is_not_stopped(radius):
+    # steps of about 1e-6 that set no new smallest step for many steps are a
+    # run still travelling: it runs on until a step within tol, with or
+    # without a class radius that the run never leaves
+    sizes = [1e-6, 1.2e-6, 1.1e-6] * 4 + [1e-7, 1e-10, 1e-18]
     step, calls = _counted_steps(sizes)
-    root, ok = _damped_newton(step, 1.0, 1e-12, 60)
+    root, ok = _damped_newton(step, 1.0, 1e-17, 60, radius=radius)
     assert ok and len(calls) == len(sizes)
 
 
