@@ -36,8 +36,8 @@ for lam, raw in rk:
     print(f"  lambda = {lam:.12f}")
 
 t0 = time.time()
-mono = monodromy_exponents(density, 400, re_min=-3.0)
-print(f"monodromy discretization       ({time.time() - t0:.1f}s)")
+mono = monodromy_exponents(density, re_min=-3.0)
+print(f"monodromy collocation          ({time.time() - t0:.1f}s)")
 for lam, rho in mono:
     print(f"  lambda = {lam:.12f}   |multiplier| = {abs(rho):.6e}")
 

@@ -42,5 +42,5 @@ print(f"cosine similarity of eigensolution vs orbit derivative: {sim:.6f}")
 
 print()
 print("independent check: monodromy multipliers of the same kernel")
-for lam, rho in monodromy_exponents(density, 100, re_min=-1.5)[:4]:
+for lam, rho in monodromy_exponents(density, re_min=-1.5)[:4]:
     print(f"  lambda = {lam:.8f}   rho = {rho:.8f}")

@@ -44,7 +44,7 @@ DEFAULTS = {
     "box": [-3.0, 1.0, -0.5, 0.5],
     "tol": 1e-10,
     "method": "all",
-    "monodromy_grid": 200,
+    "monodromy_grid": 20,
     "out": "out",
     "strict": False,
 }

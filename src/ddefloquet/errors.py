@@ -69,7 +69,7 @@ class BlowUp(DdeFloquetError):
 
 
 class GridTooCoarse(DdeFloquetError):
-    """Monodromy eigenvalues did not stabilize under grid refinement."""
+    """Monodromy eigenvalues moved between Chebyshev degrees m_grid and 2*m_grid."""
 
 
 class ConfigError(DdeFloquetError):

@@ -1,25 +1,23 @@
 """Brute force reference computations kept deliberately independent of the
 continued fraction machinery.
 
-The integrator is a classical fixed step RK4 with cubic Lagrange history
-interpolation (method of steps).  The monodromy map advances a sampled
-history segment over one period and its eigenvalues give reference Floquet
-multipliers; the segment lives on a uniform grid, a different
-discretization family from the Fourier window of the continued fractions,
-so agreement between the two routes is evidence rather than shared bias.
+`integrate_mos` is a classical fixed step RK4 with cubic Lagrange history
+interpolation (method of steps).  It knows every stage time before it
+starts, so the cubic stencils of every delayed read (index `lo` and four
+weights) are built once, and every delayed read of a block of steps that
+only looks at stored points is one array expression.
 
-Both marches know every RK4 stage time before they start, so the cubic
-stencils of every delayed read (index `lo` and four weights) are built once,
-and every delayed read of a block of steps that only looks at stored points
-is one array expression.  The monodromy march is linear, so it also
-evaluates every weight at every stage time in one call and folds each RK4
-step into y <- P_k y + g_k: the propagators P_k come from the undelayed
-weight alone, the forcings g_k of a block from its delayed reads, and the
-sequential part is one small matmul per step.  Blocks are capped at
-rootfind.CHUNK_BYTES of delayed terms, and the march keeps only the points
-a later read needs, in a ring of about one segment's rows.  A real kernel
-gives a real map, and `eigvals` runs on it.  The discretization (grid, interpolation, RK4,
-Richardson doubling) is the same as a straight per-stage march.
+The monodromy oracle is a piecewise Chebyshev collocation of the linear
+kernel (Breda, Maset & Vermiglio, SIAM J. Numer. Anal. 50, 2012; Butcher
+et al., Int. J. Numer. Meth. Eng. 59, 2004).  The history segment and each
+piece of the period are polynomials on Chebyshev-Lobatto nodes, and the
+period map on the history nodes is built from unit impulses, all columns
+solved together; its eigenvalues give reference Floquet multipliers.  For
+smooth periodic weights and point delays they converge spectrally in the
+degree, and a time domain discretization shares nothing with the Fourier
+window of the continued fractions, so agreement between the two routes is
+evidence rather than shared bias.  A real kernel gives a real map, and
+`eigvals` runs on it.
 """
 
 from __future__ import annotations
@@ -225,108 +223,103 @@ def integrate_mos(
     return Trajectory(times, values, delay)
 
 
-def _rk4_increment(a: np.ndarray, f: np.ndarray, h: float) -> np.ndarray:
-    """RK4 increment of z' = A(t) z + f(t) over one step from z = 0.
+def _lobatto(degree: int):
+    """Chebyshev-Lobatto nodes on [-1, 1], ascending, their barycentric
+    weights and the differentiation matrix of the interpolant through them."""
+    k = np.arange(degree + 1)
+    x = np.sin(np.pi * (2 * k - degree) / (2 * degree))
+    w = (-1.0) ** k
+    w[[0, -1]] /= 2
+    diff = x[:, None] - x
+    np.fill_diagonal(diff, 1.0)
+    dmat = w / w[:, None] / diff
+    np.fill_diagonal(dmat, 0.0)
+    np.fill_diagonal(dmat, -dmat.sum(axis=1))
+    return x, w, dmat
 
-    a (..., 3, n, n) and f (..., 3, n, m) hold A and f at the stage times
-    t, t + h/2 and t + h.  With f = A this is P - I of the step propagator,
-    with f the delayed terms it is the forcing g of y <- P y + g.
-    """
-    z1 = f[..., 0, :, :]
-    z2 = (h / 2) * (a[..., 1, :, :] @ z1) + f[..., 1, :, :]
-    z3 = (h / 2) * (a[..., 1, :, :] @ z2) + f[..., 1, :, :]
-    z4 = h * (a[..., 2, :, :] @ z3) + f[..., 2, :, :]
-    return (h / 6) * (z1 + 2 * z2 + 2 * z3 + z4)
 
-
-def _linear_march(density: FourierMatrixDensity, init_values: np.ndarray, period: float):
-    """March dq/dxi = sum_j W_j(xi) q(xi + theta_j) over one period.
-
-    init_values has shape (npts, n, ncols); all columns advance together.
-    Returns a cubic interpolating history callable covering the last delay
-    window [period - delay, period]; only the points it reads are kept.
-    Each RK4 step is y <- P_k y + g_k, the forcings g_k formed a block of
-    steps at a time; a real kernel on real data marches in real arithmetic.
-    """
-    delay = float(-density.delays[0])
-    npts = init_values.shape[0]
-    grid_spacing = delay / (npts - 1)
-    n_steps = int(np.ceil(period / grid_spacing))
-    h = period / n_steps
-
-    real_path = density.is_real() and np.all(np.isreal(init_values))
-    dtype = float if real_path else complex
-    starts = h * np.arange(n_steps)
-    stages = starts[:, None] + np.array([0.0, h / 2, h])
-    # (n_steps, 3, J, n, n): every weight at every stage time
-    weights = FourierSeries(np.moveaxis(density.coeffs, 0, 1)).evaluate(stages)
-    if real_path:
-        weights = weights.real
-    here = weights[:, :, -1]
-    inner = np.flatnonzero(density.delays < 0.0)
-
-    grid = np.linspace(-delay, 0.0, npts)
-    times = np.concatenate([grid, starts + h])
-    lo, w = _stencils(
-        times,
-        stages[:, :, None] + density.delays[inner],
-        npts + np.arange(n_steps)[:, None, None],
-    )
-    # point i is kept in row i % rows.  The oldest point a step reads never
-    # moves back, so rows cover the longest look-back of a step and the
-    # last delay window, which is all `history` serves.
-    last = int(_stencils(times, period + grid, times.shape[0])[0].min())
-    oldest = np.append(lo.reshape(n_steps, -1).min(axis=1), last)
-    rows = int(np.max(npts + np.arange(n_steps + 1) - oldest))
-    values = np.empty((rows,) + init_values.shape[1:], dtype=dtype)
-    values[:npts] = init_values.real if real_path else init_values
-    props = np.eye(density.dim) + _rk4_increment(here, here, h)
-
-    for k0, k1 in _block_ends(lo, npts, 3 * values[0].nbytes):
-        delayed = 0
-        for m, j in enumerate(inner):
-            read = _interpolate(values, lo[k0:k1, :, m], w[k0:k1, :, m])
-            delayed = delayed + weights[k0:k1, :, j] @ read
-        forcing = _rk4_increment(here[k0:k1], delayed, h)
-        for k in range(k0, k1):
-            y = values[(npts + k) % rows]
-            np.matmul(props[k], values[(npts + k - 1) % rows], out=y)
-            y += forcing[k - k0]
-
-    def history(tq):
-        lo, w = _stencils(times, tq, times.shape[0])
-        if np.any(lo < last):
-            raise ValueError("the march keeps only its last delay window")
-        return _interpolate(values, lo, w)
-
-    return history
+def _barycentric(x: np.ndarray, nodes: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Rows r with p(x) = sum_k r[..., k] p(nodes[k]); shape x.shape + (len(nodes),)."""
+    diff = x[..., None] - nodes
+    hit = diff == 0.0
+    rows = w / np.where(hit, 1.0, diff)
+    rows /= rows.sum(axis=-1, keepdims=True)
+    return np.where(hit.any(axis=-1, keepdims=True), hit, rows)
 
 
 def _monodromy_matrix(density: FourierMatrixDensity, m_grid: int) -> np.ndarray:
-    """Period map on the (m_grid + 1)-point history grid, one column per impulse.
+    """Period map on the (m_grid + 1)-node history segment, one column per impulse.
 
-    Real for a real kernel, complex otherwise.
+    The history on [-delay, 0] and each of the ceil(2*pi/delay) equal pieces
+    of [0, 2*pi] is a degree m_grid polynomial on Chebyshev-Lobatto nodes; a
+    piece starts at the last node of the one before it and is collocated at
+    its other m_grid nodes.  A delayed read lands on the history, on an
+    earlier piece or on the piece itself, where it couples the piece's own
+    unknowns, so the pieces are solved in order, each one linear solve for
+    all impulse columns at once.  Row block i of the map is the solution at
+    2*pi + theta_i.  Real for a real kernel, complex otherwise.
     """
     delay = float(-density.delays[0])
-    npts = m_grid + 1
-    side = npts * density.dim
-    init = np.eye(side).reshape(npts, density.dim, side)
-    history = _linear_march(density, init, 2.0 * np.pi)
-    grid = np.linspace(-delay, 0.0, npts)
-    return history(2.0 * np.pi + grid).reshape(side, side)
+    period = 2.0 * np.pi
+    d, m = density.dim, m_grid
+    pieces = int(np.ceil(period / delay - 1e-12))
+    h = period / pieces
+    x, w, dmat = _lobatto(m)
+    dmat = dmat * (2.0 / h)
+    inner = np.flatnonzero(density.delays < 0.0)
+
+    # segment 0 is the history, segment p + 1 the piece [p h, (p + 1) h]
+    starts = np.append(-delay, h * np.arange(pieces))
+    widths = np.append(delay, np.full(pieces, h))
+
+    def locate(s):
+        seg = np.clip(np.searchsorted(starts, s, side="right") - 1, 0, pieces)
+        local = np.clip(2.0 * (s - starts[seg]) / widths[seg] - 1.0, -1.0, 1.0)
+        return seg, _barycentric(local, x, w)
+
+    # collocation times (pieces, m) and every weight there (pieces, m, J, d, d)
+    times = np.arange(pieces)[:, None] * h + (x[1:] + 1.0) * (h / 2)
+    weights = FourierSeries(np.moveaxis(density.coeffs, 0, 1)).evaluate(times)
+    if density.is_real():
+        weights = weights.real
+    seg, rows = locate(times[..., None] + density.delays[inner])
+    # a read on its own piece couples that piece's unknowns, nodes 1..m
+    own = (seg == np.arange(1, pieces + 1)[:, None, None])[..., None] * rows[..., 1:]
+
+    lhs = np.einsum("ik,ab->iakb", dmat[1:, 1:], np.eye(d))
+    lhs = lhs - np.einsum("ik,piab->piakb", np.eye(m), weights[:, :, -1])
+    lhs -= np.einsum("pick,picab->piakb", own, weights[:, :, inner])
+    lhs = lhs.reshape(pieces, m * d, m * d)
+
+    side = (m + 1) * d
+    # unknown nodes stay zero until solved, so an own-piece read below
+    # takes only the piece's known first node
+    values = np.zeros((pieces + 1, m + 1, d, side), dtype=weights.dtype)
+    values[0] = np.eye(side).reshape(m + 1, d, side)
+    for p in range(pieces):
+        values[p + 1, 0] = values[p, m]
+        rhs = -np.einsum("i,ac->iac", dmat[1:, 0], values[p + 1, 0])
+        for c, j in enumerate(inner):
+            read = np.einsum("ik,ikac->iac", rows[p, :, c], values[seg[p, :, c]])
+            rhs += weights[p, :, j] @ read
+        solved = np.linalg.solve(lhs[p], rhs.reshape(m * d, side))
+        values[p + 1, 1:] = solved.reshape(m, d, side)
+
+    out_seg, out_rows = locate(period + delay * (x - 1.0) / 2)
+    return np.einsum("ik,ikac->iac", out_rows, values[out_seg]).reshape(side, side)
 
 
 def monodromy_exponents(
     density: FourierMatrixDensity,
-    m_grid: int = 200,
+    m_grid: int = 20,
     re_min: float = -3.0,
     rich_tol: float = 1e-3,
 ):
     """Reference multipliers from a discretized period map, Richardson checked.
 
-    The period-2*pi linear map on a sampled history segment is built column
-    by column from unit impulses, eigendecomposed at resolutions m_grid and
-    2*m_grid, and only eigenvalues that agree between the two resolutions
+    The period-2*pi linear map on the history segment is built column by
+    column from unit impulses, eigendecomposed at Chebyshev degrees m_grid
+    and 2*m_grid, and only eigenvalues that agree between the two degrees
     to `rich_tol` (relative) are returned.  Exponents use the principal
     logarithm, lambda = log(rho)/(2*pi), so Im(lambda) lies in (-1/2, 1/2].
 
@@ -347,7 +340,8 @@ def monodromy_exponents(
         shift = abs(fine[j] - rho)
         if shift > rich_tol * max(abs(rho), rho_floor):
             raise GridTooCoarse(
-                f"multiplier {rho:.6g} moved by {shift:.2e} under grid doubling"
+                f"multiplier {rho:.6g} moved by {shift:.2e} from degree {m_grid} "
+                f"to {2 * m_grid}; raise m_grid (monodromy_grid)"
             )
         refined = fine[j]
         lam = complex(np.log(refined) / (2.0 * np.pi))

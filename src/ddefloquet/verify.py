@@ -191,7 +191,7 @@ def check_conjugation(modes=None) -> CheckResult:
     )
 
 
-def check_oracle_agreement(modes=None, m_grid: int = 400, re_floor: float = -2.0):
+def check_oracle_agreement(modes=None, m_grid: int = 20, re_floor: float = -2.0):
     """Continued fraction exponents match the monodromy oracle."""
     if modes is None:
         modes = _s3_modes()

@@ -72,7 +72,7 @@ def s3_all_methods(s3):
         warnings.simplefilter("ignore")
         cf = find_exponents(s3, n_win=10, depth=10, tol=1e-12)
         rk = find_exponents_risken(s3, depth=12, tol=1e-12)
-        mono = monodromy_exponents(s3, 400, re_min=-2.2)
+        mono = monodromy_exponents(s3, re_min=-2.2)
     return cf, rk, mono, time.time() - t0
 
 

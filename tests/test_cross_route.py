@@ -60,7 +60,7 @@ def test_routes_agree_class_for_class(d, K):
     density = KERNELS[d, K]
     mono = [
         lam
-        for lam, _ in monodromy_exponents(density, 400, re_min=BOX[0])
+        for lam, _ in monodromy_exponents(density, re_min=BOX[0])
         if lam.real <= BOX[1]
     ]
     assert mono

@@ -129,7 +129,7 @@ def test_k0_mode_components_localized():
 
 
 def test_s3_exponents_match_monodromy(s3, s3_modes):
-    mono = df.monodromy_exponents(s3, 400, re_min=-2.2)
+    mono = df.monodromy_exponents(s3, re_min=-2.2)
     for mode in s3_modes:
         if mode.lam.real > -2.0:
             assert min(abs(mode.lam - lam) for lam, _ in mono) < 1e-4
@@ -178,7 +178,7 @@ def test_conjugate_pairs_list_their_lower_member_first(s3, s3_modes):
     # the members of a pair differ in Re by about an ulp; the spectrum key
     # ties them, so both routes and the monodromy oracle agree on the order
     risken = [strip for strip, _ in df.find_exponents_risken(s3)]
-    monodromy = [lam for lam, _ in df.monodromy_exponents(s3, 200, re_min=-3.0)]
+    monodromy = [lam for lam, _ in df.monodromy_exponents(s3, re_min=-3.0)]
     for lams in ([m.lam for m in s3_modes], risken, monodromy):
         assert len(lams) == 4
         for lower, upper in (lams[0:2], lams[2:4]):

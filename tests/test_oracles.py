@@ -9,6 +9,7 @@ from ddefloquet import (
     characteristic_roots,
     integrate_mos,
     monodromy_exponents,
+    oracles,
 )
 from ddefloquet.model import DdeSystem, MonomialTerm, rescale
 from ddefloquet.systems import constant_density, linear_scalar_system, s1_system
@@ -71,7 +72,7 @@ def test_monodromy_constant_decay():
 
 def test_monodromy_matches_characteristic_roots():
     dens = constant_density(0.0, -np.pi / 2, omega=1.0, tau=1.0)
-    out = monodromy_exponents(dens, 400, re_min=-0.5)
+    out = monodromy_exponents(dens, re_min=-0.5)
     lams = sorted((lam for lam, _ in out), key=lambda z: z.imag)
     assert len(lams) >= 2
     # leading multipliers on the unit circle at strip positions of +-i pi/2
@@ -87,16 +88,21 @@ def test_monodromy_matches_characteristic_roots():
 
 def test_monodromy_grid_refinement_converges():
     dens = constant_density(-0.2, -0.4, omega=1.0, tau=1.0)
-    m1 = monodromy_exponents(dens, 40, re_min=-1.6)
-    m2 = monodromy_exponents(dens, 80, re_min=-1.6)
-    lam1 = m1[0][0]
-    lam2 = m2[0][0]
     roots = [df.to_strip(r) for r in characteristic_roots(
         -0.2, -0.4, 1.0, 1.0, box=(-1.6, 0.5, -1.0, 1.0)
     )]
-    exact = min(roots, key=lambda z: abs(z - lam2))
-    # fourth order one step scheme: error drops by >= 4x under doubling
-    assert abs(lam2 - exact) < abs(lam1 - exact) / 4.0
+
+    def error(lam):
+        return min(abs(lam - r) for r in roots)
+
+    def leading(degree):
+        rho = np.linalg.eigvals(oracles._monodromy_matrix(dens, degree))
+        return np.log(rho[np.argmax(np.abs(rho))]) / (2 * np.pi)
+
+    # spectral convergence: doubling the degree from 4 to 8 gains far more
+    # than the 16x of a fourth order scheme (1.5e-4 -> 2.4e-10)
+    assert error(leading(8)) < error(leading(4)) * 1e-4
+    assert error(monodromy_exponents(dens, re_min=-1.6)[0][0]) < 1e-12
 
 
 def test_characteristic_roots_scalar_cases():
@@ -124,13 +130,10 @@ def test_mode_advances_by_multiplier(s3, s3_modes):
     # one period of the linearized flow multiplies an eigenmode segment by rho
     mode = s3_modes[0]
     delay = float(-s3.delays[0])
-    npts = 201
-    grid = np.linspace(-delay, 0.0, npts)
-    init = np.array([[mode.segment(0.0, th)] for th in grid]).reshape(npts, 1, 1)
-    from ddefloquet.oracles import _linear_march
-
-    history = _linear_march(s3, init, 2 * np.pi)
-    got = np.array([history(2 * np.pi + th)[0, 0] for th in grid])
-    want = mode.multiplier * init[:, 0, 0]
+    degree = 20
+    grid = delay * (oracles._lobatto(degree)[0] - 1.0) / 2
+    init = np.array([mode.segment(0.0, th)[0] for th in grid])
+    got = oracles._monodromy_matrix(s3, degree) @ init
+    want = mode.multiplier * init
     rel = np.max(np.abs(got - want)) / np.max(np.abs(want))
     assert rel < 1e-4

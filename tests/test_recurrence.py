@@ -261,7 +261,7 @@ def test_s2_reports_the_zero_and_the_amplitude_class(vdp_linearization):
     modes = find_exponents(
         density, box=(-0.6, 0.3, -0.5, 0.5), n_win=8, depth=8, tol=1e-9
     )
-    mono = [lam for lam, _ in df.monodromy_exponents(density, 200, re_min=-0.6)]
+    mono = [lam for lam, _ in df.monodromy_exponents(density, re_min=-0.6)]
     assert len(modes) == len(mono) == 2
     for mode, want in zip(modes, (-0.0006242654, -0.0778793241)):
         assert abs(mode.lam.real - want) < 1e-9
@@ -296,7 +296,7 @@ def test_negative_multiplier_class_is_reported_once():
         warnings.simplefilter("ignore")
         cf = [m.lam for m in find_exponents(dens, n_win=8, depth=8)]
         risken = [strip for strip, _ in find_exponents_risken(dens, depth=8)]
-    mono = [lam for lam, _ in df.monodromy_exponents(dens, m_grid=200)]
+    mono = [lam for lam, _ in df.monodromy_exponents(dens)]
     assert len(mono) == 2
     for got in (cf, risken):
         assert len(got) == len(mono)

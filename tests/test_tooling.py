@@ -71,22 +71,47 @@ def test_the_widened_grid_scan_is_gone():
     assert "grid" not in cli.DEFAULTS
 
 
-def test_a_search_leaves_numpy_random_unimported():
-    # the contour probe is deterministic; importing numpy.random alone adds
-    # about 5 MB to the peak memory the benchmark bounds
-    script = (
-        "import sys\n"
-        "from ddefloquet import find_exponents\n"
-        "from ddefloquet.systems import s3_density\n"
-        "assert len(find_exponents(s3_density())) == 4\n"
-        "assert 'numpy.random' not in sys.modules\n"
-    )
+def _run_fresh(script):
     src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
     env = dict(os.environ, PYTHONPATH=src)
     done = subprocess.run(
         [sys.executable, "-c", script], env=env, capture_output=True, timeout=120
     )
     assert done.returncode == 0, done.stderr.decode()
+
+
+def test_a_search_leaves_numpy_random_unimported():
+    # the contour probe is deterministic; importing numpy.random alone adds
+    # about 5 MB to the peak memory the benchmark bounds
+    _run_fresh(
+        "import sys\n"
+        "from ddefloquet import find_exponents\n"
+        "from ddefloquet.systems import s3_density\n"
+        "assert len(find_exponents(s3_density())) == 4\n"
+        "assert 'numpy.random' not in sys.modules\n"
+    )
+
+
+def test_the_collocation_oracle_imports_no_polynomial_library():
+    # the Chebyshev nodes, weights and differentiation matrix are written in
+    # closed form, so neither the import the benchmark's setup_s times nor a
+    # monodromy run pulls in scipy or numpy.polynomial
+    _run_fresh(
+        "import sys\n"
+        "import ddefloquet\n"
+        "def clean():\n"
+        "    return not {'scipy', 'numpy.polynomial'} & set(sys.modules)\n"
+        "assert clean()\n"
+        "from ddefloquet.systems import s3_density\n"
+        "assert len(ddefloquet.monodromy_exponents(s3_density())) == 4\n"
+        "assert clean()\n"
+    )
+
+
+def test_the_rk4_period_map_is_gone():
+    # the RK4 map lives on only as the reference of test_monodromy_march
+    assert not hasattr(oracles, "_linear_march")
+    assert not hasattr(oracles, "_rk4_increment")
 
 
 def test_one_continued_fraction_run_per_class_on_s3(s3, monkeypatch):
