@@ -1,9 +1,8 @@
 """Adjoint eigensolutions, the delay bilinear form and biorthonormality.
 
-For each exponent of the parametric benchmark kernel the adjoint Fourier
-components are built from the ladder operators of the transposed
-recurrence, by the same continued fraction passes as the primal ones; the
-prescription L S = Z L links the two ladder families as an identity.
+For each exponent of the parametric benchmark kernel the primal and the
+adjoint Fourier components are the right and left null vectors of the
+same Hill matrix T(lambda) at the root.
 After symmetric normalization the Gram matrix of all (adjoint, primal)
 pairs must be the identity and each pairing must not depend on the phase
 at which it is evaluated.

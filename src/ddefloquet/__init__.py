@@ -2,7 +2,8 @@
 
 The package computes time periodic states of nonlinear delay systems by
 perturbation expansion, linearizes about them, and determines Floquet
-exponents and eigensolutions with matrix valued continued fractions; an
+exponents with matrix valued continued fractions and eigensolutions as
+null vectors of the same banded recurrence matrix; an
 independent monodromy discretization and constant coefficient
 characteristic roots serve as brute force cross checks, and the adjoint
 problem supplies the bilinear pairing and biorthonormalization.

@@ -41,7 +41,7 @@ class CfBreakdown(DdeFloquetError):
 
 
 class NullSpaceAmbiguous(DdeFloquetError):
-    """Two singular values of M(lambda) are too close: degenerate root."""
+    """Two singular values of T(lambda) are too close: degenerate root."""
 
 
 class ZeroPairing(DdeFloquetError):

@@ -43,6 +43,14 @@ are then the answer.  Every root, from either route, is checked against
 truncation once, by a Newton run on the entire Hill determinant of the
 window enlarged by two.
 
+det M is what Newton refines; the modes are read off T(lambda) itself.
+With converged ladders M(lambda) is the Schur complement of T(lambda)
+onto block 0, so at a root T is singular too: the Floquet mode is T's
+right null vector (T phi = 0) and the adjoint mode its left one
+(psi T = 0), both on |n| <= n_win + depth, cut to the window and scaled
+so that the largest entry of block 0 is 1, one SVD each (`extract_mode`,
+`adjoint.adjoint_modes`).
+
 Exponents are defined mod i because the ansatz exp(lambda*xi) times a
 2*pi periodic factor absorbs integer imaginary shifts; reported modes carry
 both the raw root and its strip representative with Im in (-1/2, 1/2].
@@ -93,12 +101,10 @@ DIVERGENCE_GUARD = 1e12
 HILL_MAX_ITER = 60
 # find_exponents: the Newton budget from a Hill eigenvalue (a few steps
 # wherever det M has its zero there; a pinched run stops at its first step
-# outside CLASS_TOL of its class), the largest move of a root at the
-# enlarged truncation that still counts as converged, and the largest
-# usable mode residual
+# outside CLASS_TOL of its class), and the largest move of a root at the
+# enlarged truncation that still counts as converged
 SEEDED_ITER = 8
 CONV_TOL = 1e-8
-MODE_TOL = 1e-2
 
 # why the passes of one lambda stopped short; 0 means they did not
 _SINGULAR, _DIVERGING = 1, 2
@@ -450,27 +456,30 @@ def recurrence_residual(components, table: LMatrixTable, left: bool = False) -> 
     return float(worst) / max(float(np.max(np.abs(components))), 1e-300)
 
 
-def _climb(center, n_win: int, K: int, step) -> np.ndarray:
-    """Components on |n| <= n_win, climbed outward from the center one.
+def _null_vector(
+    density: FourierMatrixDensity,
+    lam: complex,
+    n_win: int,
+    depth: int,
+    left: bool = False,
+):
+    """The null vector of the Hill matrix T(lambda) on |n| <= n_win + depth.
 
-    A kernel may couple only some band offsets (an even-harmonic weight has
-    no +-1 coupling at all), so each level takes the shortest ladder step
-    that carries weight; `step(m, src, vec)` carries the component `vec`
-    at level src to level src + m.
+    One SVD of T gives the right null vector (T phi = 0) or, for `left`,
+    the left one (psi T = 0, a row vector): the last singular vector on the
+    respective side.  It is cut to |n| <= n_win, one row per block, and
+    scaled so that the largest entry of block 0 is 1.  Returns the
+    components, their recurrence residual and T's two smallest singular
+    values, smallest first.
     """
-    comps = np.zeros((2 * n_win + 1, center.shape[0]), dtype=complex)
-    comps[n_win] = center
-    floor = 1e-13 * max(float(np.max(np.abs(center))), 1e-300)
-    for n in range(1, n_win + 1):
-        for sign in (1, -1):
-            target = sign * n
-            for m in range(1, min(K, n) + 1):
-                src = target - sign * m
-                cand = step(sign * m, src, comps[src + n_win])
-                if float(np.max(np.abs(cand))) > floor:
-                    comps[target + n_win] = cand
-                    break
-    return comps
+    bound = n_win + depth
+    table = build_L(density, lam, bound)
+    u, s, vh = np.linalg.svd(truncated_matrix(table, bound))
+    vec = np.conj(u[:, -1] if left else vh[-1])
+    blocks = vec.reshape(2 * bound + 1, density.dim)[depth : depth + 2 * n_win + 1]
+    center = blocks[n_win]
+    comps = blocks / center[np.argmax(np.abs(center))]
+    return comps, recurrence_residual(comps, table, left=left), s[-1], s[-2]
 
 
 def extract_mode(
@@ -479,35 +488,28 @@ def extract_mode(
     n_win: int,
     depth: int,
 ) -> FloquetMode:
-    """Null direction of M(lambda) propagated outward through the ladders.
+    """The Floquet mode at a root `lam`: the right null vector of the Hill
+    matrix T(lambda) on |n| <= n_win + depth, cut to the window.
 
-    phi_0 is the smallest singular direction of M; NullSpaceAmbiguous is
-    raised when the two smallest singular values are within a factor 10,
-    the sign of a degenerate eigenvalue this machinery does not resolve.
+    Its block 0 is scaled so that its largest entry is 1 (phi_0 = 1 for
+    d = 1).  NullSpaceAmbiguous is raised when T's two smallest singular
+    values are within a factor 10, the sign of a degenerate eigenvalue
+    whose null space one vector does not describe.
     """
     lam = complex(lam)
-    K = density.bandwidth
-    d = density.dim
-    ladders = ladder_operators(density, lam, n_win, depth)
-    m_mat = assemble_M(density, lam, n_win, depth, ladders=ladders)
-    if d == 1:
-        phi0 = np.ones(1, dtype=complex)
-    else:
-        _, s, vh = np.linalg.svd(m_mat)
-        if s[-2] <= 10.0 * s[-1]:
-            raise NullSpaceAmbiguous(
-                f"singular values {s[-1]:.3e}, {s[-2]:.3e} too close at {lam:.6g}"
-            )
-        phi0 = np.conj(vh[-1])
-    comps = _climb(phi0, n_win, K, lambda m, src, v: ladders.get(m, src) @ v)
+    comps, residual, least, second = _null_vector(density, lam, n_win, depth)
+    if second <= 10.0 * least:
+        raise NullSpaceAmbiguous(
+            f"singular values {least:.3e}, {second:.3e} too close at {lam:.6g}"
+        )
     return FloquetMode(
         lam=to_strip(lam),
         lam_raw=lam,
         components=comps,
-        residual=recurrence_residual(comps, ladders.table),
+        residual=residual,
         n_win=n_win,
         depth=depth,
-        bandwidth=K,
+        bandwidth=density.bandwidth,
     )
 
 
@@ -525,11 +527,10 @@ def find_exponents(
     the Hill matrix T(lambda) on |n| <= n_win + depth, each at the
     translate where its null vector peaks at n = 0, so that det M(lambda)
     has its zero there.  One Newton run on det M per class starts from that
-    translate, and the mode is read off the ladders at its root.  Where the
-    run pinches its zero against a truncation resonance pole (it stops,
-    unconverged, at its first step more than CLASS_TOL from its class
-    modulo i), or the ladders give no usable mode (a breakdown, an
-    ambiguous null space, a residual above MODE_TOL), the mode is the Hill
+    translate, and a converged run's mode is T's right null vector at its
+    root (`extract_mode`).  Where the run pinches its zero against a
+    truncation resonance pole (it stops, unconverged, at its first step
+    more than CLASS_TOL from its class modulo i), the mode is the Hill
     eigenvalue with its null vector cut to the window.  Whichever route
     produced it, the root is checked the same way: a Newton run on the
     entire Hill determinant at the enlarged truncation |n| <= n_win +
@@ -550,13 +551,9 @@ def find_exponents(
     modes = []
     for lam, null in classes:
         root, ok = _newton(det_at, lam, tol, SEEDED_ITER, radius=CLASS_TOL)
-        mode = None
         if ok:
-            try:
-                mode = extract_mode(density, root, n_win, depth)
-            except (CfBreakdown, NullSpaceAmbiguous):
-                pass
-        if mode is None or mode.residual > MODE_TOL:
+            mode = extract_mode(density, root, n_win, depth)
+        else:
             # the contour eigenvalue answers
             comps = null[bound - n_win : bound + n_win + 1]
             mode = FloquetMode(

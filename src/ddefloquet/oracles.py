@@ -325,10 +325,13 @@ def monodromy_exponents(
 
     Returns a list of (lambda, rho) sorted by descending |rho|, then by
     ascending Im(lambda), so a conjugate pair lists its lower member first.
-    Raises GridTooCoarse when a retained multiplier fails the check.
+    Raises GridTooCoarse when a retained multiplier fails the check, and
+    ValueError when the kernel has no delay slot theta < 0.
     """
     if m_grid < MIN_SEGMENT_POINTS:
         raise ValueError(f"m_grid must be at least {MIN_SEGMENT_POINTS}")
+    if density.delays[0] >= 0.0:
+        raise ValueError("the kernel has no delay slot theta < 0 to march over")
     rho_floor = np.exp(2.0 * np.pi * re_min)
     # a real map whose eigenvalues are all real gives a real array
     coarse = np.linalg.eigvals(_monodromy_matrix(density, m_grid)).astype(complex)

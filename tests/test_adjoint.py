@@ -14,8 +14,6 @@ from ddefloquet import (
     normalize,
     solve_inhomogeneous,
 )
-from ddefloquet.adjoint import _transposed_ladders
-from ddefloquet.floquet import ladder_operators
 from ddefloquet.systems import constant_density, s3_density
 
 
@@ -96,42 +94,13 @@ def s2_zero_mode(s2_modes):
     return min(s2_modes, key=lambda m: abs(m.lam))
 
 
-@pytest.mark.parametrize(
-    "kernel, offsets, levels",
-    [
-        pytest.param("s3", (-1, 1), (-2, 0, 3), id="s3"),
-        # the s2 kernel couples only even offsets, and its L_{-k,n} are
-        # singular at every level, so the identity cannot be solved for Z
-        pytest.param("s2", (-6, -4, -2, 2, 4, 6), (-2, 0, 2, 3), id="s2"),
-    ],
-)
-def test_prescription_identity(request, kernel, offsets, levels):
-    # L_{k,n-k} S^{-k}_n = Z^{-k}_n L_{-k,n} where both sides are defined
-    if kernel == "s3":
-        density = request.getfixturevalue("s3")
-        lam = request.getfixturevalue("s3_modes")[0].lam_raw
-    else:
-        density = request.getfixturevalue("vdp_linearization")[0]
-        lam = request.getfixturevalue("s2_zero_mode").lam_raw
-    lad = ladder_operators(density, lam, 8, 8)
-    zlad = _transposed_ladders(density, lam, 8, 8)
-    tab = lad.table
-    for k in offsets:
-        for n in levels:
-            lhs = tab.get(k, n - k) @ lad.get(-k, n)
-            rhs = zlad.get(-k, n).T @ tab.get(-k, n)
-            # relative to the block: at the outer s2 offsets both sides are
-            # 1e-9 or less, where an absolute bound would pass with Z = 0
-            assert np.max(np.abs(lhs - rhs)) < 1e-9 * np.max(np.abs(lhs))
-
-
 def test_adjoint_recurrence_residual(s3_pairs):
     for psi, _ in s3_pairs:
         assert psi.residual < 1e-8
 
 
 def test_adjoint_spectrum_equals_primal(s3, s3_modes):
-    # the adjoint closure uses the same M(lambda): roots coincide
+    # the adjoint is read off the same T(lambda) at the same root
     for mode in s3_modes:
         psi = adjoint_modes(s3, mode.lam_raw, mode.n_win, mode.depth)
         assert abs(psi.lam - mode.lam) < 1e-12
@@ -256,7 +225,7 @@ def test_vdp_zero_mode_pairs_to_zero_with_amplitude_mode(
     ctx = BilinearContext(density)
     cross = abs(ctx.pair(psi0, other, 0.0))
     self_pair = abs(ctx.pair(psi0, zero, 0.0))
-    assert cross < 5e-2 * self_pair
+    assert cross < 1e-4 * self_pair
 
 
 def test_zero_pairing_raises_for_degenerate_pair(s3, s3_pairs):

@@ -16,6 +16,7 @@ import pytest
 
 from ddefloquet import (
     FourierMatrixDensity,
+    adjoint_modes,
     characteristic_roots,
     find_exponents,
     monodromy_exponents,
@@ -67,6 +68,9 @@ def test_routes_agree_class_for_class(d, K):
     modes = find_exponents(density, box=BOX)
     # every mode passes the truncation check, whichever route produced it
     assert all(m.converged for m in modes)
+    # and every adjoint solves the left recurrence
+    for m in modes:
+        assert adjoint_modes(density, m.lam_raw, m.n_win, m.depth).residual < 1e-8
     routes = {
         # the Hill window of find_exponents at its defaults, |n| <= 20
         "contour": [lam for lam, _ in contour_classes(density, BOX, 20)],

@@ -375,17 +375,6 @@ def test_s2_prunes_to_the_even_offsets_bit_identically(vdp_linearization):
     assert np.all(ladders.passes == 2 * 16 + 1 + floquet.EXTRA_PASSES)
 
 
-def test_s2_transposed_ladders_prune_bit_identically(vdp_linearization):
-    from ddefloquet.adjoint import _transposed_ladders
-
-    density = vdp_linearization[0]
-    lams = np.array([-0.000624 + 1.0j, -0.3 + 0.2j, 0.1 - 0.4j])
-    pruned = _transposed_ladders(density, lams, 8, 8)
-    full = _full_band(_transposed_ladders, density, lams, 8, 8)
-    _assert_bit_identical(pruned, full)
-    assert sorted(pruned.ops) == [-6, -4, -2, 2, 4, 6]
-
-
 def test_scalar_band_with_only_the_second_harmonic():
     # d = 1, K = 3 with coefficients only at k = 0 and k = +-2
     coeffs = np.zeros((2, 7, 1, 1), dtype=complex)

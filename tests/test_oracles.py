@@ -46,6 +46,9 @@ def test_blowup_guard():
 def test_segment_state_validation():
     with pytest.raises(ValueError):
         SegmentState(np.linspace(-1.0, 0.0, 5), np.zeros((5, 1)))  # too few
+    undelayed = df.FourierMatrixDensity(1.0, [0.0], [[[[-1.0]]]])
+    with pytest.raises(ValueError, match="theta < 0"):
+        monodromy_exponents(undelayed)
     grid = np.linspace(-1.0, 0.0, 41)
     seg = SegmentState(grid, np.ones((41, 1)))
     assert seg.delay == pytest.approx(1.0)

@@ -310,21 +310,22 @@ def test_band_without_coupled_offsets_takes_the_k0_return():
 
 
 def test_one_adjoint_route_and_one_hand_written_elimination(s3, s3_modes, monkeypatch):
-    # linalg keeps plane_solve as its only elimination, and adjoint_modes
-    # takes its Z ladders from one batched transposed ladder call, with no
-    # per-level prescription solve and no fallback warning
+    # linalg keeps plane_solve as its only elimination, and adjoint_modes and
+    # extract_mode read the null vectors of T(lambda) without a ladder or a
+    # closure matrix
     for name in ("_lu", "_substitute", "solve_batch"):
         assert not hasattr(linalg, name)
     assert not hasattr(errors, "PrescriptionFallbackWarning")
-    calls = []
-    transposed = adjoint._transposed_ladders
+    for module, name in ((adjoint, "_transposed_ladders"), (floquet, "_climb")):
+        assert not hasattr(module, name)
 
-    def counted(*args):
-        calls.append(args)
-        return transposed(*args)
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a mode called the continued fraction")
 
+    for name in ("ladder_operators", "assemble_M"):
+        monkeypatch.setattr(floquet, name, forbidden)
+        monkeypatch.setattr(adjoint, name, forbidden, raising=False)
     monkeypatch.delattr(adjoint, "solve_linear")
-    monkeypatch.setattr(adjoint, "_transposed_ladders", counted)
     mode = s3_modes[0]
     adjoint.adjoint_modes(s3, mode.lam_raw, mode.n_win, mode.depth)
-    assert len(calls) == 1
+    floquet.extract_mode(s3, mode.lam_raw, mode.n_win, mode.depth)
