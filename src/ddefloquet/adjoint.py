@@ -35,7 +35,7 @@ from .floquet import FloquetMode, _null_vector, closure_determinant
 # which checks that the instrumentation rewraps a second binding
 from .floquet import ladder_operators  # noqa: F401
 from .linalg import solve_linear
-from .model import FourierMatrixDensity, build_L, truncated_matrix
+from .model import FourierMatrixDensity, hill_matrix
 from .rootfind import _newton, to_strip
 
 __all__ = [
@@ -249,7 +249,7 @@ def solve_inhomogeneous(
         )
 
     B = n_win + depth
-    T = truncated_matrix(build_L(density, lam, B), B)
+    T = hill_matrix(density, B)(lam)
     b_full = np.zeros((2 * B + 1, d), dtype=complex)
     b_full[B - n_win : B + n_win + 1] = _effective_rhs(density, lam, chi_arr, n_win)
     x = solve_linear(T, b_full.reshape(-1)).reshape(2 * B + 1, d)

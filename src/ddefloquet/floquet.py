@@ -20,8 +20,8 @@ the relations of coupled offsets are formed, those m where L_m or L_{-m}
 has a nonzero coefficient (an even-harmonic kernel couples no odd m): for
 any other m, S^m has a zero right-hand side and is identically 0.  Every
 pass reads its coefficients A and L from the coupled diagonals of the
-recurrence matrix T(lambda) of `model.recurrence_blocks`, the one
-assembler of T, and works on component planes for every d: entry (i, j)
+recurrence matrix T(lambda), which `model.recurrence_blocks` gathers
+from the L table, and works on component planes for every d: entry (i, j)
 of every d x d block, over all levels, relations and lambda values of a
 batch, is one array, so the bracket products are elementwise
 multiply-adds, at most d^3 of them (a term a[i, k] s[k, j] whose
@@ -35,11 +35,12 @@ breakdown poles, so plain Newton iterations refine its roots.  The n = 0
 closure gives the finite matrix M(lambda) whose determinant vanishes at
 the Floquet exponents.  The search locates each exponent class once, as
 an eigenvalue of the Hill matrix T(lambda) of the same window
-(`rootfind.contour_classes`), and runs one Newton iteration on det M per
-class.  Where an exponent sits close to a truncation resonance, det M
-pinches its zero against a pole, and the run stops at its first step
-outside CLASS_TOL of its class; the Hill eigenvalue and its null vector
-are then the answer.  Every root, from either route, is checked against
+(`rootfind.contour_classes`; whole, T is the exponential pencil of
+`model.hill_matrix`, built once per search, refinement or mode), and
+runs one Newton iteration on det M per class.  Where an exponent sits
+close to a truncation resonance, det M pinches its zero against a pole,
+and the run stops at its first step outside CLASS_TOL of its class; the
+Hill eigenvalue and T's null vector there are then the answer.  Every root, from either route, is checked against
 truncation once, by a Newton run on the entire Hill determinant of the
 window enlarged by two.
 
@@ -68,6 +69,7 @@ from .model import (
     FourierMatrixDensity,
     LMatrixTable,
     build_L,
+    hill_matrix,
     recurrence_blocks,
     truncated_matrix,
 )
@@ -325,12 +327,12 @@ def _matrix_passes(a_zero, a_stack, rhs_stack, m_list, neg_index, n_passes, live
     return _run_passes(S, step, n_passes, live)
 
 
-def _hill_logdet(density: FourierMatrixDensity, lams, bound: int):
-    """Sign and log magnitude of the Hill determinant det T(lambda) on
-    |n| <= bound for a 1-D array of lambda; NaN where the exponent guard
-    rejects lambda."""
+def _hill_logdet(hill, lams):
+    """Sign and log magnitude of the Hill determinant det T(lambda) for a
+    1-D array of lambda, T given by `hill` (`model.hill_matrix`); NaN
+    where the exponent guard rejects lambda."""
     with np.errstate(invalid="ignore"):
-        return np.linalg.slogdet(truncated_matrix(build_L(density, lams, bound), bound))
+        return np.linalg.slogdet(hill(lams))
 
 
 def _hill_refine(density, lam0: complex, bound: int, tol: float):
@@ -345,11 +347,12 @@ def _hill_refine(density, lam0: complex, bound: int, tol: float):
     determinant that underflows to an exact zero is a root.
     """
     last = np.inf
+    hill = hill_matrix(density, bound)
 
     def step(lam):
         nonlocal last
         h = min(1e-6 * (1.0 + abs(lam)), 1e-3 * last)
-        signs, logabs = _hill_logdet(density, np.array([lam + h, lam - h]), bound)
+        signs, logabs = _hill_logdet(hill, np.array([lam + h, lam - h]))
         if not np.all(np.isfinite(signs)):
             return None
         s1, s2 = (complex(v) for v in signs)
@@ -446,11 +449,16 @@ def recurrence_residual(components, table: LMatrixTable, left: bool = False) -> 
     fair approximation because they sit beyond the truncation anyway.
     """
     n_win = (components.shape[0] - 1) // 2
-    inner = n_win - table.bandwidth
+    return _residual(components, truncated_matrix(table, n_win), table.bandwidth, left)
+
+
+def _residual(components, T, K: int, left: bool) -> float:
+    """`recurrence_residual` with T on the components' window, K the band."""
+    n_win = (components.shape[0] - 1) // 2
+    inner = n_win - K
     if inner <= 0 and not left:
         inner = n_win
     flat = components.reshape(-1)
-    T = truncated_matrix(table, n_win)
     rows = (flat @ T if left else T @ flat).reshape(components.shape)
     worst = np.max(np.abs(rows[n_win - inner : n_win + inner + 1]), initial=0.0)
     return float(worst) / max(float(np.max(np.abs(components))), 1e-300)
@@ -472,14 +480,17 @@ def _null_vector(
     components, their recurrence residual and T's two smallest singular
     values, smallest first.
     """
-    bound = n_win + depth
-    table = build_L(density, lam, bound)
-    u, s, vh = np.linalg.svd(truncated_matrix(table, bound))
+    d = density.dim
+    T = hill_matrix(density, n_win + depth)(lam)
+    u, s, vh = np.linalg.svd(T)
     vec = np.conj(u[:, -1] if left else vh[-1])
-    blocks = vec.reshape(2 * bound + 1, density.dim)[depth : depth + 2 * n_win + 1]
+    window = slice(depth * d, (depth + 2 * n_win + 1) * d)
+    blocks = vec[window].reshape(2 * n_win + 1, d)
     center = blocks[n_win]
     comps = blocks / center[np.argmax(np.abs(center))]
-    return comps, recurrence_residual(comps, table, left=left), s[-1], s[-2]
+    # T on |n| <= n_win is the central block of T on the whole window
+    residual = _residual(comps, T[window, window], density.bandwidth, left)
+    return comps, residual, s[-1], s[-2]
 
 
 def extract_mode(
@@ -531,10 +542,10 @@ def find_exponents(
     root (`extract_mode`).  Where the run pinches its zero against a
     truncation resonance pole (it stops, unconverged, at its first step
     more than CLASS_TOL from its class modulo i), the mode is the Hill
-    eigenvalue with its null vector cut to the window.  Whichever route
-    produced it, the root is checked the same way: a Newton run on the
-    entire Hill determinant at the enlarged truncation |n| <= n_win +
-    depth + 2 (`_hill_refine`) starts from it, and the `converged` flag
+    eigenvalue with T's right null vector there.  Whichever route produced
+    it, the root is checked the same way: a Newton run on the entire Hill
+    determinant at the enlarged truncation |n| <= n_win + depth + 2
+    (`_hill_refine`) starts from it, and the `converged` flag
     records whether that run converged within CONV_TOL of the root.
     `grid` is unused: the search has no grid.
 
@@ -549,21 +560,15 @@ def find_exponents(
     bound = n_win + depth
     classes = contour_classes(density, box, bound)
     modes = []
-    for lam, null in classes:
+    for lam, _ in classes:
         root, ok = _newton(det_at, lam, tol, SEEDED_ITER, radius=CLASS_TOL)
         if ok:
             mode = extract_mode(density, root, n_win, depth)
         else:
-            # the contour eigenvalue answers
-            comps = null[bound - n_win : bound + n_win + 1]
+            # no ambiguity check: a wrong contour value may fail it
+            comps, residual, _, _ = _null_vector(density, lam, n_win, depth)
             mode = FloquetMode(
-                lam=to_strip(lam),
-                lam_raw=lam,
-                components=comps,
-                residual=recurrence_residual(comps, build_L(density, lam, n_win)),
-                n_win=n_win,
-                depth=depth,
-                bandwidth=density.bandwidth,
+                to_strip(lam), lam, comps, residual, n_win, depth, density.bandwidth
             )
         bigger, ok = _hill_refine(density, mode.lam_raw, bound + 2, tol)
         converged = bool(ok and abs(bigger - mode.lam_raw) <= CONV_TOL)

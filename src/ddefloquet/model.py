@@ -34,6 +34,7 @@ __all__ = [
     "build_L",
     "recurrence_blocks",
     "truncated_matrix",
+    "hill_matrix",
 ]
 
 EXP_GUARD = 700.0  # |Re(lambda)*theta| beyond this overflows double exp
@@ -196,6 +197,17 @@ class LMatrixTable:
         return self.entries[..., k + K, n + self.n_win, :, :]
 
 
+def _guarded(lam, reach: float):
+    """`lam` as an array, and the guard's mask for delays down to -reach."""
+    lams = np.asarray(lam, dtype=complex)
+    if lams.ndim > 1:
+        raise ValueError("lambda must be a scalar or a 1-D array")
+    worst = np.abs(lams.real) * reach
+    if lams.ndim == 0 and worst > EXP_GUARD:
+        raise ExponentOverflow(f"Re(lambda)*theta = {float(worst):.1f} overflows exp")
+    return lams, worst > EXP_GUARD
+
+
 def build_L(density: FourierMatrixDensity, lam, n_win: int) -> LMatrixTable:
     """Assemble L_{k,n} = sum_j C_{k,j} exp((lambda + i n) theta_j).
 
@@ -206,16 +218,8 @@ def build_L(density: FourierMatrixDensity, lam, n_win: int) -> LMatrixTable:
     """
     if n_win < 0:
         raise ValueError("n_win must be nonnegative")
-    lams = np.asarray(lam, dtype=complex)
-    if lams.ndim > 1:
-        raise ValueError("lambda must be a scalar or a 1-D array")
-    worst = np.abs(lams.real) * float(np.max(np.abs(density.delays)))
-    over = worst > EXP_GUARD
+    lams, over = _guarded(lam, -density.delays[0])
     if lams.ndim == 0:
-        if over:
-            raise ExponentOverflow(
-                f"Re(lambda)*theta = {float(worst):.1f} overflows exp"
-            )
         lam = complex(lam)
     n_idx = np.arange(-n_win, n_win + 1)
     # phases[l, j, i] = exp((lam_l + i*n) * theta_j)
@@ -270,6 +274,38 @@ def truncated_matrix(table: LMatrixTable, bound: int) -> np.ndarray:
     pole.  For an array table the result is a stack of matrices.
     """
     return recurrence_blocks(table, [-bound], [-bound], 2 * bound + 1)[..., 0, :, :]
+
+
+def hill_matrix(density: FourierMatrixDensity, bound: int):
+    """lambda -> T(lambda) on |n| <= bound, from the exponential pencil
+    T(lambda) = sum_j exp(lambda theta_j) H_j + D - lambda I, whose H_j
+    (block (p, q): C_{p-q,j} exp(i q theta_j)) and D = -diag(i p) (x) I_d
+    are built once here.  A call takes lambda like `build_L` and is one
+    (lambda x slot) @ (slot x entry) product plus the diagonal, giving
+    `truncated_matrix` of the L table up to rounding, NaN where the
+    exponent guard rejects lambda."""
+    n = np.arange(-bound, bound + 1)
+    k = n[:, None] - n[None, :]
+    band = np.abs(k) <= density.bandwidth
+    # pencil[j, p, q] = C_{p-q,j} exp(i q theta_j), zero off the band
+    pencil = density.coeffs[:, np.where(band, k, 0) + density.bandwidth] * np.exp(
+        1j * density.delays[:, None] * n
+    )[:, None, :, None, None]
+    pencil[:, ~band] = 0.0
+    size = n.size * density.dim
+    pencil = pencil.transpose(0, 1, 3, 2, 4).reshape(-1, size * size)
+    shift, reach = np.repeat(1j * n, density.dim), -density.delays[0]
+
+    def at(lam):
+        lams, over = _guarded(lam, reach)
+        safe = np.where(over, 0.0, lams).reshape(-1)
+        T = np.exp(safe[:, None] * density.delays) @ pencil
+        T[:, :: size + 1] -= safe[:, None] + shift  # the diagonal
+        T[over.reshape(-1)] = np.nan
+        T = T.reshape(-1, size, size)
+        return T[0] if lams.ndim == 0 else T
+
+    return at
 
 
 def _component_powers(state: FourierSeries, max_powers):

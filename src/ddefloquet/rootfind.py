@@ -21,7 +21,7 @@ from .errors import (
     NewtonStallWarning,
     NoRootsInBoxWarning,
 )
-from .model import build_L, truncated_matrix
+from .model import hill_matrix
 
 __all__ = ["SearchBox", "find_roots", "spectrum_key", "strip_shift", "to_strip"]
 
@@ -225,26 +225,24 @@ def contour_classes(density, box, bound: int) -> list:
     """One eigenvalue of the Hill matrix T(lambda) per exponent class of
     `density` whose strip value lies in `box`, with its null vector.
 
-    T(lambda) is the truncated recurrence matrix on |n| <= `bound`
-    (`model.truncated_matrix`).  Every class has one eigenvalue in each
-    period strip, and `_contour_solve` finds those in Re [box.re_min,
-    box.re_max] of the strip with edges Im = STRIP_EDGE and STRIP_EDGE + 1,
-    where a real kernel's real multipliers, at Im 0 and 1/2, lie inside
-    rather than on an edge.  Each eigenvalue is returned as the translate
-    lam + i*n* at which its null vector peaks at n = 0: T(lam + i m) is
-    T(lam) with its indices shifted by m, so the null vector is reindexed
-    to that translate, cut to the window, and scaled so that its largest
-    central entry is 1.  Returns (lam, components) pairs, components[n +
-    bound] the block of index n, sorted by `spectrum_key` of the strip
-    value.
+    T(lambda) is the truncated recurrence matrix on |n| <= `bound`, the
+    exponential pencil of `model.hill_matrix`, built once per call, so a
+    contour node costs one matrix product, not an L table.  Every class
+    has one eigenvalue in each period strip, and `_contour_solve` finds
+    those in Re [box.re_min, box.re_max] of the strip with edges Im =
+    STRIP_EDGE and STRIP_EDGE + 1, where a real kernel's real multipliers,
+    at Im 0 and 1/2, lie inside rather than on an edge.  Each eigenvalue is
+    returned as the translate lam + i*n* at which its null vector peaks at
+    n = 0: T(lam + i m) is T(lam) with its indices shifted by m, so the
+    null vector is reindexed to that translate, cut to the window, and
+    scaled so that its largest central entry is 1.  Returns (lam,
+    components) pairs, components[n + bound] the block of index n, sorted
+    by `spectrum_key` of the strip value.
     """
     sb = box if isinstance(box, SearchBox) else SearchBox(*box)
     size = (2 * bound + 1) * density.dim
     chunk = max(1, CHUNK_BYTES // (16 * size * size))
-
-    def hill(lams):
-        return truncated_matrix(build_L(density, lams, bound), bound)
-
+    hill = hill_matrix(density, bound)
     found = []
     for lam, null in _contour_solve(hill, sb.re_min, sb.re_max, size, chunk, MAX_SPLITS):
         if not sb.contains(to_strip(lam), slack=1e-6):

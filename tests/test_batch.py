@@ -112,6 +112,21 @@ def test_characteristic_roots_do_not_depend_on_the_chunk(monkeypatch):
         assert abs(a - b) <= 1e-12 * abs(b)
 
 
+def test_contour_raises_where_its_box_reaches_the_exponent_guard(s3):
+    with pytest.raises(ExponentOverflow):
+        rootfind.contour_classes(s3, (-800.0, 1.0, -0.5, 0.5), 4)
+
+
+def test_contour_classes_do_not_depend_on_the_chunk(s3, monkeypatch):
+    batched = rootfind.contour_classes(s3, (-3.0, 1.0, -0.5, 0.5), 20)
+    # one contour node per call of the Hill matrix
+    monkeypatch.setattr(rootfind, "CHUNK_BYTES", 1)
+    single = rootfind.contour_classes(s3, (-3.0, 1.0, -0.5, 0.5), 20)
+    assert len(batched) == len(single) >= 2
+    for (a, _), (b, _) in zip(batched, single):
+        assert abs(a - b) <= 1e-12
+
+
 def test_build_L_marks_only_the_overflowing_lambda(s3):
     lams = np.array([0.1 + 0.2j, OVERFLOW, -1.0 - 0.5j])
     table = df.build_L(s3, lams, 4)

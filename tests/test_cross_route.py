@@ -66,8 +66,10 @@ def test_routes_agree_class_for_class(d, K):
     ]
     assert mono
     modes = find_exponents(density, box=BOX)
-    # every mode passes the truncation check, whichever route produced it
+    # every mode passes the truncation check, whichever route produced it,
+    # and solves the recurrence
     assert all(m.converged for m in modes)
+    assert all(m.residual < 1e-8 for m in modes)
     # and every adjoint solves the left recurrence
     for m in modes:
         assert adjoint_modes(density, m.lam_raw, m.n_win, m.depth).residual < 1e-8

@@ -9,10 +9,10 @@ import pytest
 import ddefloquet as df
 from ddefloquet import floquet, rootfind
 from ddefloquet.floquet import _hill_refine, find_exponents, recurrence_residual
-from ddefloquet.model import build_L, recurrence_blocks, truncated_matrix
+from ddefloquet.model import build_L, hill_matrix, recurrence_blocks, truncated_matrix
 from ddefloquet.risken import find_exponents_risken
 from ddefloquet.rootfind import _damped_newton, contour_classes
-from ddefloquet.systems import parametric_density
+from ddefloquet.systems import parametric_density, s3_density
 from ddefloquet.verify import cosine_similarity
 from test_cross_route import BOX, KERNELS
 
@@ -45,6 +45,33 @@ def test_truncated_matrix_blocks_are_the_recurrence():
                     want = want - (lams[i] + 1j * p) * np.eye(d)
                 r, c = (p + bound) * d, (q + bound) * d
                 assert np.array_equal(T[i, r : r + d, c : c + d], want)
+
+
+@pytest.mark.parametrize("kernel", ["band3", "s3", "one-slot"])
+def test_hill_matrix_is_the_gathered_matrix(kernel):
+    # the exponential pencil gives the matrix gathered from the L table, up
+    # to rounding, and NaN where the exponent guard rejects lambda; a kernel
+    # with its only point mass at theta = 0 has no guard to reach
+    coeffs = np.array([[[[-0.5]], [[0.2 - 0.1j]], [[-0.3]]]])
+    dens = {
+        "band3": _matrix_band3_density(),
+        "s3": s3_density(),
+        "one-slot": df.FourierMatrixDensity(1.0, np.array([0.0]), coeffs),
+    }[kernel]
+    lams = np.array([0.2 + 0.1j, OVERFLOW, -1.0 - 0.7j, 2.5j])
+    bound = 5
+    want = truncated_matrix(build_L(dens, lams, bound), bound)
+    got = hill_matrix(dens, bound)(lams)
+    assert got.shape == want.shape
+    rejected = np.isnan(want).any(axis=(1, 2))
+    assert rejected.tolist() == [False, kernel != "one-slot", False, False]
+    assert np.isnan(got[rejected]).all()
+    assert not np.isnan(got[~rejected]).any()
+    for i in np.flatnonzero(~rejected):
+        scale = np.max(np.abs(want[i]))
+        assert np.max(np.abs(got[i] - want[i])) <= 1e-15 * scale
+        one = hill_matrix(dens, bound)(lams[i])
+        assert np.max(np.abs(one - want[i])) <= 1e-15 * scale
 
 
 def test_recurrence_blocks_are_slices_of_the_full_matrix():

@@ -12,7 +12,17 @@ import sys
 import numpy as np
 
 import ddefloquet as df
-from ddefloquet import adjoint, cli, errors, floquet, linalg, oracles, risken, rootfind
+from ddefloquet import (
+    adjoint,
+    cli,
+    errors,
+    floquet,
+    linalg,
+    model,
+    oracles,
+    risken,
+    rootfind,
+)
 from ddefloquet.systems import constant_density
 from test_cross_route import BOX as CROSS_BOX
 from test_cross_route import KERNELS as CROSS_KERNELS
@@ -329,3 +339,22 @@ def test_one_adjoint_route_and_one_hand_written_elimination(s3, s3_modes, monkey
     mode = s3_modes[0]
     adjoint.adjoint_modes(s3, mode.lam_raw, mode.n_win, mode.depth)
     floquet.extract_mode(s3, mode.lam_raw, mode.n_win, mode.depth)
+
+
+def test_the_contour_builds_the_hill_matrix_once_without_an_l_table(s3, monkeypatch):
+    # the contour evaluates the exponential pencil of model.hill_matrix at
+    # its nodes: no L table per node, and no pencil per node either
+    calls = []
+    for module in (model, rootfind, floquet, adjoint, risken):
+        for name in ("build_L", "hill_matrix"):
+            if hasattr(module, name):
+                original = getattr(module, name)
+
+                def counted(*args, name=name, original=original):
+                    calls.append(name)
+                    return original(*args)
+
+                monkeypatch.setattr(module, name, counted)
+    found = rootfind.contour_classes(s3, (-3.0, 1.0, -0.5, 0.5), 20)
+    assert len(found) >= 2
+    assert calls == ["hill_matrix"]
