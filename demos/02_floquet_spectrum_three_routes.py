@@ -11,7 +11,6 @@ solve on the Hill matrix starts its Newton run.
 """
 
 import time
-import warnings
 
 import numpy as np
 
@@ -20,7 +19,6 @@ from ddefloquet.risken import find_exponents_risken
 from ddefloquet.systems import s3_density
 
 density = s3_density()
-warnings.simplefilter("ignore")
 
 t0 = time.time()
 cf = find_exponents(density, n_win=10, depth=10, tol=1e-12)
@@ -32,8 +30,9 @@ for m in cf:
 t0 = time.time()
 rk = find_exponents_risken(density, depth=12, tol=1e-12)
 print(f"paired tridiagonal route       ({time.time() - t0:.1f}s)")
-for lam, raw in rk:
-    print(f"  lambda = {lam:.12f}")
+for m in rk:
+    print(f"  lambda = {m.lam:.12f}   |multiplier| = {abs(m.multiplier):.6e}  "
+          f"residual = {m.residual:.1e}")
 
 t0 = time.time()
 mono = monodromy_exponents(density, re_min=-3.0)
@@ -44,7 +43,7 @@ for lam, rho in mono:
 print()
 print("pairwise distances (strip representatives)")
 for m in cf:
-    d_rk = min(abs(m.lam - lam) for lam, _ in rk)
+    d_rk = min(abs(m.lam - other.lam) for other in rk)
     d_mo = min(abs(m.lam - lam) for lam, _ in mono)
     print(f"  {m.lam:.8f}: vs tridiagonal {d_rk:.1e}, vs monodromy {d_mo:.1e}")
 

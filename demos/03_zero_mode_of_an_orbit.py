@@ -11,14 +11,10 @@ CLASS_TOL of its class, so both modes are the Hill eigenvalues with their
 null vectors.
 """
 
-import warnings
-
 import numpy as np
 
 from ddefloquet import find_exponents, monodromy_exponents
 from ddefloquet.verify import cosine_similarity, s2_linearization
-
-warnings.simplefilter("ignore")
 
 density, exp, state, omega = s2_linearization(mu=0.1, order=2)
 print(f"orbit frequency omega = {omega:.10f}")

@@ -8,14 +8,11 @@ pairs must be the identity and each pairing must not depend on the phase
 at which it is evaluated.
 """
 
-import warnings
-
 import numpy as np
 
 from ddefloquet import BilinearContext, adjoint_modes, find_exponents, normalize
 from ddefloquet.systems import s3_density
 
-warnings.simplefilter("ignore")
 density = s3_density()
 ctx = BilinearContext(density)
 

@@ -197,8 +197,7 @@ def _run_methods(cfg, density):
     if want in ("cf", "all"):
         out["cf"] = find_exponents(density, box=box, n_win=n_win, depth=depth, tol=tol)
     if want in ("risken", "all"):
-        pairs = find_exponents_risken(density, box=box, depth=depth, tol=tol)
-        out["risken"] = [(lam, complex(np.exp(2.0 * np.pi * lam))) for lam, _ in pairs]
+        out["risken"] = find_exponents_risken(density, box=box, depth=depth, tol=tol)
     if want in ("monodromy", "all"):
         out["monodromy"] = monodromy_exponents(
             density, int(cfg["monodromy_grid"]), re_min=float(cfg["box"][0])

@@ -40,9 +40,11 @@ an eigenvalue of the Hill matrix T(lambda) of the same window
 runs one Newton iteration on det M per class.  Where an exponent sits
 close to a truncation resonance, det M pinches its zero against a pole,
 and the run stops at its first step outside CLASS_TOL of its class; the
-Hill eigenvalue and T's null vector there are then the answer.  Every root, from either route, is checked against
-truncation once, by a Newton run on the entire Hill determinant of the
-window enlarged by two.
+Hill eigenvalue and T's null vector there are then the answer.  Every
+root, from either route, is checked against truncation once, by a Newton
+run on the entire Hill determinant of the window enlarged by two.  The
+paired tridiagonal route (`risken`) runs this same class loop
+(`_search`) on the determinant of its own closure.
 
 det M is what Newton refines; the modes are read off T(lambda) itself.
 With converged ladders M(lambda) is the Schur complement of T(lambda)
@@ -101,10 +103,10 @@ DIVERGENCE_GUARD = 1e12
 
 # Hill refinement: iteration budget
 HILL_MAX_ITER = 60
-# find_exponents: the Newton budget from a Hill eigenvalue (a few steps
-# wherever det M has its zero there; a pinched run stops at its first step
-# outside CLASS_TOL of its class), and the largest move of a root at the
-# enlarged truncation that still counts as converged
+# both searches: the Newton budget from a Hill eigenvalue (a few steps
+# wherever the closure determinant has its zero there; a pinched run stops
+# at its first step outside CLASS_TOL of its class), and the largest move
+# of a root at the enlarged truncation that still counts as converged
 SEEDED_ITER = 8
 CONV_TOL = 1e-8
 
@@ -534,20 +536,14 @@ def find_exponents(
 ):
     """One Floquet mode per exponent class whose strip value lies in `box`.
 
-    `rootfind.contour_classes` locates the classes once, as eigenvalues of
-    the Hill matrix T(lambda) on |n| <= n_win + depth, each at the
-    translate where its null vector peaks at n = 0, so that det M(lambda)
-    has its zero there.  One Newton run on det M per class starts from that
-    translate, and a converged run's mode is T's right null vector at its
-    root (`extract_mode`).  Where the run pinches its zero against a
-    truncation resonance pole (it stops, unconverged, at its first step
-    more than CLASS_TOL from its class modulo i), the mode is the Hill
-    eigenvalue with T's right null vector there.  Whichever route produced
-    it, the root is checked the same way: a Newton run on the entire Hill
-    determinant at the enlarged truncation |n| <= n_win + depth + 2
-    (`_hill_refine`) starts from it, and the `converged` flag
-    records whether that run converged within CONV_TOL of the root.
-    `grid` is unused: the search has no grid.
+    The search is `_search`, the class loop it shares with
+    `risken.find_exponents_risken`, with Newton on det M(lambda).  Each
+    class starts at the translate of its Hill eigenvalue where the null
+    vector peaks at n = 0, so that det M has its zero there.  Where the run
+    pinches its zero against a truncation resonance pole (it stops,
+    unconverged, at its first step more than CLASS_TOL from its class
+    modulo i), the mode is the Hill eigenvalue with T's right null vector
+    there.  `grid` is unused: the search has no grid.
 
     Returns FloquetMode objects sorted by `rootfind.spectrum_key` of the
     strip representative.  An empty list (plus a NoRootsInBoxWarning)
@@ -557,10 +553,34 @@ def find_exponents(
     def det_at(lams):
         return closure_determinant(density, lams, n_win, depth)
 
+    return _search(density, box, n_win, depth, tol, det_at)
+
+
+def _search(
+    density: FourierMatrixDensity,
+    box,
+    n_win: int,
+    depth: int,
+    tol: float,
+    det_at,
+):
+    """The class loop of both continued fraction searches.
+
+    `rootfind.contour_classes` locates the classes once, as eigenvalues of
+    the Hill matrix T(lambda) on |n| <= n_win + depth, and one Newton run
+    on `det_at`, the vectorized determinant of the route's closure, starts
+    from each.  A converged run's mode is T's right null vector at its
+    root (`extract_mode`); where the run does not converge, the mode is
+    the contour value with T's right null vector there.  Whichever route
+    produced it, the root is checked the same way: a Newton run on the
+    entire Hill determinant at the enlarged truncation |n| <= n_win +
+    depth + 2 (`_hill_refine`) starts from it, and `converged` records
+    whether that run converged within CONV_TOL of the root.  Returns the
+    modes sorted by `rootfind.spectrum_key` of the strip value.
+    """
     bound = n_win + depth
-    classes = contour_classes(density, box, bound)
     modes = []
-    for lam, _ in classes:
+    for lam in contour_classes(density, box, bound):
         root, ok = _newton(det_at, lam, tol, SEEDED_ITER, radius=CLASS_TOL)
         if ok:
             mode = extract_mode(density, root, n_win, depth)

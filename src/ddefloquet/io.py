@@ -244,7 +244,9 @@ def spectrum_records(entries, method: str, include_components: bool = False):
     """Uniform spectrum record list for one method.
 
     Each entry is either a FloquetMode-like object (has lam, multiplier,
-    residual, converged, n_win, depth) or a (lam, rho) tuple.
+    residual, converged, n_win, depth), as both continued fraction routes
+    return, or a (lam, rho) tuple of the monodromy oracle, which has no
+    residual, truncation or convergence check to record.
     """
     records = []
     for e in entries:

@@ -16,12 +16,15 @@ so every Q block is an index slice of the banded recurrence matrix
     T_{p,q} = L_{p-q,q} - delta_{pq} (lambda + i p) I.
 
 This module deliberately computes nothing of its own beyond block
-bookkeeping: every Q block is gathered by `model.recurrence_blocks`, the
-one assembler of T that the Hill determinant and the mode residuals use
-too, so any disagreement with the n-diagonal route isolates the continued
-fraction iteration itself.  Like that route it evaluates one lambda or a
-1-D array of lambda values with the same code; a breakdown of one value
-marks only that value.
+bookkeeping: every Q block is gathered from the L table by
+`model.recurrence_blocks`, which the n-diagonal ladder passes read their
+coefficients with too, so any disagreement with the n-diagonal route
+isolates the continued fraction iteration itself.  Like that route it
+evaluates one lambda or a 1-D array of lambda values with the same code;
+a breakdown of one value marks only that value.  Its search is that
+route's class loop (`floquet._search`) on the determinant of this
+closure: the same contour classes, Newton budget, modes read off the
+null vectors of T(lambda) and truncation check.
 
 The up and down sweeps of `tridiagonal_closure` are independent, so they
 run as one batch: their blocks are gathered once as component planes, the
@@ -35,12 +38,12 @@ the down sweep.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CfBreakdown, NewtonStallWarning
+from .errors import CfBreakdown
+from .floquet import _search
 from .linalg import determinant, plane_solve
 from .model import (
     FourierMatrixDensity,
@@ -48,14 +51,7 @@ from .model import (
     build_L,
     recurrence_blocks,
 )
-from .rootfind import (
-    CLASS_TOL,
-    DEFAULT_BOX,
-    _newton,
-    contour_classes,
-    spectrum_key,
-    to_strip,
-)
+from .rootfind import DEFAULT_BOX
 
 __all__ = [
     "TridiagonalBlocks",
@@ -227,36 +223,21 @@ def find_exponents_risken(
     depth: int = 10,
     tol: float = 1e-10,
 ):
-    """Strip representatives of the closure determinant roots in `box`.
+    """One Floquet mode per exponent class whose strip value lies in `box`,
+    refined on the determinant of the tridiagonal closure.
 
-    `rootfind.contour_classes` locates each exponent class once, on the
-    Hill matrix T(lambda) of the L table window the blocks are cut from,
-    at the translate where its null vector peaks at p = 0, inside block
-    zero: there the closure determinant has its zero.  One Newton run per
-    class starts from that translate.  A run that does not converge (a
-    failed step, its first step more than CLASS_TOL from its class modulo
-    i, or its budget spent) drops the class with a NewtonStallWarning that
-    names the strip values of the dropped classes.  Returns (strip root,
-    raw root) pairs sorted by `rootfind.spectrum_key` of the strip root.
+    The search is `floquet._search`, the class loop of
+    `floquet.find_exponents`, on the Hill matrix T(lambda) of the L table
+    window W the blocks are cut from: each class starts at the translate
+    where its null vector peaks at p = 0, inside block zero, where the
+    closure determinant has its zero.  The modes are cut to |n| <= depth
+    of T on |n| <= W (n_win = depth, mode depth W - depth), and every root
+    gets the same truncation check at W + 2.  Returns FloquetMode objects
+    sorted by `rootfind.spectrum_key` of the strip representative.
     """
-    classes = contour_classes(density, box, _window(density, depth))
 
     def det_at(lams):
         return closure_determinant_risken(density, lams, depth)
 
-    out = []
-    dropped = []
-    for lam, _ in classes:
-        root, ok = _newton(det_at, lam, tol, radius=CLASS_TOL)
-        if ok:
-            out.append((to_strip(root), root))
-        else:
-            dropped.append(to_strip(lam))
-    if dropped:
-        names = ", ".join(f"{z:.6g}" for z in dropped)
-        warnings.warn(
-            f"{len(dropped)} Newton run(s) failed, classes dropped: {names}",
-            NewtonStallWarning,
-        )
-    out.sort(key=lambda t: spectrum_key(t[0]))
-    return out
+    window = _window(density, depth)
+    return _search(density, box, depth, window - depth, tol, det_at)

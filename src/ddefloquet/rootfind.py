@@ -223,7 +223,7 @@ def find_roots(
 
 def contour_classes(density, box, bound: int) -> list:
     """One eigenvalue of the Hill matrix T(lambda) per exponent class of
-    `density` whose strip value lies in `box`, with its null vector.
+    `density` whose strip value lies in `box`.
 
     T(lambda) is the truncated recurrence matrix on |n| <= `bound`, the
     exponential pencil of `model.hill_matrix`, built once per call, so a
@@ -233,11 +233,8 @@ def contour_classes(density, box, bound: int) -> list:
     STRIP_EDGE and STRIP_EDGE + 1, where a real kernel's real multipliers,
     at Im 0 and 1/2, lie inside rather than on an edge.  Each eigenvalue is
     returned as the translate lam + i*n* at which its null vector peaks at
-    n = 0: T(lam + i m) is T(lam) with its indices shifted by m, so the
-    null vector is reindexed to that translate, cut to the window, and
-    scaled so that its largest central entry is 1.  Returns (lam,
-    components) pairs, components[n + bound] the block of index n, sorted
-    by `spectrum_key` of the strip value.
+    n = 0 (T(lam + i m) is T(lam) with its indices shifted by m), sorted by
+    `spectrum_key` of the strip value.
     """
     sb = box if isinstance(box, SearchBox) else SearchBox(*box)
     size = (2 * bound + 1) * density.dim
@@ -247,20 +244,14 @@ def contour_classes(density, box, bound: int) -> list:
     for lam, null in _contour_solve(hill, sb.re_min, sb.re_max, size, chunk, MAX_SPLITS):
         if not sb.contains(to_strip(lam), slack=1e-6):
             continue
-        blocks = null.reshape(2 * bound + 1, density.dim)
         # a real mode of a real kernel has |phi_n| = |phi_-n|; norms equal
         # to 8 digits tie, and the tie goes to the lowest n, not to rounding
-        norms = np.linalg.norm(blocks, axis=1)
+        norms = np.linalg.norm(null.reshape(2 * bound + 1, density.dim), axis=1)
         peak = int(np.argmax(np.round(norms / norms.max(), 8))) - bound
-        source = np.arange(-bound, bound + 1) + peak
-        held = np.abs(source) <= bound
-        comps = np.zeros_like(blocks)
-        comps[held] = blocks[source[held] + bound]
-        center = comps[bound]
-        found.append((lam + 1j * peak, comps / center[np.argmax(np.abs(center))]))
+        found.append(lam + 1j * peak)
     if not found:
         warnings.warn("no roots found in the search box", NoRootsInBoxWarning)
-    found.sort(key=lambda t: spectrum_key(to_strip(t[0])))
+    found.sort(key=lambda lam: spectrum_key(to_strip(lam)))
     return found
 
 

@@ -80,7 +80,7 @@ def test_c03_cross_method_agreement(s3_all_methods):
     cf, rk, mono, elapsed = s3_all_methods
     sets = {
         "cf": [m.lam for m in cf if m.lam.real > -2.0],
-        "risken": [lam for lam, _ in rk if lam.real > -2.0],
+        "risken": [m.lam for m in rk if m.lam.real > -2.0],
         "monodromy": [lam for lam, _ in mono if lam.real > -2.0],
     }
     assert all(sets.values())
@@ -101,7 +101,7 @@ def test_c04_route_equivalence(s3_all_methods):
     cf, rk, _, _ = s3_all_methods
     worst = 0.0
     for mode in cf:
-        worst = max(worst, min(abs(mode.lam - lam) for lam, _ in rk))
+        worst = max(worst, min(abs(mode.lam - other.lam) for other in rk))
     _report("4 route-equivalence", worst < 1e-10, f"max |delta| = {worst:.2e} (< 1e-10)")
 
 

@@ -123,7 +123,7 @@ def test_contour_classes_do_not_depend_on_the_chunk(s3, monkeypatch):
     monkeypatch.setattr(rootfind, "CHUNK_BYTES", 1)
     single = rootfind.contour_classes(s3, (-3.0, 1.0, -0.5, 0.5), 20)
     assert len(batched) == len(single) >= 2
-    for (a, _), (b, _) in zip(batched, single):
+    for a, b in zip(batched, single):
         assert abs(a - b) <= 1e-12
 
 

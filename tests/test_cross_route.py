@@ -66,18 +66,19 @@ def test_routes_agree_class_for_class(d, K):
     ]
     assert mono
     modes = find_exponents(density, box=BOX)
-    # every mode passes the truncation check, whichever route produced it,
-    # and solves the recurrence
-    assert all(m.converged for m in modes)
-    assert all(m.residual < 1e-8 for m in modes)
+    risken = find_exponents_risken(density, box=BOX)
+    # every mode of either route passes the truncation check, whichever
+    # Newton run or contour value produced it, and solves the recurrence
+    for m in modes + risken:
+        assert m.converged and m.residual < 1e-8
     # and every adjoint solves the left recurrence
     for m in modes:
         assert adjoint_modes(density, m.lam_raw, m.n_win, m.depth).residual < 1e-8
     routes = {
         # the Hill window of find_exponents at its defaults, |n| <= 20
-        "contour": [lam for lam, _ in contour_classes(density, BOX, 20)],
+        "contour": contour_classes(density, BOX, 20),
         "cf": [m.lam for m in modes],
-        "risken": [lam for lam, _ in find_exponents_risken(density, box=BOX)],
+        "risken": [m.lam for m in risken],
     }
     if K == 0:
         a, b = density.coeffs[1, 0], density.coeffs[0, 0]
@@ -90,3 +91,19 @@ def test_routes_agree_class_for_class(d, K):
             )
     for name, got in routes.items():
         _same_classes(name, got, mono)
+
+
+def test_risken_flags_the_pair_its_window_truncates():
+    # seed 8, d = 2, K = 1: the pair -2.9048 +- 0.2955i peaks at the edge of
+    # the window and its Hill root moves under the enlarged truncation.
+    # The tridiagonal route must not report it as converged: its two roots
+    # are not conjugates of each other on this real kernel
+    modes = find_exponents_risken(_draw_kernels(8)[2, 1], box=BOX)
+    lams = [m.lam for m in modes]
+    for m in modes:
+        if m.converged:
+            assert min(abs(to_strip(np.conj(m.lam)) - z) for z in lams) < 1e-10
+    pair = [m for m in modes if abs(abs(m.lam.imag) - 0.2955) < 1e-3]
+    assert len(pair) == 2
+    assert all(abs(m.lam.real + 2.9048) < 1e-3 for m in pair)
+    assert not any(m.converged for m in pair)

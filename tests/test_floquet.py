@@ -177,7 +177,7 @@ def test_conjugate_pairing(s3_modes):
 def test_conjugate_pairs_list_their_lower_member_first(s3, s3_modes):
     # the members of a pair differ in Re by about an ulp; the spectrum key
     # ties them, so both routes and the monodromy oracle agree on the order
-    risken = [strip for strip, _ in df.find_exponents_risken(s3)]
+    risken = [m.lam for m in df.find_exponents_risken(s3)]
     monodromy = [lam for lam, _ in df.monodromy_exponents(s3, re_min=-3.0)]
     for lams in ([m.lam for m in s3_modes], risken, monodromy):
         assert len(lams) == 4

@@ -74,10 +74,10 @@ def test_stacked_recurrence_satisfied_by_mode(s3, s3_modes):
 
 
 def test_route_equivalence_on_s3(s3, s3_modes):
-    pairs = find_exponents_risken(s3, depth=12, tol=1e-12)
-    assert len(pairs) >= 2
+    rk = find_exponents_risken(s3, depth=12, tol=1e-12)
+    assert len(rk) >= 2
     for mode in s3_modes:
-        assert min(abs(mode.lam - lam) for lam, _ in pairs) < 1e-10
+        assert min(abs(mode.lam - other.lam) for other in rk) < 1e-10
 
 
 def test_depth_convergence(s3):
@@ -122,4 +122,4 @@ def test_wide_band_stacking_matches_cf():
     # the n-diagonal root of this kernel is pinched against a truncation
     # resonance and is localized to the cluster scale only
     for mode in cf:
-        assert min(abs(mode.lam - lam) for lam, _ in rk) < 1e-5
+        assert min(abs(mode.lam - other.lam) for other in rk) < 1e-5

@@ -154,6 +154,27 @@ def test_one_continued_fraction_run_per_class_on_s3(s3, monkeypatch):
     assert bounds == [22] * 4
 
 
+def test_both_searches_run_one_class_loop(s3, monkeypatch):
+    # the two continued fraction searches differ only in the closure whose
+    # determinant Newton refines and in the window; the contour, the Newton
+    # budget, the modes and the truncation check are one loop, and the
+    # tridiagonal route keeps no loop or drop path of its own
+    assert risken._search is floquet._search
+    shared = floquet._search
+    windows = []
+
+    def recorded(density, box, n_win, depth, tol, det_at):
+        windows.append((n_win, depth))
+        return shared(density, box, n_win, depth, tol, det_at)
+
+    for module in (floquet, risken):
+        monkeypatch.setattr(module, "_search", recorded)
+    assert len(floquet.find_exponents(s3)) == len(risken.find_exponents_risken(s3)) == 4
+    assert windows == [(10, 10), (10, risken._window(s3, 10) - 10)]
+    for name in ("_newton", "contour_classes", "NewtonStallWarning"):
+        assert not hasattr(risken, name)
+
+
 def test_one_newton_stopping_rule():
     # a damped Newton run stops on a failed step, on leaving its radius, on
     # a step within tol or at the end of its budget; no stall floor and no
