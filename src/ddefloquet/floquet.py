@@ -44,7 +44,7 @@ Hill eigenvalue and T's null vector there are then the answer.  Every
 root, from either route, is checked against truncation once, by a Newton
 run on the entire Hill determinant of the window enlarged by two.  The
 paired tridiagonal route (`risken`) runs this same class loop
-(`_search`) on the determinant of its own closure.
+(`_search`), at the same window, on the determinant of its own closure.
 
 det M is what Newton refines; the modes are read off T(lambda) itself.
 With converged ladders M(lambda) is the Schur complement of T(lambda)

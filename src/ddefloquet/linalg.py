@@ -1,12 +1,11 @@
 """Small dense linear algebra: one batched elimination, LAPACK for the rest.
 
 `plane_solve` is the one hand-written elimination of the package, the
-batched small-block solve of the hot loops: it takes its blocks as
-component planes, entry (i, j) of every block one array, and returns the
-pivots instead of a mask, so each caller keeps its own singular rule at
-its call site (the n-diagonal ladder passes: a pivot exactly zero; the
-tridiagonal sweeps: a pivot below `risken.PIVOT_REL` times the block's
-largest row norm).
+batched small-block solve of its one caller, the n-diagonal ladder
+passes: it takes its blocks as component planes, entry (i, j) of every
+block one array, and returns the pivots instead of a mask, so the caller
+keeps its singular rule, a pivot exactly zero, at its call site.  The
+tridiagonal sweeps hand their brackets to LAPACK instead.
 
 `determinant` and `solve_linear` hand one matrix, or for `determinant` a
 stack of them, to LAPACK through numpy.  An exactly singular matrix has

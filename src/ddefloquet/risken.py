@@ -15,25 +15,25 @@ so every Q block is an index slice of the banded recurrence matrix
 
     T_{p,q} = L_{p-q,q} - delta_{pq} (lambda + i p) I.
 
-This module deliberately computes nothing of its own beyond block
-bookkeeping: every Q block is gathered from the L table by
-`model.recurrence_blocks`, which the n-diagonal ladder passes read their
-coefficients with too, so any disagreement with the n-diagonal route
-isolates the continued fraction iteration itself.  Like that route it
-evaluates one lambda or a 1-D array of lambda values with the same code;
-a breakdown of one value marks only that value.  Its search is that
-route's class loop (`floquet._search`) on the determinant of this
-closure: the same contour classes, Newton budget, modes read off the
-null vectors of T(lambda) and truncation check.
+This module computes nothing of its own beyond block bookkeeping: T is
+the exponential pencil of `model.hill_matrix`, the one evaluator of
+T(lambda) that the contour, the modes and the Hill check use too, and
+T_{p+m,q+m}(lambda) = T_{p,q}(lambda + i m) makes every block row of T
+block row 0 at a shifted lambda, so the pencil is built once on
+|p| <= 2 w0 and every Q block is read off it.  Like the n-diagonal route
+it evaluates one lambda or a 1-D array of lambda values with the same
+code; a breakdown of one value marks only that value.  Its search is that
+route's class loop (`floquet._search`) on the determinant of this closure
+at the same window: the same contour classes, Newton budget, modes read
+off the null vectors of T(lambda) and truncation check.
 
 The up and down sweeps of `tridiagonal_closure` are independent, so they
-run as one batch: their blocks are gathered once as component planes, the
-lambda values of the up sweep followed by those of the down sweep, and
-each level is one elementwise bracket product and one call of the
-package's batched elimination `linalg.plane_solve`.  A bracket is
-singular where a pivot falls below PIVOT_REL times its largest row norm,
-and a breakdown reports the first singular level of the up sweep, else of
-the down sweep.
+run as one stack, the lambda values of the up sweep followed by those of
+the down sweep, and each level is one stacked bracket product and one
+LAPACK solve (`np.linalg.solve`).  A bracket is singular where its
+determinant falls below PIVOT_REL times Hadamard's bound, and a
+breakdown reports the first singular level of the up sweep, else of the
+down sweep.
 """
 
 from __future__ import annotations
@@ -44,13 +44,8 @@ import numpy as np
 
 from .errors import CfBreakdown
 from .floquet import _search
-from .linalg import determinant, plane_solve
-from .model import (
-    FourierMatrixDensity,
-    LMatrixTable,
-    build_L,
-    recurrence_blocks,
-)
+from .linalg import determinant
+from .model import FourierMatrixDensity, _guarded, hill_matrix
 from .rootfind import DEFAULT_BOX
 
 __all__ = [
@@ -61,17 +56,13 @@ __all__ = [
     "find_exponents_risken",
 ]
 
-# a bracket pivot below PIVOT_REL times the bracket's largest row norm is
-# a breakdown of the sweep, not roundoff
+# a bracket whose |det| is below PIVOT_REL times the product of its row
+# norms (Hadamard's bound) is a breakdown of the sweep, not roundoff
 PIVOT_REL = 1e-13
 
 
 def _stack_width(bandwidth: int) -> int:
     return 1 if bandwidth <= 2 else (bandwidth + 1) // 2
-
-
-def _window(density: FourierMatrixDensity, depth: int) -> int:
-    return 2 * _stack_width(density.bandwidth) * (depth + 1) + density.bandwidth
 
 
 @dataclass(frozen=True)
@@ -81,20 +72,21 @@ class TridiagonalBlocks:
     `diag[i]`, `upper[i]` and `lower[i]` hold Q_{0,n}, Q_{-1,n+1} and
     Q_{1,n} for block index n = i - depth - 1, i.e. the slices T[R_n, R_n],
     T[R_n, R_{n+1}] and T[R_{n+1}, R_n] of the recurrence matrix; for an
-    array of lambda they carry a leading lambda axis.
+    array of lambda they carry a leading lambda axis.  `dim` is the
+    kernel's d, so a block is 2 w0 d square.
     """
 
     lam: complex | np.ndarray
     stack_width: int
     depth: int
-    table: LMatrixTable
+    dim: int
     diag: np.ndarray
     upper: np.ndarray
     lower: np.ndarray
 
     @property
     def block_dim(self) -> int:
-        return 2 * self.stack_width * self.table.dim
+        return 2 * self.stack_width * self.dim
 
     def _at(self, blocks: np.ndarray, n: int) -> np.ndarray:
         i = n + self.depth + 1
@@ -125,16 +117,28 @@ class TridiagonalBlocks:
 def assemble_blocks(
     density: FourierMatrixDensity, lam, depth: int
 ) -> TridiagonalBlocks:
-    """Blocks for |block index| <= depth (one more below), sliced from a
-    shared L table; `lam` is one value or a 1-D array of values."""
+    """Blocks for |block index| <= depth (one more below), read off the
+    exponential pencil of `model.hill_matrix`; `lam` is one value or a 1-D
+    array of values.
+
+    T_{p+m,q+m}(lambda) = T_{p,q}(lambda + i m), so block row n of T is
+    block row 0 at lambda + 2 i w0 n: Q_{0,n} is T[R_0, R_0] there, and
+    Q_{-1,n+1} and Q_{1,n} are T[R_-1, R_0] and T[R_0, R_-1] at the next
+    shift, one evaluation of T on |p| <= 2 w0 per block row.  A lambda the
+    exponent guard rejects raises ExponentOverflow on its own and has NaN
+    blocks in an array.
+    """
     w0 = _stack_width(density.bandwidth)
-    table = build_L(density, lam, _window(density, depth))
-    size = 2 * w0
-    starts = size * np.arange(-depth - 1, depth + 1)
-    diag = recurrence_blocks(table, starts, starts, size)
-    upper = recurrence_blocks(table, starts, starts + size, size)
-    lower = recurrence_blocks(table, starts + size, starts, size)
-    return TridiagonalBlocks(table.lam, w0, depth, table, diag, upper, lower)
+    lams, _ = _guarded(lam, -density.delays[0])
+    shifts = lams[..., None] + 2j * w0 * np.arange(-depth - 1, depth + 2)
+    T = hill_matrix(density, 2 * w0)(shifts.ravel())
+    T = T.reshape(shifts.shape + T.shape[-2:])
+    bd = 2 * w0 * density.dim  # R_-1 is T's first bd indices, R_0 the next
+    diag = T[..., :-1, bd : 2 * bd, bd : 2 * bd]
+    upper = T[..., 1:, :bd, bd : 2 * bd]
+    lower = T[..., 1:, bd : 2 * bd, :bd]
+    lam = complex(lam) if lams.ndim == 0 else lams
+    return TridiagonalBlocks(lam, w0, depth, density.dim, diag, upper, lower)
 
 
 def tridiagonal_closure(blocks: TridiagonalBlocks, depth: int | None = None):
@@ -142,16 +146,16 @@ def tridiagonal_closure(blocks: TridiagonalBlocks, depth: int | None = None):
 
     Both ladder recursions start from R = 0 at the boundary block and are
     exact single sweeps, inward from level +depth and from level -depth.
-    The two sweeps are independent, so they run as one batch: the far,
-    near and right-hand blocks of every level of both sweeps are gathered
-    once as component planes over the lambda values of the up sweep
-    followed by those of the down sweep, and each of the `depth` steps is
-    one bracket far @ R + near, formed entry by entry, and one
-    `plane_solve` for the whole batch.  A bracket is singular where a
-    pivot falls below PIVOT_REL times its largest row norm.  For one
-    lambda a breakdown raises CfBreakdown with the level of the first
-    singular bracket of the up sweep, or else of the down sweep, attached;
-    for an array it leaves NaN in the closure of that lambda.
+    The two sweeps are independent, so they run as one stack: the lambda
+    values of the up sweep followed by those of the down sweep, and each
+    of the `depth` steps is one bracket far @ R + near and one
+    `np.linalg.solve` for the whole stack.  A bracket B is singular where
+    |det B| <= PIVOT_REL prod_i |row_i(B)|_2, a fraction of Hadamard's
+    bound; it is solved against I instead, since LAPACK would raise for
+    the whole stack on an exactly singular one.  For one lambda a
+    breakdown raises CfBreakdown with the level of the first singular
+    bracket of the up sweep, or else of the down sweep, attached; for an
+    array it leaves NaN in the closure of that lambda.
     """
     if depth is None:
         depth = blocks.depth
@@ -163,7 +167,6 @@ def tridiagonal_closure(blocks: TridiagonalBlocks, depth: int | None = None):
     )
     off = blocks.depth + 1
     count = diag.shape[0]
-    bd = blocks.block_dim
     # step s solves level L = depth - s of the up sweep, bracket
     # Q_{-1,L+1} R^+ + Q_{0,L} with right side Q_{1,L-1}, and level
     # L = s - depth of the down sweep, bracket Q_{1,L-1} R^- + Q_{0,L} with
@@ -171,32 +174,29 @@ def tridiagonal_closure(blocks: TridiagonalBlocks, depth: int | None = None):
     up = np.arange(depth, 0, -1) + off
     down = np.arange(-depth, 0) + off
 
-    def planes(up_blocks, down_blocks):
-        # (depth, bd, bd, 2 * count): the lambda axis of both sweeps last
-        both = np.concatenate([up_blocks, down_blocks])
-        return np.ascontiguousarray(both.transpose(1, 2, 3, 0))
+    def levels(up_blocks, down_blocks):
+        # (depth, 2 * count, bd, bd): the lambda values of both sweeps
+        return np.concatenate([up_blocks, down_blocks]).swapaxes(0, 1)
 
-    far = planes(upper[:, up], lower[:, down - 1])
-    near = planes(diag[:, up], diag[:, down])
-    rhs = -planes(lower[:, up - 1], upper[:, down])
+    far = levels(upper[:, up], lower[:, down - 1])
+    near = levels(diag[:, up], diag[:, down])
+    rhs = -levels(lower[:, up - 1], upper[:, down])
     sweep_sign = np.repeat([1, -1], count)
     level = np.zeros(2 * count, dtype=int)
     broken = np.zeros(2 * count, dtype=bool)
-    r = np.zeros((bd, bd, 2 * count), dtype=complex)
+    eye = np.eye(blocks.block_dim)
+    r = np.zeros_like(near[0])
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         for s in range(depth):
-            bracket = far[s, :, :1] * r[0]
-            for k in range(1, bd):
-                bracket += far[s, :, k : k + 1] * r[k]
-            bracket += near[s]
-            r, pivots = plane_solve(bracket, rhs[s])
-            row_norm = np.abs(bracket).sum(axis=1).max(axis=0)
-            tiny = PIVOT_REL * np.maximum(row_norm, 1e-300)
-            fresh = (np.abs(pivots) < tiny).any(axis=0) & ~broken
+            bracket = far[s] @ r + near[s]
+            hadamard = np.log(np.linalg.norm(bracket, axis=-1)).sum(axis=-1)
+            singular = np.linalg.slogdet(bracket)[1] <= np.log(PIVOT_REL) + hadamard
+            bracket[singular] = eye
+            r = np.linalg.solve(bracket, rhs[s])
+            fresh = singular & ~broken
             level[fresh] = sweep_sign[fresh] * (depth - s)
             broken |= fresh
-        r_up = r[..., :count].transpose(2, 0, 1)
-        r_down = r[..., count:].transpose(2, 0, 1)
+        r_up, r_down = r[:count], r[count:]
         closure = upper[:, off] @ r_up + diag[:, off] + lower[:, off - 1] @ r_down
     up_broken, down_broken = broken[:count], broken[count:]
     level = np.where(up_broken, level[:count], level[count:])
@@ -227,17 +227,16 @@ def find_exponents_risken(
     refined on the determinant of the tridiagonal closure.
 
     The search is `floquet._search`, the class loop of
-    `floquet.find_exponents`, on the Hill matrix T(lambda) of the L table
-    window W the blocks are cut from: each class starts at the translate
-    where its null vector peaks at p = 0, inside block zero, where the
-    closure determinant has its zero.  The modes are cut to |n| <= depth
-    of T on |n| <= W (n_win = depth, mode depth W - depth), and every root
-    gets the same truncation check at W + 2.  Returns FloquetMode objects
-    sorted by `rootfind.spectrum_key` of the strip representative.
+    `floquet.find_exponents`, at that route's window with n_win = depth:
+    the contour runs on the Hill matrix T(lambda) on |n| <= 2 depth, each
+    class starts at the translate where its null vector peaks at p = 0,
+    inside block zero, where the closure determinant has its zero, the
+    modes are cut to |n| <= depth of that T, and every root gets the same
+    truncation check at 2 depth + 2.  Returns FloquetMode objects sorted
+    by `rootfind.spectrum_key` of the strip representative.
     """
 
     def det_at(lams):
         return closure_determinant_risken(density, lams, depth)
 
-    window = _window(density, depth)
-    return _search(density, box, depth, window - depth, tol, det_at)
+    return _search(density, box, depth, depth, tol, det_at)

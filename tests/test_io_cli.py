@@ -10,7 +10,6 @@ from ddefloquet import ConfigError
 from ddefloquet.cli import main
 from ddefloquet.errors import NoRootsInBoxWarning
 from ddefloquet.io import dumps_json, format_float, load_system, spectrum_records
-from ddefloquet.risken import _window
 
 
 def test_format_float_17_digits():
@@ -191,20 +190,18 @@ def s3_all_methods(tmp_path_factory):
     return code, out, printed.getvalue()
 
 
-def test_cli_spectrum_all_methods(s3_all_methods, s3):
+def test_cli_spectrum_all_methods(s3_all_methods):
     code, out, _ = s3_all_methods
     assert code == 0
     for name in ("spectrum_cf.json", "spectrum_risken.json", "spectrum_monodromy.json"):
         recs = json.loads((out / name).read_text())
         assert len(recs) >= 2
     # the tridiagonal route reports modes, with a residual, the truncation
-    # check and the window its modes are cut to: |n| <= depth of the Hill
-    # matrix T on the L table window the blocks are cut from
-    window = _window(s3, 10)
+    # check and the window its modes are cut to, the job's n_win = depth
     for rec in json.loads((out / "spectrum_risken.json").read_text()):
         assert rec["converged"] is True
         assert rec["residual"] < 1e-8
-        assert (rec["n_win"], rec["depth"]) == (10, window - 10)
+        assert (rec["n_win"], rec["depth"]) == (10, 10)
     table = (out / "comparison.csv").read_text().strip().splitlines()
     assert table[0].startswith("method,")
     worst = max(float(line.split(",")[-1]) for line in table[1:])

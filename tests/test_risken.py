@@ -1,15 +1,37 @@
 import warnings
 
 import numpy as np
+import pytest
 
 import ddefloquet as df
+from ddefloquet import cli
+from ddefloquet.errors import ExponentOverflow
+from ddefloquet.model import build_L, recurrence_blocks
 from ddefloquet.risken import (
+    _stack_width,
     assemble_blocks,
     closure_determinant_risken,
     find_exponents_risken,
     tridiagonal_closure,
 )
 from ddefloquet.systems import constant_density, s3_density
+from test_risken_planes import OVERFLOW, _pair_density
+
+
+def _l_table_blocks(density, lam, depth):
+    """The L table on the window the blocks need, and the diag, upper and
+    lower blocks gathered from it by `model.recurrence_blocks`: the
+    reference the blocks read off the pencil must match."""
+    w0 = _stack_width(density.bandwidth)
+    table = build_L(density, lam, 2 * w0 * (depth + 1) + density.bandwidth)
+    size = 2 * w0
+    starts = size * np.arange(-depth - 1, depth + 1)
+    gathered = [
+        recurrence_blocks(table, starts, starts, size),
+        recurrence_blocks(table, starts, starts + size, size),
+        recurrence_blocks(table, starts + size, starts, size),
+    ]
+    return table, gathered
 
 
 def test_k0_closure_block_diagonal():
@@ -17,7 +39,7 @@ def test_k0_closure_block_diagonal():
     lam = 0.2 + 0.1j
     blocks = assemble_blocks(dens, lam, 6)
     closure = tridiagonal_closure(blocks)
-    tab = blocks.table
+    tab = build_L(dens, lam, 1)
     want00 = tab.get(0, 0) - lam * np.eye(1)
     want11 = tab.get(0, 1) - (lam + 1j) * np.eye(1)
     assert abs(closure[0, 0] - want00[0, 0]) < 1e-14
@@ -26,10 +48,26 @@ def test_k0_closure_block_diagonal():
 
 
 def test_block_entries_match_L_table(s3):
+    # every block read off the pencil at a shifted lambda must match the
+    # one gathered from the L table, NaN where the exponent guard rejects
+    # lambda, and a rejected scalar lambda must raise
+    lams = np.array([-0.4 + 0.15j, 0.3 - 1.2j, OVERFLOW, -2.0 + 0.4j])
+    for density in (s3, _pair_density(3, 3)):
+        blocks = assemble_blocks(density, lams, 6)
+        _, gathered = _l_table_blocks(density, lams, 6)
+        for ours, want in zip((blocks.diag, blocks.upper, blocks.lower), gathered):
+            assert ours.shape == want.shape
+            nan = np.isnan(want).reshape(len(lams), -1).any(axis=1)
+            assert list(nan) == [False, False, True, False]
+            assert np.isnan(ours[nan]).all() and not np.isnan(ours[~nan]).any()
+            for got, ref in zip(ours[~nan], want[~nan]):
+                assert np.abs(got - ref).max() <= 1e-14 * np.abs(ref).max()
+        with pytest.raises(ExponentOverflow):
+            assemble_blocks(density, OVERFLOW, 6)
     # every Q sub-block must reproduce its L entry element by element
     lam = -0.4 + 0.15j
     blocks = assemble_blocks(s3, lam, 6)
-    tab = blocks.table
+    tab, _ = _l_table_blocks(s3, lam, 6)
     for n in (-2, 0, 1):
         q0 = blocks.q_zero(n)
         assert abs(q0[0, 0] - (tab.get(0, 2 * n)[0, 0] - (lam + 2j * n))) < 1e-14
@@ -123,3 +161,21 @@ def test_wide_band_stacking_matches_cf():
     # resonance and is localized to the cluster scale only
     for mode in cf:
         assert min(abs(mode.lam - other.lam) for other in rk) < 1e-5
+
+
+def test_routes_agree_on_the_uncapped_s2_kernel():
+    # the s2 kernel of `ddefloquet spectrum --system builtin:s2` keeps its
+    # whole band, K = 10, so the tridiagonal route stacks five indices per
+    # half block; at the CLI defaults both routes must report the same
+    # classes, each checked converged
+    cfg = dict(cli.DEFAULTS, system="builtin:s2")
+    density = cli._density_from_config(cfg)
+    assert density.bandwidth == 10
+    box, tol = tuple(cfg["box"]), cfg["tol"]
+    cf = df.find_exponents(density, box=box, n_win=10, depth=10, tol=tol)
+    rk = find_exponents_risken(density, box=box, depth=10, tol=tol)
+    assert len(cf) == len(rk) >= 2
+    for a, b in zip(cf, rk):
+        assert abs(a.lam - b.lam) < 1e-8
+        assert a.converged and b.converged
+        assert b.depth == 10

@@ -1,10 +1,13 @@
-"""The tridiagonal sweeps on component planes, both directions in one batch,
-against the per-level sweep they replaced: one stacked `@` and one
-`solve_batch` per level, the up sweep run to the end before the down sweep.
-That sweep's stacked LU (`_lu`, `solve_batch`, `_substitute`) is kept here
-as the reference, with the same PIVOT_REL rule.  With block dimension 2
-the arithmetic is the same, so the closures must be bit-equal; wider
-blocks sum the substitution in another order."""
+"""The tridiagonal sweeps, both directions in one LAPACK stack, against
+the per-level sweep they replaced: one stacked `@` and one `solve_batch`
+per level, the up sweep run to the end before the down sweep.  That
+sweep's stacked LU (`_lu`, `solve_batch`, `_substitute`) is kept here as
+the reference, with its pivot rule: a pivot below PIVOT_REL times the
+largest row norm.  The sweep under test flags a bracket by Hadamard's
+bound instead, |det B| <= PIVOT_REL prod_i |row_i(B)|_2, and LAPACK
+rounds differently from this LU, so the closures agree to roundoff, and
+the breakdown cases, whose brackets are singular or nearly so by either
+rule, agree exactly."""
 
 import dataclasses
 
@@ -195,19 +198,29 @@ def _level_of(closure, blocks):
     return info.value.level
 
 
+def _assert_close(ours, ref, rel):
+    """Same NaN members, and every other closure within `rel` of its
+    largest entry."""
+    nan = np.isnan(ref).reshape(len(ref), -1).any(axis=1)
+    assert np.array_equal(np.isnan(ours), np.isnan(ref))
+    scale = np.abs(ref[~nan]).reshape((~nan).sum(), -1).max(axis=1)
+    err = np.abs(ours[~nan] - ref[~nan]).reshape((~nan).sum(), -1).max(axis=1)
+    assert np.all(err <= rel * scale)
+    return nan
+
+
 @pytest.mark.parametrize("depth", [10, 12])
-def test_s3_closures_are_bit_equal(s3, depth):
+def test_s3_closures_match_the_level_sweeps(s3, depth):
     blocks = risken.assemble_blocks(s3, _lams(), depth)
     assert blocks.block_dim == 2
-    ours = risken.tridiagonal_closure(blocks)
     ref = _level_sweeps(blocks)
     assert np.isnan(ref[-2]).all()
-    assert np.array_equal(ours, ref, equal_nan=True)
+    _assert_close(risken.tridiagonal_closure(blocks), ref, 1e-13)
     for shorter in (1, depth // 2):
-        assert np.array_equal(
+        _assert_close(
             risken.tridiagonal_closure(blocks, shorter),
             _level_sweeps(blocks, shorter),
-            equal_nan=True,
+            1e-13,
         )
 
 
@@ -219,14 +232,9 @@ def test_s3_closures_are_bit_equal(s3, depth):
 def test_wider_blocks_match_the_level_sweeps(density, block_dim):
     blocks = risken.assemble_blocks(density, _lams(), 10)
     assert blocks.block_dim == block_dim
-    ours = risken.tridiagonal_closure(blocks)
     ref = _level_sweeps(blocks)
-    nan = np.isnan(ref).reshape(len(ref), -1).any(axis=1)
-    assert np.array_equal(np.isnan(ours), np.isnan(ref))
+    nan = _assert_close(risken.tridiagonal_closure(blocks), ref, 1e-12)
     assert list(np.flatnonzero(nan)) == [len(ref) - 2]
-    scale = np.abs(ref[~nan]).reshape((~nan).sum(), -1).max(axis=1)
-    err = np.abs(ours[~nan] - ref[~nan]).reshape((~nan).sum(), -1).max(axis=1)
-    assert np.all(err <= 1e-12 * scale)
 
 
 def test_breakdown_in_the_down_sweep_reports_its_negative_level():

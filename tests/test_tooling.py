@@ -6,6 +6,7 @@ import importlib
 import importlib.util
 import inspect
 import os
+import pkgutil
 import subprocess
 import sys
 
@@ -26,6 +27,7 @@ from ddefloquet import (
 from ddefloquet.systems import constant_density
 from test_cross_route import BOX as CROSS_BOX
 from test_cross_route import KERNELS as CROSS_KERNELS
+from test_risken_planes import _wide_band_density
 
 SPANS = os.path.join(os.path.dirname(__file__), os.pardir, "bench", "spans.py")
 
@@ -170,9 +172,28 @@ def test_both_searches_run_one_class_loop(s3, monkeypatch):
     for module in (floquet, risken):
         monkeypatch.setattr(module, "_search", recorded)
     assert len(floquet.find_exponents(s3)) == len(risken.find_exponents_risken(s3)) == 4
-    assert windows == [(10, 10), (10, risken._window(s3, 10) - 10)]
+    assert windows == [(10, 10), (10, 10)]
     for name in ("_newton", "contour_classes", "NewtonStallWarning"):
         assert not hasattr(risken, name)
+
+
+def test_both_searches_hand_the_contour_the_cf_window(s3, monkeypatch):
+    # the contour, the modes and the truncation check run on |n| <= n_win +
+    # depth, the window of the continued fraction, on both routes, also
+    # where the tridiagonal blocks stack two indices per half block
+    bounds = []
+
+    def recorded(density, box, bound):
+        bounds.append(bound)
+        return []
+
+    monkeypatch.setattr(floquet, "contour_classes", recorded)
+    assert floquet.find_exponents(s3) == risken.find_exponents_risken(s3) == []
+    assert bounds == [20, 20]
+    wide = _wide_band_density()
+    assert risken._stack_width(wide.bandwidth) == 2
+    risken.find_exponents_risken(wide, depth=10)
+    assert bounds[-1] == 2 * 10
 
 
 def test_one_newton_stopping_rule():
@@ -256,27 +277,39 @@ def test_monodromy_spans_split_the_march_from_eigvals(monkeypatch):
     assert events == ["march", "map", "eigvals"] * 2
 
 
-def test_both_routes_eliminate_through_one_plane_solve(monkeypatch):
-    # the d > 1 ladder passes and the tridiagonal sweeps share the one
-    # batched elimination of linalg; floquet keeps no copy of its own
+def test_risken_reads_no_l_table_and_eliminates_through_lapack(monkeypatch):
+    # the tridiagonal route reads its blocks off the pencil and sweeps with
+    # np.linalg.solve, so the n-diagonal ladder passes are the one caller
+    # of the batched elimination of linalg, and floquet keeps no copy of it
+    for name in ("build_L", "LMatrixTable", "recurrence_blocks", "plane_solve", "_window"):
+        assert not hasattr(risken, name)
     assert not hasattr(floquet, "_plane_solve")
+    binders = []
+    for info in pkgutil.iter_modules(df.__path__):
+        module = importlib.import_module(f"ddefloquet.{info.name}")
+        if module is not linalg and hasattr(module, "plane_solve"):
+            binders.append(module)
+    assert binders == [floquet]
+    assert floquet.plane_solve is linalg.plane_solve
     callers = []
-    for module in (floquet, risken):
-        assert module.plane_solve is linalg.plane_solve
 
-        def counted(U, X, name=module.__name__):
-            callers.append(name)
-            return linalg.plane_solve(U, X)
+    def counted(U, X):
+        frame, names = sys._getframe(1), set()
+        while frame is not None:
+            names.add(frame.f_code.co_name)
+            frame = frame.f_back
+        callers.append("ladder_operators" in names)
+        return linalg.plane_solve(U, X)
 
-        monkeypatch.setattr(module, "plane_solve", counted)
+    monkeypatch.setattr(floquet, "plane_solve", counted)
     coeffs = np.zeros((1, 3, 2, 2), dtype=complex)
     coeffs[0, 1] = [[-0.5, 0.3], [0.3, -0.3]]
     coeffs[0, 0] = coeffs[0, 2] = 0.1 * np.eye(2)
     dens = df.FourierMatrixDensity(1.0, np.array([0.0]), coeffs)
-    floquet.ladder_operators(dens, 0.1 + 0.2j, 2, 2)
-    assert set(callers) == {"ddefloquet.floquet"}
     risken.closure_determinant_risken(dens, 0.1 + 0.2j, 2)
-    assert set(callers) == {"ddefloquet.floquet", "ddefloquet.risken"}
+    assert callers == []
+    floquet.closure_determinant(dens, 0.1 + 0.2j, 2, 2)
+    assert callers and all(callers)
 
 
 def test_scalar_kernels_take_the_plane_pass_and_read_t(monkeypatch):
