@@ -17,27 +17,29 @@ each pass substitutes the current operators into every relation at once,
 deepening the evaluated continued fraction tree by one level, and the pass
 budget is fixed (early exit only once updates drop below roundoff).  Only
 the relations of coupled offsets are formed, those m where L_m or L_{-m}
-has a nonzero coefficient (an even-harmonic kernel couples no odd m): for
-any other m, S^m has a zero right-hand side and is identically 0.  Every
-pass reads its coefficients A and L from the coupled diagonals of the
-recurrence matrix T(lambda), which `model.recurrence_blocks` gathers
-from the L table, and works on component planes for every d: entry (i, j)
-of every d x d block, over all levels, relations and lambda values of a
-batch, is one array, so the bracket products are elementwise
-multiply-adds, at most d^3 of them (a term a[i, k] s[k, j] whose
-coefficient plane a[i, k] is all zero is skipped), and the inversions are
-one Gaussian elimination with partial pivoting (`linalg.plane_solve`) over
-the planes for the whole batch, a division when d = 1; an inversion level
-is singular when a pivot is exactly zero.  Skipping exact zeros leaves
-every other value bit-identical.  Every value is then an explicit finite
+has a nonzero coefficient (`model._coupled_offsets`; an even-harmonic
+kernel couples no odd m): for any other m, S^m has a zero right-hand
+side and is identically 0.  Every pass reads its coefficients A and L
+from the coupled diagonals of the recurrence matrix T(lambda), which
+`model.recurrence_blocks` gathers from the L table, and works on
+component planes for every d: entry (i, j) of every d x d block, over
+all levels, relations and lambda values of a batch, is one array, so
+the bracket products are elementwise multiply-adds, at most d^3 of them
+(a term a[i, k] s[k, j] whose coefficient plane a[i, k] is all zero is
+skipped), and the inversions are one Gaussian elimination with partial
+pivoting (`linalg.plane_solve`) over the planes for the whole batch, a
+division when d = 1; an inversion level is singular when a pivot is
+exactly zero.  Skipping exact zeros leaves every other value
+bit-identical.  Every value is then an explicit finite
 composition of matrix inversions, analytic in lambda away from its
 breakdown poles, so plain Newton iterations refine its roots.  The n = 0
 closure gives the finite matrix M(lambda) whose determinant vanishes at
 the Floquet exponents.  The search locates each exponent class once, as
 an eigenvalue of the Hill matrix T(lambda) of the same window
-(`rootfind.contour_classes`; whole, T is the exponential pencil of
-`model.hill_matrix`, built once per search, refinement or mode), and
-runs one Newton iteration on det M per class.  Where an exponent sits
+(`rootfind.contour_classes`; T is the exponential pencil of
+`model.hill_matrix`, built once per search, refinement or mode, and
+factored over the index classes it never couples, `model.HillBlocks`),
+and runs one Newton iteration on det M per class.  Where an exponent sits
 close to a truncation resonance, det M pinches its zero against a pole,
 and the run stops at its first step outside CLASS_TOL of its class; the
 Hill eigenvalue and T's null vector there are then the answer.  Every
@@ -69,9 +71,10 @@ from .errors import CfBreakdown, NullSpaceAmbiguous
 from .linalg import determinant, plane_solve
 from .model import (
     FourierMatrixDensity,
+    HillBlocks,
     LMatrixTable,
+    _coupled_offsets,
     build_L,
-    hill_matrix,
     recurrence_blocks,
     truncated_matrix,
 )
@@ -230,18 +233,6 @@ def ladder_operators(
     )
 
 
-def _coupled_offsets(density: FourierMatrixDensity) -> list:
-    """The band offsets m != 0 whose relations are formed: those where L_m
-    or L_{-m} has a nonzero coefficient.  For any other m both L_{+-m} are
-    exactly zero, so S^m has a zero right-hand side and is identically 0,
-    and the term of S^{-m} in every bracket is zero too."""
-    K = density.bandwidth
-    weighted = (density.coeffs != 0).any(axis=(0, 2, 3))
-    return [
-        m for m in range(-K, K + 1) if m != 0 and (weighted[K + m] or weighted[K - m])
-    ]
-
-
 def _run_passes(S, step, n_passes, live):
     """Insertion passes over a batch of lambda values, one per row of S.
 
@@ -331,10 +322,11 @@ def _matrix_passes(a_zero, a_stack, rhs_stack, m_list, neg_index, n_passes, live
 
 def _hill_logdet(hill, lams):
     """Sign and log magnitude of the Hill determinant det T(lambda) for a
-    1-D array of lambda, T given by `hill` (`model.hill_matrix`); NaN
-    where the exponent guard rejects lambda."""
+    1-D array of lambda, T given by `hill` (`model.HillBlocks`): the
+    product over T's index classes of their block determinants, NaN where
+    the exponent guard rejects lambda."""
     with np.errstate(invalid="ignore"):
-        return np.linalg.slogdet(hill(lams))
+        return hill.slogdet(hill(lams))
 
 
 def _hill_refine(density, lam0: complex, bound: int, tol: float):
@@ -345,15 +337,16 @@ def _hill_refine(density, lam0: complex, bound: int, tol: float):
     one batch of two, with h = 1e-6 * (1 + |lam|) at the first step and at
     most 1e-3 of the previous Newton step after it, so that lambda +- h
     stays well inside the distance to the root and the run converges to
-    `tol`.  A rejected lambda +- h stops the iteration unconverged; a
-    determinant that underflows to an exact zero is a root.
+    `tol`.  A step within 10 h of lambda may come from a stencil that
+    straddles the root; it is taken again with h = 1e-3 of it, until it is
+    not or h is down to 1e-14 * (1 + |lam|).  A rejected lambda +- h stops
+    the iteration unconverged; a determinant that underflows to an exact
+    zero is a root.
     """
     last = np.inf
-    hill = hill_matrix(density, bound)
+    hill = HillBlocks(density, bound)
 
-    def step(lam):
-        nonlocal last
-        h = min(1e-6 * (1.0 + abs(lam)), 1e-3 * last)
+    def newton_step(lam, h):
         signs, logabs = _hill_logdet(hill, np.array([lam + h, lam - h]))
         if not np.all(np.isfinite(signs)):
             return None
@@ -362,10 +355,18 @@ def _hill_refine(density, lam0: complex, bound: int, tol: float):
             return 0.0
         a1, a2 = (float(v) for v in logabs)
         gprime = ((a1 - a2) + np.log(s1 / s2)) / (2.0 * h)
-        if gprime == 0:
-            return None
-        delta = 1.0 / gprime
-        last = abs(delta)
+        return None if gprime == 0 else 1.0 / gprime
+
+    def step(lam):
+        nonlocal last
+        h = min(1e-6 * (1.0 + abs(lam)), 1e-3 * last)
+        floor = 1e-14 * (1.0 + abs(lam))
+        delta = newton_step(lam, h)
+        while delta and abs(delta) < 10.0 * h and h > floor:
+            h = 1e-3 * abs(delta)
+            delta = newton_step(lam, h)
+        if delta is not None:
+            last = abs(delta)
         return delta
 
     return _damped_newton(step, lam0, tol, HILL_MAX_ITER)
@@ -477,22 +478,27 @@ def _null_vector(
 
     One SVD of T gives the right null vector (T phi = 0) or, for `left`,
     the left one (psi T = 0, a row vector): the last singular vector on the
-    respective side.  It is cut to |n| <= n_win, one row per block, and
-    scaled so that the largest entry of block 0 is 1.  Returns the
-    components, their recurrence residual and T's two smallest singular
-    values, smallest first.
+    respective side.  The SVD runs class by class (`model.HillBlocks`):
+    the vector is that of the class with the smallest singular value, and
+    the second smallest over all classes is T's own.  It is cut to
+    |n| <= n_win, one row per block, and scaled so that the largest entry
+    of block 0 is 1, or of the whole cut where block 0 is exactly zero:
+    at a translate lambda + i m whose vector lives in a class without
+    n = 0.  Returns the components, their recurrence residual and T's two
+    smallest singular values, smallest first.
     """
     d = density.dim
-    T = hill_matrix(density, n_win + depth)(lam)
-    u, s, vh = np.linalg.svd(T)
-    vec = np.conj(u[:, -1] if left else vh[-1])
+    hill = HillBlocks(density, n_win + depth)
+    at_lam = hill(lam)
+    vec, least, second = hill.null_vector(at_lam, left)
     window = slice(depth * d, (depth + 2 * n_win + 1) * d)
-    blocks = vec[window].reshape(2 * n_win + 1, d)
-    center = blocks[n_win]
+    blocks = np.conj(vec[window]).reshape(2 * n_win + 1, d)
+    center = blocks[n_win] if blocks[n_win].any() else blocks.ravel()
     comps = blocks / center[np.argmax(np.abs(center))]
     # T on |n| <= n_win is the central block of T on the whole window
+    T = hill.dense(at_lam)
     residual = _residual(comps, T[window, window], density.bandwidth, left)
-    return comps, residual, s[-1], s[-2]
+    return comps, residual, least, second
 
 
 def extract_mode(

@@ -17,6 +17,7 @@ evaluated here in closed form because the kernel is a sum of point masses.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -35,6 +36,8 @@ __all__ = [
     "recurrence_blocks",
     "truncated_matrix",
     "hill_matrix",
+    "index_classes",
+    "HillBlocks",
 ]
 
 EXP_GUARD = 700.0  # |Re(lambda)*theta| beyond this overflows double exp
@@ -276,36 +279,151 @@ def truncated_matrix(table: LMatrixTable, bound: int) -> np.ndarray:
     return recurrence_blocks(table, [-bound], [-bound], 2 * bound + 1)[..., 0, :, :]
 
 
-def hill_matrix(density: FourierMatrixDensity, bound: int):
+def hill_matrix(density: FourierMatrixDensity, bound: int, members=None):
     """lambda -> T(lambda) on |n| <= bound, from the exponential pencil
     T(lambda) = sum_j exp(lambda theta_j) H_j + D - lambda I, whose H_j
     (block (p, q): C_{p-q,j} exp(i q theta_j)) and D = -diag(i p) (x) I_d
     are built once here.  A call takes lambda like `build_L` and is one
     (lambda x slot) @ (slot x entry) product plus the diagonal, giving
     `truncated_matrix` of the L table up to rounding, NaN where the
-    exponent guard rejects lambda."""
-    n = np.arange(-bound, bound + 1)
-    k = n[:, None] - n[None, :]
+    exponent guard rejects lambda.
+
+    `members`, a (c, m) array of indices in the window, builds the pencil
+    on c index sets of m indices each instead, and lambda -> the stack of
+    the c diagonal blocks T[members_i, members_i], shape ([N,] c, m d, m d).
+    """
+    n = np.arange(-bound, bound + 1)[None] if members is None else np.asarray(members)
+    k = n[:, :, None] - n[:, None, :]
     band = np.abs(k) <= density.bandwidth
-    # pencil[j, p, q] = C_{p-q,j} exp(i q theta_j), zero off the band
+    # pencil[j, c, p, q] = C_{p-q,j} exp(i q theta_j), zero off the band
     pencil = density.coeffs[:, np.where(band, k, 0) + density.bandwidth] * np.exp(
-        1j * density.delays[:, None] * n
-    )[:, None, :, None, None]
+        1j * density.delays[:, None, None] * n
+    )[:, :, None, :, None, None]
     pencil[:, ~band] = 0.0
-    size = n.size * density.dim
-    pencil = pencil.transpose(0, 1, 3, 2, 4).reshape(-1, size * size)
-    shift, reach = np.repeat(1j * n, density.dim), -density.delays[0]
+    count, size = n.shape[0], n.shape[1] * density.dim
+    pencil = pencil.transpose(0, 1, 2, 4, 3, 5).reshape(-1, count * size * size)
+    shift, reach = np.repeat(1j * n, density.dim, axis=1), -density.delays[0]
 
     def at(lam):
         lams, over = _guarded(lam, reach)
         safe = np.where(over, 0.0, lams).reshape(-1)
         T = np.exp(safe[:, None] * density.delays) @ pencil
-        T[:, :: size + 1] -= safe[:, None] + shift  # the diagonal
+        T = T.reshape(-1, count, size * size)
+        T[:, :, :: size + 1] -= safe[:, None, None] + shift  # the diagonal
         T[over.reshape(-1)] = np.nan
-        T = T.reshape(-1, size, size)
+        T = T.reshape(-1, count, size, size)
+        if members is None:
+            T = T[:, 0]
         return T[0] if lams.ndim == 0 else T
 
     return at
+
+
+def _coupled_offsets(density: FourierMatrixDensity) -> list:
+    """The band offsets k != 0 that T(lambda) couples: those where C_k or
+    C_{-k} has a nonzero coefficient at some delay.  The rule is exact
+    zeros: a coefficient of 1e-300 couples.  Both the ladder relations of
+    `floquet` and the index classes of `index_classes` are read off it."""
+    K = density.bandwidth
+    weighted = (density.coeffs != 0).any(axis=(0, 2, 3))
+    return [
+        m for m in range(-K, K + 1) if m != 0 and (weighted[K + m] or weighted[K - m])
+    ]
+
+
+def index_classes(density: FourierMatrixDensity, bound: int) -> list:
+    """The classes of the window |n| <= bound that T(lambda) never couples:
+    the residues of n mod g, g the gcd of the coupled offsets
+    (`_coupled_offsets`), each an ascending index array, ordered by their
+    smallest member.  Where no offset is coupled every n is its own class."""
+    n = np.arange(-bound, bound + 1)
+    g = math.gcd(*_coupled_offsets(density)) or n.size
+    return [n[n % g == r] for r in n[:g] % g]
+
+
+class HillBlocks:
+    """T(lambda) on |n| <= bound, factored over its index classes.
+
+    Up to a permutation T is block-diag(T_r) over the classes of
+    `index_classes`, so det T is the product of the det T_r, T^-1 acts
+    class by class, and the singular values of T are those of all T_r
+    together.  Classes of equal size are stacked: one pencil of
+    `hill_matrix` per size, at most two, and one LAPACK call of each kind
+    per size.  A kernel with one class keeps the whole T, with nothing
+    gathered or scattered.  `rows` holds, per size, the positions of its
+    classes' entries in T's index order (None for the whole T), and
+    `entries` the number of block entries per lambda.
+    """
+
+    def __init__(self, density: FourierMatrixDensity, bound: int):
+        d = density.dim
+        classes = index_classes(density, bound)
+        self.size = (2 * bound + 1) * d
+        if len(classes) == 1:
+            self.rows, self._pencils = [None], [hill_matrix(density, bound)]
+            self.entries = self.size**2
+            return
+        self.rows, self._pencils = [], []
+        for m in sorted({c.size for c in classes}, reverse=True):
+            members = np.array([c for c in classes if c.size == m])
+            at = (members + bound)[..., None] * d + np.arange(d)
+            self.rows.append(at.reshape(len(members), m * d))
+            self._pencils.append(hill_matrix(density, bound, members))
+        self.entries = sum(r.size * r.shape[1] for r in self.rows)
+
+    def __call__(self, lam) -> list:
+        """The blocks at lambda: per size, T on its classes, ([N,] c, s, s),
+        or the whole T."""
+        return [at(lam) for at in self._pencils]
+
+    def solve(self, blocks, rhs) -> np.ndarray:
+        """T^-1 rhs at every lambda of `blocks`, rhs (size, cols) in T's
+        index order and the result ([N,] size, cols) in it too."""
+        if self.rows[0] is None:
+            T = blocks[0]
+            return np.linalg.solve(T, np.broadcast_to(rhs, T.shape[:-1] + rhs.shape[-1:]))
+        out = np.empty(blocks[0].shape[:-3] + rhs.shape, dtype=complex)
+        for rows, T in zip(self.rows, blocks):
+            b = np.broadcast_to(rhs[rows], T.shape[:-1] + rhs.shape[-1:])
+            out[..., rows, :] = np.linalg.solve(T, b)
+        return out
+
+    def slogdet(self, blocks):
+        """Sign and log magnitude of det T: the signs multiplied and the
+        logs summed over the classes."""
+        if self.rows[0] is None:
+            return np.linalg.slogdet(blocks[0])
+        sign, logabs = 1.0, 0.0
+        for T in blocks:
+            s, a = np.linalg.slogdet(T)
+            sign, logabs = sign * s.prod(axis=-1), logabs + a.sum(axis=-1)
+        return sign, logabs
+
+    def null_vector(self, blocks, left: bool = False):
+        """For one lambda: the last row of vh in T's SVD, or for `left` the
+        last column of u, in T's index order, and T's two smallest singular
+        values, smallest first.  The vector is that of the class with the
+        smallest singular value, zero outside it."""
+        if self.rows[0] is None:
+            u, s, vh = np.linalg.svd(blocks[0])
+            return (u[:, -1] if left else vh[-1]), s[-1], s[-2]
+        svds = [np.linalg.svd(T) for T in blocks]
+        values = np.sort(np.concatenate([s.ravel() for _, s, _ in svds]))
+        i = int(np.argmin([s[:, -1].min() for _, s, _ in svds]))
+        u, s, vh = svds[i]
+        c = int(np.argmin(s[:, -1]))
+        vec = np.zeros(self.size, dtype=complex)
+        vec[self.rows[i][c]] = u[c, :, -1] if left else vh[c, -1]
+        return vec, values[0], values[1]
+
+    def dense(self, blocks) -> np.ndarray:
+        """The whole T at one lambda, the class blocks scattered into it."""
+        if self.rows[0] is None:
+            return blocks[0]
+        T = np.zeros((self.size, self.size), dtype=complex)
+        for rows, block in zip(self.rows, blocks):
+            T[rows[:, :, None], rows[:, None, :]] = block
+        return T
 
 
 def _component_powers(state: FourierSeries, max_powers):

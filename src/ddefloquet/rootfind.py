@@ -21,7 +21,7 @@ from .errors import (
     NewtonStallWarning,
     NoRootsInBoxWarning,
 )
-from .model import hill_matrix
+from .model import HillBlocks
 
 __all__ = ["SearchBox", "find_roots", "spectrum_key", "strip_shift", "to_strip"]
 
@@ -226,22 +226,23 @@ def contour_classes(density, box, bound: int) -> list:
     `density` whose strip value lies in `box`.
 
     T(lambda) is the truncated recurrence matrix on |n| <= `bound`, the
-    exponential pencil of `model.hill_matrix`, built once per call, so a
-    contour node costs one matrix product, not an L table.  Every class
-    has one eigenvalue in each period strip, and `_contour_solve` finds
-    those in Re [box.re_min, box.re_max] of the strip with edges Im =
-    STRIP_EDGE and STRIP_EDGE + 1, where a real kernel's real multipliers,
-    at Im 0 and 1/2, lie inside rather than on an edge.  Each eigenvalue is
+    exponential pencil of `model.hill_matrix`, built once per call on each size
+    of T's index classes (`model.HillBlocks`), so a contour node costs one
+    matrix product per size, not an L table, and its factorizations run on the
+    class blocks.  The nodes go in chunks whose blocks hold about CHUNK_BYTES.
+    Every class has one eigenvalue in each period strip, and `_contour_solve`
+    finds those in Re [box.re_min, box.re_max] of the strip with edges Im =
+    STRIP_EDGE and STRIP_EDGE + 1, where a real kernel's real multipliers, at
+    Im 0 and 1/2, lie inside rather than on an edge.  Each eigenvalue is
     returned as the translate lam + i*n* at which its null vector peaks at
     n = 0 (T(lam + i m) is T(lam) with its indices shifted by m), sorted by
     `spectrum_key` of the strip value.
     """
     sb = box if isinstance(box, SearchBox) else SearchBox(*box)
-    size = (2 * bound + 1) * density.dim
-    chunk = max(1, CHUNK_BYTES // (16 * size * size))
-    hill = hill_matrix(density, bound)
+    hill = HillBlocks(density, bound)
+    chunk = max(1, CHUNK_BYTES // (16 * hill.entries))
     found = []
-    for lam, null in _contour_solve(hill, sb.re_min, sb.re_max, size, chunk, MAX_SPLITS):
+    for lam, null in _contour_solve(hill, sb.re_min, sb.re_max, chunk, MAX_SPLITS):
         if not sb.contains(to_strip(lam), slack=1e-6):
             continue
         # a real mode of a real kernel has |phi_n| = |phi_-n|; norms equal
@@ -255,10 +256,11 @@ def contour_classes(density, box, bound: int) -> list:
     return found
 
 
-def _contour_solve(hill, re0: float, re1: float, size: int, chunk: int, splits: int):
+def _contour_solve(hill, re0: float, re1: float, chunk: int, splits: int):
     """Eigenvalues of T in the strip rectangle over Re [re0, re1], with
     their null vectors, by Beyn's integral method (Linear Algebra Appl.
-    436, 2012).
+    436, 2012); `hill` is a `model.HillBlocks`, whose solves and
+    determinants run class by class.
 
     The moments A_j = (1/2 pi i) contour-integral z^j T(z)^-1 V dz, j = 0, 1,
     are summed by Gauss-Legendre quadrature on each side, over chunks of
@@ -277,6 +279,7 @@ def _contour_solve(hill, re0: float, re1: float, size: int, chunk: int, splits: 
     x, w = np.polynomial.legendre.leggauss(SIDE_NODES)
     z = (corners[:, None] + half * (1 + x)).ravel()
     weights = (half * w).ravel()
+    size = hill.size
     columns = min(PROBE_COLUMNS, size)
     while True:
         # deterministic probe columns, with no random generator: column c
@@ -292,14 +295,14 @@ def _contour_solve(hill, re0: float, re1: float, size: int, chunk: int, splits: 
         for start in range(0, z.size, chunk):
             nodes = z[start : start + chunk]
             T = hill(nodes)
-            if not np.all(np.isfinite(T)):
+            if not all(np.isfinite(block).all() for block in T):
                 raise ExponentOverflow("the search box reaches the exponent guard")
-            X = np.linalg.solve(T, np.broadcast_to(probe, (nodes.size, size, columns)))
+            X = hill.solve(T, probe)
             wx = weights[start : start + chunk, None, None] * X
             scale += float(np.abs(wx).max(axis=(1, 2)).sum())
             m0 += wx.sum(axis=0)
             m1 += (nodes[:, None, None] * wx).sum(axis=0)
-            phases[start : start + chunk] = np.linalg.slogdet(T)[0]
+            phases[start : start + chunk] = hill.slogdet(T)[0]
         U, s, Wh = np.linalg.svd(m0 / (2j * np.pi), full_matrices=False)
         rank = int(np.count_nonzero(s > RANK_TOL * scale / (2 * np.pi)))
         if rank < columns or columns == size:
@@ -318,8 +321,8 @@ def _contour_solve(hill, re0: float, re1: float, size: int, chunk: int, splits: 
         return inside
     if splits > 0:
         mid = 0.5 * (re0 + re1)
-        return _contour_solve(hill, re0, mid, size, chunk, splits - 1) + _contour_solve(
-            hill, mid, re1, size, chunk, splits - 1
+        return _contour_solve(hill, re0, mid, chunk, splits - 1) + _contour_solve(
+            hill, mid, re1, chunk, splits - 1
         )
     warnings.warn(
         f"{len(inside)} eigenvalue(s) in Re [{re0:.6g}, {re1:.6g}] against a "

@@ -307,6 +307,33 @@ def test_hill_refine_converges_from_a_contour_value(vdp_linearization):
     assert ok and abs(root - lam) < 1e-9
 
 
+def test_hill_refine_stays_at_a_root_it_starts_on(vdp_linearization):
+    # from the bound-18 root itself the first stencil lambda +- h straddles
+    # the root, and its step of about h is within tol; the run must take it
+    # again with a smaller h instead of returning it.  The root comes from
+    # Newton with the exact derivative tr(T^-1 T'), T' = sum_j theta_j
+    # exp(lambda theta_j) H_j - I, each H_j read off the pencil of a kernel
+    # that keeps only slot j
+    density, bound = vdp_linearization[0], 18
+
+    def slot_pencil(slots):
+        coeffs = np.zeros_like(density.coeffs)
+        coeffs[slots] = density.coeffs[slots]
+        kept = df.FourierMatrixDensity(density.omega, density.delays, coeffs)
+        return hill_matrix(kept, bound)(0.0)
+
+    diagonal = slot_pencil([])
+    H = [slot_pencil([j]) - diagonal for j in range(len(density.delays))]
+    for lam in (-0.0006242654 + 0j, -0.0778793241 + 0j):
+        for _ in range(6):
+            T = hill_matrix(density, bound)(lam)
+            dT = sum(t * np.exp(lam * t) * h for t, h in zip(density.delays, H))
+            lam -= 1.0 / np.trace(np.linalg.solve(T, dT - np.eye(len(T))))
+        for tol in (1e-9, 1e-11, 1e-13):
+            root, ok = _hill_refine(density, lam, bound, tol)
+            assert ok and abs(root - lam) < 1e-13
+
+
 def test_hill_refine_rejected_lambda_does_not_converge():
     dens = parametric_density(-0.4, 0.3, -0.3)
     assert _hill_refine(dens, complex(OVERFLOW, 0.2), 6, 1e-10) == (

@@ -395,9 +395,12 @@ def test_one_adjoint_route_and_one_hand_written_elimination(s3, s3_modes, monkey
     floquet.extract_mode(s3, mode.lam_raw, mode.n_win, mode.depth)
 
 
-def test_the_contour_builds_the_hill_matrix_once_without_an_l_table(s3, monkeypatch):
+def test_the_contour_builds_the_hill_matrix_once_without_an_l_table(
+    s3, vdp_linearization, monkeypatch
+):
     # the contour evaluates the exponential pencil of model.hill_matrix at
-    # its nodes: no L table per node, and no pencil per node either
+    # its nodes: no L table per node, and no pencil per node either; s2
+    # splits into even and odd indices of two sizes, one pencil each
     calls = []
     for module in (model, rootfind, floquet, adjoint, risken):
         for name in ("build_L", "hill_matrix"):
@@ -412,3 +415,39 @@ def test_the_contour_builds_the_hill_matrix_once_without_an_l_table(s3, monkeypa
     found = rootfind.contour_classes(s3, (-3.0, 1.0, -0.5, 0.5), 20)
     assert len(found) >= 2
     assert calls == ["hill_matrix"]
+    calls.clear()
+    found = rootfind.contour_classes(vdp_linearization[0], (-0.6, 0.3, -0.5, 0.5), 16)
+    assert len(found) == 2
+    assert calls == ["hill_matrix"] * 2
+
+
+def test_lapack_factors_the_class_blocks_not_the_whole_t(
+    s3, vdp_linearization, monkeypatch
+):
+    # every T that the contour, the Hill check and the mode SVD hand to
+    # solve, slogdet or svd is a class block: 34 x 34 and 32 x 32 for the
+    # even and odd indices of s2 at bound 16, the whole 41 x 41 on s3 at
+    # bound 20, whose indices are all coupled; the only other matrix is
+    # the contour's moment matrix, T's height by the probe columns
+    shapes = []
+    for name in ("solve", "slogdet", "svd"):
+        original = getattr(np.linalg, name)
+
+        def recorded(a, *args, original=original, **kwargs):
+            shapes.append(np.shape(a)[-2:])
+            return original(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, recorded)
+    for density, box, bound, blocks in (
+        (vdp_linearization[0], (-0.6, 0.3, -0.5, 0.5), 16, {(34, 34), (32, 32)}),
+        (s3, (-3.0, 1.0, -0.5, 0.5), 20, {(41, 41)}),
+    ):
+        shapes.clear()
+        lam = rootfind.contour_classes(density, box, bound)[0]
+        root, ok = floquet._hill_refine(density, lam, bound, 1e-9)
+        floquet._null_vector(density, root, bound // 2, bound - bound // 2)
+        assert ok
+        square = {s for s in shapes if s[0] == s[1]}
+        assert square == blocks
+        size = (2 * bound + 1) * density.dim
+        assert all(s[0] == size and s[1] < size for s in shapes if s[0] != s[1])
