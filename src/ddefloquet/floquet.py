@@ -75,6 +75,7 @@ from .model import (
     LMatrixTable,
     _coupled_offsets,
     build_L,
+    hill_matrix,
     recurrence_blocks,
     truncated_matrix,
 )
@@ -337,11 +338,13 @@ def _hill_refine(density, lam0: complex, bound: int, tol: float):
     one batch of two, with h = 1e-6 * (1 + |lam|) at the first step and at
     most 1e-3 of the previous Newton step after it, so that lambda +- h
     stays well inside the distance to the root and the run converges to
-    `tol`.  A step within 10 h of lambda may come from a stencil that
-    straddles the root; it is taken again with h = 1e-3 of it, until it is
-    not or h is down to 1e-14 * (1 + |lam|).  A rejected lambda +- h stops
-    the iteration unconverged; a determinant that underflows to an exact
-    zero is a root.
+    `tol`.  h never goes below 1e-14 * (1 + |lam|), which keeps lambda +- h
+    dozens of ulps apart.  A step within 10 h of lambda may come from a
+    stencil that straddles the root; it is taken again with h = 1e-3 of
+    it, until it is not or h is at that floor, and a retaken step that
+    cannot be computed leaves the one before it standing.  A rejected
+    lambda +- h stops the iteration unconverged; a determinant that
+    underflows to an exact zero is a root.
     """
     last = np.inf
     hill = HillBlocks(density, bound)
@@ -359,12 +362,15 @@ def _hill_refine(density, lam0: complex, bound: int, tol: float):
 
     def step(lam):
         nonlocal last
-        h = min(1e-6 * (1.0 + abs(lam)), 1e-3 * last)
         floor = 1e-14 * (1.0 + abs(lam))
+        h = max(min(1e-6 * (1.0 + abs(lam)), 1e-3 * last), floor)
         delta = newton_step(lam, h)
         while delta and abs(delta) < 10.0 * h and h > floor:
-            h = 1e-3 * abs(delta)
-            delta = newton_step(lam, h)
+            h = max(1e-3 * abs(delta), floor)
+            retaken = newton_step(lam, h)
+            if retaken is None:
+                break
+            delta = retaken
         if delta is not None:
             last = abs(delta)
         return delta
@@ -489,15 +495,15 @@ def _null_vector(
     """
     d = density.dim
     hill = HillBlocks(density, n_win + depth)
-    at_lam = hill(lam)
-    vec, least, second = hill.null_vector(at_lam, left)
+    vec, least, second = hill.null_vector(hill(lam), left)
     window = slice(depth * d, (depth + 2 * n_win + 1) * d)
     blocks = np.conj(vec[window]).reshape(2 * n_win + 1, d)
     center = blocks[n_win] if blocks[n_win].any() else blocks.ravel()
     comps = blocks / center[np.argmax(np.abs(center))]
-    # T on |n| <= n_win is the central block of T on the whole window
-    T = hill.dense(at_lam)
-    residual = _residual(comps, T[window, window], density.bandwidth, left)
+    # the central block of T on the whole window, T on |n| <= n_win: a
+    # pencil entry does not depend on the bound
+    T = hill_matrix(density, n_win)(lam)
+    residual = _residual(comps, T, density.bandwidth, left)
     return comps, residual, least, second
 
 

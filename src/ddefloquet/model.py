@@ -349,50 +349,48 @@ class HillBlocks:
     class by class, and the singular values of T are those of all T_r
     together.  Classes of equal size are stacked: one pencil of
     `hill_matrix` per size, at most two, and one LAPACK call of each kind
-    per size.  A kernel with one class keeps the whole T, with nothing
-    gathered or scattered.  `rows` holds, per size, the positions of its
-    classes' entries in T's index order (None for the whole T), and
-    `entries` the number of block entries per lambda.
+    per size.  A kernel with one class is one stack of one block, the
+    whole T, whose LAPACK calls are those on T itself.  `rows` holds, per
+    size, the positions of its classes' entries in T's index order;
+    `order`, all of them one class after another, is the class order that
+    `solve` works in; and `entries` is the number of block entries per
+    lambda.
     """
 
     def __init__(self, density: FourierMatrixDensity, bound: int):
         d = density.dim
         classes = index_classes(density, bound)
         self.size = (2 * bound + 1) * d
-        if len(classes) == 1:
-            self.rows, self._pencils = [None], [hill_matrix(density, bound)]
-            self.entries = self.size**2
-            return
         self.rows, self._pencils = [], []
         for m in sorted({c.size for c in classes}, reverse=True):
             members = np.array([c for c in classes if c.size == m])
             at = (members + bound)[..., None] * d + np.arange(d)
             self.rows.append(at.reshape(len(members), m * d))
             self._pencils.append(hill_matrix(density, bound, members))
+        self.order = np.concatenate([r.ravel() for r in self.rows])
         self.entries = sum(r.size * r.shape[1] for r in self.rows)
 
     def __call__(self, lam) -> list:
-        """The blocks at lambda: per size, T on its classes, ([N,] c, s, s),
-        or the whole T."""
+        """The blocks at lambda: per size, T on its classes, ([N,] c, s, s)."""
         return [at(lam) for at in self._pencils]
 
     def solve(self, blocks, rhs) -> np.ndarray:
-        """T^-1 rhs at every lambda of `blocks`, rhs (size, cols) in T's
-        index order and the result ([N,] size, cols) in it too."""
-        if self.rows[0] is None:
-            T = blocks[0]
-            return np.linalg.solve(T, np.broadcast_to(rhs, T.shape[:-1] + rhs.shape[-1:]))
-        out = np.empty(blocks[0].shape[:-3] + rhs.shape, dtype=complex)
-        for rows, T in zip(self.rows, blocks):
-            b = np.broadcast_to(rhs[rows], T.shape[:-1] + rhs.shape[-1:])
-            out[..., rows, :] = np.linalg.solve(T, b)
-        return out
+        """T^-1 rhs at every lambda of `blocks`, with rhs (size, cols) and the
+        result ([N,] size, cols) in class order: row i is row order[i] of T's
+        index order.  Each stack's rows are a contiguous run, so nothing is
+        gathered or scattered."""
+        out, start = [], 0
+        for T in blocks:
+            c, m = T.shape[-3:-1]
+            b = rhs[start : start + c * m].reshape(c, m, -1)
+            X = np.linalg.solve(T, np.broadcast_to(b, T.shape[:-1] + b.shape[-1:]))
+            out.append(X.reshape(X.shape[:-3] + (c * m, -1)))
+            start += c * m
+        return out[0] if len(out) == 1 else np.concatenate(out, axis=-2)
 
     def slogdet(self, blocks):
         """Sign and log magnitude of det T: the signs multiplied and the
         logs summed over the classes."""
-        if self.rows[0] is None:
-            return np.linalg.slogdet(blocks[0])
         sign, logabs = 1.0, 0.0
         for T in blocks:
             s, a = np.linalg.slogdet(T)
@@ -404,9 +402,6 @@ class HillBlocks:
         last column of u, in T's index order, and T's two smallest singular
         values, smallest first.  The vector is that of the class with the
         smallest singular value, zero outside it."""
-        if self.rows[0] is None:
-            u, s, vh = np.linalg.svd(blocks[0])
-            return (u[:, -1] if left else vh[-1]), s[-1], s[-2]
         svds = [np.linalg.svd(T) for T in blocks]
         values = np.sort(np.concatenate([s.ravel() for _, s, _ in svds]))
         i = int(np.argmin([s[:, -1].min() for _, s, _ in svds]))
@@ -415,15 +410,6 @@ class HillBlocks:
         vec = np.zeros(self.size, dtype=complex)
         vec[self.rows[i][c]] = u[c, :, -1] if left else vh[c, -1]
         return vec, values[0], values[1]
-
-    def dense(self, blocks) -> np.ndarray:
-        """The whole T at one lambda, the class blocks scattered into it."""
-        if self.rows[0] is None:
-            return blocks[0]
-        T = np.zeros((self.size, self.size), dtype=complex)
-        for rows, block in zip(self.rows, blocks):
-            T[rows[:, :, None], rows[:, None, :]] = block
-        return T
 
 
 def _component_powers(state: FourierSeries, max_powers):

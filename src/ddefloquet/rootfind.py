@@ -260,7 +260,9 @@ def _contour_solve(hill, re0: float, re1: float, chunk: int, splits: int):
     """Eigenvalues of T in the strip rectangle over Re [re0, re1], with
     their null vectors, by Beyn's integral method (Linear Algebra Appl.
     436, 2012); `hill` is a `model.HillBlocks`, whose solves and
-    determinants run class by class.
+    determinants run class by class.  The probe columns and the moments are
+    kept in its class order, so a node's solve gathers and scatters
+    nothing, and the moments go back to T's index order once per pass.
 
     The moments A_j = (1/2 pi i) contour-integral z^j T(z)^-1 V dz, j = 0, 1,
     are summed by Gauss-Legendre quadrature on each side, over chunks of
@@ -287,6 +289,9 @@ def _contour_solve(hill, re0: float, re1: float, chunk: int, splits: int):
         # z_c = exp(2 pi i frac(c g)) of the unit circle, g the golden ratio
         turns = np.mod(np.arange(1, columns + 1) * (1 + 5**0.5) / 2, 1.0)
         probe = np.exp(2j * np.pi * np.mod(np.arange(1, size + 1)[:, None] * turns, 1.0))
+        # the probe and the moments are in the class order of `hill.solve`
+        # until the moments are summed
+        probe = probe[hill.order]
         m0 = np.zeros((size, columns), dtype=complex)
         m1 = np.zeros((size, columns), dtype=complex)
         phases = np.empty(z.size, dtype=complex)
@@ -303,6 +308,7 @@ def _contour_solve(hill, re0: float, re1: float, chunk: int, splits: int):
             m0 += wx.sum(axis=0)
             m1 += (nodes[:, None, None] * wx).sum(axis=0)
             phases[start : start + chunk] = hill.slogdet(T)[0]
+        m0[hill.order], m1[hill.order] = m0.copy(), m1.copy()  # T's index order
         U, s, Wh = np.linalg.svd(m0 / (2j * np.pi), full_matrices=False)
         rank = int(np.count_nonzero(s > RANK_TOL * scale / (2 * np.pi)))
         if rank < columns or columns == size:

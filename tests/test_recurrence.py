@@ -334,6 +334,21 @@ def test_hill_refine_stays_at_a_root_it_starts_on(vdp_linearization):
             assert ok and abs(root - lam) < 1e-13
 
 
+def test_hill_refine_never_narrows_its_stencil_below_the_floor():
+    # from 1e-4 off the s3 root near -0.89 - 1.06i a late stencil, h just
+    # above the floor 1e-14 (1 + |lambda|), straddles the root; 1e-3 of its
+    # step is under half an ulp of Re lambda, where lambda +- h rounds to
+    # lambda and no derivative is left.  The retake stops at the floor and
+    # the run converges
+    s3 = s3_density()
+    (lam,) = [z for z in contour_classes(s3, BOX, 20) if abs(z + 0.89 + 1.06j) < 0.01]
+    root, ok = _hill_refine(s3, lam, 20, 1e-13)
+    assert ok
+    for offset in (4e-5j, 1e-4j, -1e-4):
+        end, ok = _hill_refine(s3, root + offset, 20, 1e-9)
+        assert ok and abs(end - root) < 1e-12
+
+
 def test_hill_refine_rejected_lambda_does_not_converge():
     dens = parametric_density(-0.4, 0.3, -0.3)
     assert _hill_refine(dens, complex(OVERFLOW, 0.2), 6, 1e-10) == (
