@@ -30,9 +30,10 @@ class NonconvergentAmplitude(DdeFloquetError):
 
 
 class CfBreakdown(DdeFloquetError):
-    """A continued fraction level became singular or failed to converge.
+    """A continued fraction closure met a singular matrix: a bracket of the
+    tridiagonal sweep, or T_RR of the ladder solve.
 
-    `level` carries the Fourier index of the offending inversion when known.
+    `level` carries the block index of the offending bracket when known.
     """
 
     def __init__(self, message, level=None):

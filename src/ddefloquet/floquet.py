@@ -5,37 +5,26 @@ The Fourier components phi_n of an eigensolution obey the banded recurrence
 
     0 = sum_k [L_{k,n-k} - delta_{k0} (lambda + i n) I] phi_{n-k},
 
-closed by ladder operators S^m_n with phi_{n+m} = S^m_n phi_n.  Each ladder
-operator satisfies the inversion relation
+that is T(lambda) phi = 0 with T_{p,q} = L_{p-q,q} - delta_{pq}
+(lambda + i p) I, closed by ladder operators S^m_0 with phi_m = S^m_0
+phi_0.  A matrix continued fraction evaluated to convergence is block
+Gaussian elimination of that recurrence (H. Risken, The Fokker-Planck
+Equation, 2nd ed., 1989, ch. 9), so on the truncation |n| <= B =
+n_win + depth the ladder operators are one solve: T couples only the
+indices of one class of `model.index_classes`, and on the class of
+n = 0, with R its indices other than 0, S = -T_RR^-1 T_R0, one LAPACK
+solve for a whole batch of lambda (`linalg.solve_stack`, which flags a
+singular T_RR, the sign of lambda sitting at a resonance of the
+truncated problem).  The n = 0 row closes the system: the closure matrix
 
-    S^m_n = -[ sum_{k != m} A_{k,n+m} S^{-k}_{n+m} ]^{-1} L_{m,n},
-    A_{k,p} = L_{k,p-k} - delta_{k0} (lambda + i p) I,
+    M(lambda) = sum_k L_{k,-k} S^{-k}_0 - lambda I
 
-with the boundary convention S = 0 beyond |n| = n_win + depth.  The
-relations are evaluated by recursive insertion from that zero boundary:
-each pass substitutes the current operators into every relation at once,
-deepening the evaluated continued fraction tree by one level, and the pass
-budget is fixed (early exit only once updates drop below roundoff).  Only
-the relations of coupled offsets are formed, those m where L_m or L_{-m}
-has a nonzero coefficient (`model._coupled_offsets`; an even-harmonic
-kernel couples no odd m): for any other m, S^m has a zero right-hand
-side and is identically 0.  Every pass reads its coefficients A and L
-from the coupled diagonals of the recurrence matrix T(lambda), which
-`model.recurrence_blocks` gathers from the L table, and works on
-component planes for every d: entry (i, j) of every d x d block, over
-all levels, relations and lambda values of a batch, is one array, so
-the bracket products are elementwise multiply-adds, at most d^3 of them
-(a term a[i, k] s[k, j] whose coefficient plane a[i, k] is all zero is
-skipped), and the inversions are one Gaussian elimination with partial
-pivoting (`linalg.plane_solve`) over the planes for the whole batch, a
-division when d = 1; an inversion level is singular when a pivot is
-exactly zero.  Skipping exact zeros leaves every other value
-bit-identical.  Every value is then an explicit finite
-composition of matrix inversions, analytic in lambda away from its
-breakdown poles, so plain Newton iterations refine its roots.  The n = 0
-closure gives the finite matrix M(lambda) whose determinant vanishes at
-the Floquet exponents.  The search locates each exponent class once, as
-an eigenvalue of the Hill matrix T(lambda) of the same window
+is the Schur complement of T(lambda) onto block 0, so det M det T_RR is
+the determinant of T on the class of n = 0, and det M vanishes at the
+Floquet exponents.  It is analytic in lambda away from its breakdown
+poles, the zeros of det T_RR, so plain Newton iterations refine its
+roots.  The search locates each exponent class once, as an eigenvalue of
+the Hill matrix T(lambda) of the same window
 (`rootfind.contour_classes`; T is the exponential pencil of
 `model.hill_matrix`, built once per search, refinement or mode, and
 factored over the index classes it never couples, `model.HillBlocks`),
@@ -49,11 +38,10 @@ paired tridiagonal route (`risken`) runs this same class loop
 (`_search`), at the same window, on the determinant of its own closure.
 
 det M is what Newton refines; the modes are read off T(lambda) itself.
-With converged ladders M(lambda) is the Schur complement of T(lambda)
-onto block 0, so at a root T is singular too: the Floquet mode is T's
-right null vector (T phi = 0) and the adjoint mode its left one
-(psi T = 0), both on |n| <= n_win + depth, cut to the window and scaled
-so that the largest entry of block 0 is 1, one SVD each (`extract_mode`,
+At a root of det M, T is singular too: the Floquet mode is T's right
+null vector (T phi = 0) and the adjoint mode its left one (psi T = 0),
+both on |n| <= n_win + depth, cut to the window and scaled so that the
+largest entry of block 0 is 1, one SVD each (`extract_mode`,
 `adjoint.adjoint_modes`).
 
 Exponents are defined mod i because the ansatz exp(lambda*xi) times a
@@ -68,15 +56,14 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import CfBreakdown, NullSpaceAmbiguous
-from .linalg import determinant, plane_solve
+from .linalg import determinant, solve_stack
 from .model import (
     FourierMatrixDensity,
     HillBlocks,
     LMatrixTable,
-    _coupled_offsets,
     build_L,
     hill_matrix,
-    recurrence_blocks,
+    index_classes,
     truncated_matrix,
 )
 from .rootfind import (
@@ -101,10 +88,6 @@ __all__ = [
     "find_exponents",
 ]
 
-EXTRA_PASSES = 24
-EARLY_EXIT = 1e-14
-DIVERGENCE_GUARD = 1e12
-
 # Hill refinement: iteration budget
 HILL_MAX_ITER = 60
 # both searches: the Newton budget from a Hill eigenvalue (a few steps
@@ -114,26 +97,16 @@ HILL_MAX_ITER = 60
 SEEDED_ITER = 8
 CONV_TOL = 1e-8
 
-# why the passes of one lambda stopped short; 0 means they did not
-_SINGULAR, _DIVERGING = 1, 2
-_BREAKDOWN = {
-    _SINGULAR: "singular inversion level",
-    _DIVERGING: "diverging ladder operator",
-}
-
 
 @dataclass(frozen=True)
 class LadderSet:
-    """Ladder operators S^m_n on the truncated window.
+    """Ladder operators S^m_0 on the truncated window, phi_m = S^m_0 phi_0.
 
-    `ops` holds the coupled offsets m, those where L_m or L_{-m} has a
-    nonzero coefficient; `get` gives zeros for every other m, whose
-    operators are identically 0.  `ops[m]` is an array of shape (2B+1, d, d)
-    indexed by the source level n = -B..B, where B = n_win + depth;
-    operators whose source or target leaves the window are zero.  `passes`
-    is the number of insertion passes actually run.  Built for a 1-D array
-    of lambda, every array (and `passes`) carries a leading lambda axis,
-    and the operators of a lambda whose passes broke down are NaN.
+    `ops[m]` is S^m_0, a d x d array, for every m != 0 of the index class
+    of n = 0 on |m| <= B, where B = n_win + depth; every other m has
+    S^m_0 = 0 and no entry.  Built for a 1-D array of lambda, every array
+    carries a leading lambda axis, and the operators of a lambda whose
+    T_RR is singular, or that the exponent guard rejected, are NaN.
     """
 
     lam: complex | np.ndarray
@@ -141,21 +114,10 @@ class LadderSet:
     depth: int
     table: LMatrixTable
     ops: dict
-    passes: int | np.ndarray
 
     @property
     def bound(self) -> int:
         return self.n_win + self.depth
-
-    def get(self, m: int, n: int) -> np.ndarray:
-        d = self.table.dim
-        lead = self.table.entries.shape[:-4]
-        if m == 0:
-            return np.broadcast_to(np.eye(d, dtype=complex), lead + (d, d)).copy()
-        B = self.bound
-        if abs(n) > B or abs(n + m) > B or m not in self.ops:
-            return np.zeros(lead + (d, d), dtype=complex)
-        return self.ops[m][..., n + B, :, :]
 
 
 def ladder_operators(
@@ -164,161 +126,33 @@ def ladder_operators(
     n_win: int,
     depth: int,
 ) -> LadderSet:
-    """Evaluate the ladder operator relations on |n| <= n_win + depth.
+    """The ladder operators S^m_0 on |n| <= n_win + depth, exactly.
 
-    Starting from S = 0 everywhere, each pass substitutes the current
-    operators into all inversion relations simultaneously; the pass budget
-    (window width plus EXTRA_PASSES) is spent unless an update falls
-    below roundoff first, so the result is a fixed finite composition of
-    matrix inversions, analytic in lambda.  Every pass reads the coupled
-    diagonals of T(lambda) and runs on component planes, one elementwise
-    pivoted Gaussian elimination for the whole batch (a division for
-    d = 1), and a level is singular when a pivot is exactly zero.  For a
-    single `lam` a singular inversion level or a diverging operator, the
-    signs of lambda sitting at a resonance of the truncated problem, raises
-    CfBreakdown.  For a 1-D array of lambda every value runs its own
-    passes, stops where its own loop would, and a breakdown only marks that
-    value (NaN operators).
+    T(lambda) is read off the L table, and on the index class of n = 0,
+    with R its indices other than 0, S = -T_RR^-1 T_R0 is one stacked
+    LAPACK solve for every lambda (`linalg.solve_stack`).  A class of n = 0
+    alone, as for a K = 0 kernel, has no operators and solves nothing.
+    For a single `lam` a singular T_RR, the sign of lambda sitting at a
+    resonance of the truncated problem, raises CfBreakdown; for a 1-D
+    array of lambda it only marks that value, by NaN operators.
     """
     d = density.dim
     B = n_win + depth
-    n_passes = 2 * B + 1 + EXTRA_PASSES
     table = build_L(density, lam, B)
-    one = np.ndim(table.lam) == 0
-    entries = table.entries[None] if one else table.entries
-    count = entries.shape[0]
-    m_list = _coupled_offsets(density)
-    if not m_list:
-        run = 0 if one else np.zeros(count, dtype=int)
-        return LadderSet(table.lam, n_win, depth, table, {}, run)
-
-    n_ops = len(m_list)
-    m_index = {m: j for j, m in enumerate(m_list)}
-    neg_index = np.array([m_index[-m] for m in m_list])
-
-    # the coefficients are entries of T(lambda) on |n| <= B, read along its
-    # coupled diagonals: a_zero[p] = T_{p,p}, a_stack[j, p] = T_{p,p-m_j}
-    # and rhs_stack[j, n] = T_{n+m_j,n} = L_{m_j,n}; an entry whose row or
-    # column leaves the window is zero (the operator S^{m_j}_n exists only
-    # while its target n + m_j stays inside); such a column is clipped into
-    # the window for the gather, and its entry masked
-    level = np.arange(-B, B + 1)
-    rows = level + np.array([0] * (1 + n_ops) + m_list)[:, None]
-    cols = level - np.array([0] + m_list + [0] * n_ops)[:, None]
-    inside = (np.abs(rows) <= B) & (np.abs(cols) <= B)
-    coeffs = recurrence_blocks(table, rows.ravel(), np.clip(cols, -B, B).ravel(), 1)
-    coeffs = np.where(inside[..., None, None], coeffs.reshape(count, *rows.shape, d, d), 0.0)
-    # component planes: entry (i, j) of every block is one array over the
-    # diagonals and levels
-    planes = np.moveaxis(coeffs, (-2, -1), (1, 2))
-    a_zero = planes[:, :, :, 0]
-    a_stack, rhs_stack = planes[:, :, :, 1 : 1 + n_ops], planes[:, :, :, 1 + n_ops :]
-    # lambda values the exponent guard rejected never start
-    live = np.isfinite(entries).reshape(count, -1).all(axis=1)
-
-    S, run, cause = _matrix_passes(
-        a_zero, a_stack, rhs_stack, m_list, neg_index, n_passes, live
-    )
-    # back to blocks: S[:, j, n + B] is the d x d operator S^{m_j}_n
-    S = np.ascontiguousarray(S.transpose(0, 3, 4, 1, 2))
-    if one:
-        if cause[0]:
-            raise CfBreakdown(_BREAKDOWN[int(cause[0])])
-        return LadderSet(
-            table.lam, n_win, depth, table, {m: S[0, j] for j, m in enumerate(m_list)},
-            int(run[0]),
-        )
-    S[(cause != 0) | ~live] = np.nan
-    return LadderSet(
-        table.lam, n_win, depth, table, {m: S[:, j] for j, m in enumerate(m_list)}, run
-    )
-
-
-def _run_passes(S, step, n_passes, live):
-    """Insertion passes over a batch of lambda values, one per row of S.
-
-    `step(S_rows, rows)` returns the updated operators of the given rows
-    and a mask of rows whose inversion was singular.  A row stops updating
-    at the pass where its own loop stops: a singular inversion or a
-    diverging operator (recorded in `cause`, the operators left as they
-    were) or an update below roundoff.  Returns (S, passes run, cause).
-    """
-    count = S.shape[0]
-    axes = tuple(range(1, S.ndim))
-    run = np.zeros(count, dtype=int)
-    cause = np.zeros(count, dtype=int)
-    active = np.flatnonzero(live)
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        for _ in range(n_passes):
-            if active.size == 0:
-                break
-            # while every row runs, S itself is the batch: nothing to
-            # gather before the step or to scatter after it
-            whole = active.size == count
-            old = S if whole else S[active]
-            new, singular = step(old, active)
-            # the largest |entry| is NaN or inf exactly when an entry is not
-            # finite
-            size = np.abs(new).max(axis=axes)
-            diverging = ~singular & ~(size <= DIVERGENCE_GUARD)
-            cause[active[singular]] = _SINGULAR
-            cause[active[diverging]] = _DIVERGING
-            good = ~(singular | diverging)
-            delta = np.abs(new - old).max(axis=axes) / (1.0 + size)
-            if whole and good.all():
-                S = new
-            else:
-                S[active[good]] = new[good]
-            run[active[good]] += 1
-            active = active[good & ~(delta <= EARLY_EXIT)]
-    return S, run, cause
-
-
-def _matrix_passes(a_zero, a_stack, rhs_stack, m_list, neg_index, n_passes, live):
-    """The passes on component planes: x[i, j] holds entry (i, j) of every
-    d x d block of every row, so the bracket product and the solve are
-    whole-batch elementwise operations, however many blocks there are (for
-    d = 1 the solve is one division by each bracket)."""
-    count, d, _, n_ops, width = a_stack.shape
-    # the shift to the target level as one gather: bracket (j, n) reads the
-    # excised sum at flat index j * width + n + m_j, or the identity in a
-    # fill slot past the end where the target leaves the window
-    level = np.arange(width) + np.array(m_list)[:, None]
-    inside = (level >= 0) & (level < width)
-    source = np.where(inside, np.arange(n_ops)[:, None] * width + level, n_ops * width)
-    fill = np.broadcast_to(np.eye(d, dtype=complex)[:, :, None, None], (d, d, count, 1))
-    # the terms a[i, k] s[k, j] of block row i whose a-plane is not all
-    # zero over the live rows; the others add exact zeros
-    weighted = (a_stack[live] != 0).any(axis=(0, 3, 4))
-    terms = [np.flatnonzero(row) for row in weighted]
-    # the step works with the block axes first, the layout of plane_solve;
-    # _run_passes sees S as a (row, d, d, ...) view of its result
-    to_planes, to_rows = (1, 2, 0, 3, 4), (2, 0, 1, 3, 4)
-    a_zero = a_zero.transpose(1, 2, 0, 3).copy()
-    a_stack, rhs = (x.transpose(to_planes).copy() for x in (a_stack, -rhs_stack))
-
-    def step(S, rows):
-        n = rows.size
-        # while every row runs, the inputs are the batch: nothing to gather
-        whole = n == count
-        a, a0, b = (x if whole else x[:, :, rows] for x in (a_stack, a_zero, rhs))
-        s_neg = S.transpose(to_planes)[:, :, :, neg_index]
-        excised = np.empty((d, d, n, n_ops, width), dtype=complex)
-        for i, ks in enumerate(terms):
-            if ks.size == 0:
-                excised[i] = a0[i][:, :, None]
-                continue
-            prod = a[i, ks[0]] * s_neg[ks[0]]
-            for k in ks[1:]:
-                prod += a[i, k] * s_neg[k]
-            excised[i] = (a0[i] + prod.sum(axis=2))[:, :, None] - prod
-        padded = np.concatenate([excised.reshape(d, d, n, -1), fill[:, :, :n]], axis=-1)
-        # an inversion is singular where a pivot is exactly zero
-        Y, pivots = plane_solve(np.take(padded, source, axis=-1), b)
-        return Y.transpose(to_rows), ~pivots.all(axis=(0, 2, 3))
-
-    S = np.zeros(rhs_stack.shape, dtype=complex)
-    return _run_passes(S, step, n_passes, live)
+    members = next(c for c in index_classes(density, B) if 0 in c)
+    others = members[members != 0]
+    if others.size == 0:
+        return LadderSet(table.lam, n_win, depth, table, {})
+    rows = ((others + B)[:, None] * d + np.arange(d)).ravel()
+    block0 = B * d + np.arange(d)
+    T = truncated_matrix(table, B)
+    S, singular = solve_stack(T[..., rows[:, None], rows], -T[..., rows[:, None], block0])
+    if singular.ndim == 0 and singular:
+        raise CfBreakdown("singular T_RR")
+    S[singular] = np.nan
+    S = S.reshape(S.shape[:-2] + (others.size, d, d))
+    ops = {int(m): S[..., j, :, :] for j, m in enumerate(others)}
+    return LadderSet(table.lam, n_win, depth, table, ops)
 
 
 def _hill_logdet(hill, lams):
@@ -385,7 +219,8 @@ def assemble_M(
     depth: int,
     ladders: LadderSet | None = None,
 ) -> np.ndarray:
-    """Closure matrix M(lambda) = sum_k L_{k,-k} S^{-k}_0 - lambda I.
+    """Closure matrix M(lambda) = sum_k L_{k,-k} S^{-k}_0 - lambda I, the
+    Schur complement of T(lambda) onto block 0.
 
     For a 1-D array of lambda the result is a stack of matrices, NaN where
     the ladders broke down or the exponent guard rejected lambda.
@@ -393,12 +228,12 @@ def assemble_M(
     if ladders is None:
         ladders = ladder_operators(density, lam, n_win, depth)
     table = ladders.table
-    d = table.dim
+    K = table.bandwidth
     lam = np.asarray(lam, dtype=complex)[..., None, None]
-    m = table.get(0, 0) - lam * np.eye(d, dtype=complex)
-    # the other offsets carry S = 0, adding exact zeros
-    for k in sorted(-j for j in ladders.ops):
-        m = m + table.get(k, -k) @ ladders.get(-k, 0)
+    m = table.get(0, 0) - lam * np.eye(table.dim, dtype=complex)
+    for k in range(-K, K + 1):
+        if -k in ladders.ops:
+            m = m + table.get(k, -k) @ ladders.ops[-k]
     return m
 
 

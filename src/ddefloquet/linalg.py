@@ -1,16 +1,17 @@
-"""Small dense linear algebra: one batched elimination, LAPACK for the rest.
+"""Small dense linear algebra, all of it handed to LAPACK through numpy.
 
-`plane_solve` is the one hand-written elimination of the package, the
-batched small-block solve of its one caller, the n-diagonal ladder
-passes: it takes its blocks as component planes, entry (i, j) of every
-block one array, and returns the pivots instead of a mask, so the caller
-keeps its singular rule, a pivot exactly zero, at its call site.  The
-tridiagonal sweeps hand their brackets to LAPACK instead.
+`solve_stack` is the one stacked solve of the package: both continued
+fraction closures, the ladder operators of `floquet` and the sweeps of
+`risken`, solve a stack of matrices, one per lambda of a batch, in one
+`np.linalg.solve` call.  It flags the singular members by one rule, a
+determinant below PIVOT_REL times Hadamard's bound, and solves them
+against I instead, since LAPACK would raise for the whole stack on an
+exactly singular one.
 
 `determinant` and `solve_linear` hand one matrix, or for `determinant` a
-stack of them, to LAPACK through numpy.  An exactly singular matrix has
-determinant 0 and makes `solve_linear` raise SingularMatrix; a NaN or an
-overflow in a member of a stack stays in that member, without a warning.
+stack of them, to LAPACK.  An exactly singular matrix has determinant 0
+and makes `solve_linear` raise SingularMatrix; a NaN or an overflow in a
+member of a stack stays in that member, without a warning.
 """
 
 from __future__ import annotations
@@ -19,7 +20,11 @@ import numpy as np
 
 from .errors import SingularMatrix
 
-__all__ = ["plane_solve", "solve_linear", "determinant"]
+__all__ = ["solve_stack", "solve_linear", "determinant"]
+
+# a matrix whose |det| is below PIVOT_REL times the product of its row
+# norms (Hadamard's bound) is singular, not a victim of roundoff
+PIVOT_REL = 1e-13
 
 
 def _as_stack(a) -> np.ndarray:
@@ -29,40 +34,25 @@ def _as_stack(a) -> np.ndarray:
     return a
 
 
-def plane_solve(U, X):
-    """Solve U Y = X for a batch of small blocks held as component planes.
+def solve_stack(a, b):
+    """Solve a x = b for every member of a stack of square matrices.
 
-    U has shape (d, d, ...) and X shape (d, r, ...): U[i, j] is entry
-    (i, j) of every block, one array over the trailing batch axes, so each
-    step is one elementwise operation for the whole batch.  Gaussian
-    elimination with partial pivoting on the rows of [U | X]: at column k
-    each block takes as pivot the first row of largest |U[r, k]|, r >= k,
-    the rows being swapped where it says so, and back substitution
-    follows.  Returns (Y, pivots), pivots[k] being diagonal entry k of the
-    eliminated U, so that |prod(pivots)| = |det U|.  Nothing is flagged
-    here: the caller judges the pivots, and the Y of a block it finds
-    singular is meaningless.
+    a has shape (..., n, n) and b (..., n, r).  A member is singular where
+    |det a| <= PIVOT_REL prod_i |row_i(a)|_2, a fraction of Hadamard's
+    bound; it is solved against I instead, so its x is b and means
+    nothing.  A member with an entry that is not finite is not singular
+    and its x is NaN; it is solved against I too, since its LU may meet an
+    exact zero pivot.  Returns (x, singular), singular a bool array over
+    the stack.  Nothing warns.
     """
-    d = U.shape[0]
-    aug = np.concatenate([U, X], axis=1)
+    finite = np.isfinite(a).all(axis=(-2, -1))
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        for k in range(d):
-            top = aug[k, k:]
-            for r in range(k + 1, d):
-                low = aug[r, k:]
-                swap = np.abs(low[0]) > np.abs(top[0])
-                held = top.copy()
-                np.copyto(top, low, where=swap)
-                np.copyto(low, held, where=swap)
-            for r in range(k + 1, d):
-                aug[r, k + 1 :] -= (aug[r, k] / top[0]) * top[1:]
-        for k in reversed(range(d)):
-            y = aug[k, d:]
-            for c in range(k + 1, d):
-                y -= aug[k, c] * aug[c, d:]
-            y /= aug[k, k]
-    diagonal = np.arange(d)
-    return aug[:, d:], aug[diagonal, diagonal]
+        hadamard = np.log(np.linalg.norm(a, axis=-1)).sum(axis=-1)
+        singular = finite & (np.linalg.slogdet(a)[1] <= np.log(PIVOT_REL) + hadamard)
+        a = np.where((singular | ~finite)[..., None, None], np.eye(a.shape[-1]), a)
+        x = np.linalg.solve(a, b)
+    x[~finite] = np.nan
+    return x, singular
 
 
 def solve_linear(a, b):

@@ -33,7 +33,6 @@ __all__ = [
     "rescale",
     "linearize_about_orbit",
     "build_L",
-    "recurrence_blocks",
     "truncated_matrix",
     "hill_matrix",
     "index_classes",
@@ -237,46 +236,34 @@ def build_L(density: FourierMatrixDensity, lam, n_win: int) -> LMatrixTable:
     return LMatrixTable(lams, n_win, entries)
 
 
-def recurrence_blocks(table: LMatrixTable, rows0, cols0, size: int) -> np.ndarray:
-    """Blocks T[r0 : r0 + size, c0 : c0 + size] of the recurrence matrix
+def truncated_matrix(table: LMatrixTable, bound: int) -> np.ndarray:
+    """Full truncated recurrence matrix T(lambda) on |n| <= bound,
 
         T_{p,q}(lambda) = L_{p-q,q} - delta_{pq} (lambda + i p) I,
 
-    one per pair of block starts (r0, c0), gathered from the L table; the
-    coupled column indices q must lie in its window.  Returns an array of
-    shape ([N,] blocks, size*d, size*d) whose leading axis is the table's
-    lambda axis; a lambda the exponent guard rejected has NaN entries.
-    """
-    one = np.ndim(table.lam) == 0
-    entries = table.entries[None] if one else table.entries
-    lams = np.reshape(table.lam, -1)
-    K = table.bandwidth
-    d = table.dim
-    i = np.arange(size)
-    rows0 = np.asarray(rows0)
-    q = np.asarray(cols0)[:, None, None] + i[None, None, :]
-    k = rows0[:, None, None] + i[None, :, None] - q
-    band = np.abs(k) <= K
-    out = entries[:, np.where(band, k, 0) + K, np.where(band, q, 0) + table.n_win]
-    out[:, ~band] = 0.0  # (N, blocks, size, size, d, d)
-    on = np.nonzero(k == 0)  # (block, row, column) of the diagonal p = q
-    shift = (lams[:, None] + 1j * (rows0[on[0]] + on[1]))[..., None, None]
-    out[(slice(None),) + on] -= shift * np.eye(d, dtype=complex)
-    count, nb = out.shape[:2]
-    out = out.transpose(0, 1, 2, 4, 3, 5).reshape(count, nb, size * d, size * d)
-    return out[0] if one else out
-
-
-def truncated_matrix(table: LMatrixTable, bound: int) -> np.ndarray:
-    """Full truncated recurrence matrix T(lambda) on |n| <= bound.
+    gathered from the L table, whose window must hold |n| <= bound.
 
     Its determinant is entire in lambda (the Hill form of the closure
     condition) and vanishes at every in-window representative of an
     exponent class, which makes it the robust fallback wherever the
     continued fraction determinant pinches a zero against a breakdown
-    pole.  For an array table the result is a stack of matrices.
+    pole.  For an array table the result is a stack of matrices, NaN
+    where the exponent guard rejected lambda.
     """
-    return recurrence_blocks(table, [-bound], [-bound], 2 * bound + 1)[..., 0, :, :]
+    one = np.ndim(table.lam) == 0
+    entries = table.entries[None] if one else table.entries
+    K, d = table.bandwidth, table.dim
+    n = np.arange(-bound, bound + 1)
+    k = n[:, None] - n[None, :]
+    band = np.abs(k) <= K
+    out = entries[:, np.where(band, k, 0) + K, np.where(band, n, 0) + table.n_win]
+    out[:, ~band] = 0.0  # (N, p, q, d, d)
+    size = n.size * d
+    out = out.transpose(0, 1, 3, 2, 4).reshape(-1, size * size)
+    shift = np.reshape(table.lam, (-1, 1)) + 1j * np.repeat(n, d)
+    out[:, :: size + 1] -= shift  # the diagonal
+    out = out.reshape(-1, size, size)
+    return out[0] if one else out
 
 
 def hill_matrix(density: FourierMatrixDensity, bound: int, members=None):
@@ -322,8 +309,8 @@ def hill_matrix(density: FourierMatrixDensity, bound: int, members=None):
 def _coupled_offsets(density: FourierMatrixDensity) -> list:
     """The band offsets k != 0 that T(lambda) couples: those where C_k or
     C_{-k} has a nonzero coefficient at some delay.  The rule is exact
-    zeros: a coefficient of 1e-300 couples.  Both the ladder relations of
-    `floquet` and the index classes of `index_classes` are read off it."""
+    zeros: a coefficient of 1e-300 couples.  The index classes of
+    `index_classes` are read off it."""
     K = density.bandwidth
     weighted = (density.coeffs != 0).any(axis=(0, 2, 3))
     return [

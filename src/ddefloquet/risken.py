@@ -30,10 +30,9 @@ off the null vectors of T(lambda) and truncation check.
 The up and down sweeps of `tridiagonal_closure` are independent, so they
 run as one stack, the lambda values of the up sweep followed by those of
 the down sweep, and each level is one stacked bracket product and one
-LAPACK solve (`np.linalg.solve`).  A bracket is singular where its
-determinant falls below PIVOT_REL times Hadamard's bound, and a
-breakdown reports the first singular level of the up sweep, else of the
-down sweep.
+`linalg.solve_stack`, the LAPACK solve that flags a bracket singular by
+the same rule as the ladder operators of `floquet`; a breakdown reports
+the first singular level of the up sweep, else of the down sweep.
 """
 
 from __future__ import annotations
@@ -44,7 +43,7 @@ import numpy as np
 
 from .errors import CfBreakdown
 from .floquet import _search
-from .linalg import determinant
+from .linalg import determinant, solve_stack
 from .model import FourierMatrixDensity, _guarded, hill_matrix
 from .rootfind import DEFAULT_BOX
 
@@ -55,11 +54,6 @@ __all__ = [
     "closure_determinant_risken",
     "find_exponents_risken",
 ]
-
-# a bracket whose |det| is below PIVOT_REL times the product of its row
-# norms (Hadamard's bound) is a breakdown of the sweep, not roundoff
-PIVOT_REL = 1e-13
-
 
 def _stack_width(bandwidth: int) -> int:
     return 1 if bandwidth <= 2 else (bandwidth + 1) // 2
@@ -149,13 +143,12 @@ def tridiagonal_closure(blocks: TridiagonalBlocks, depth: int | None = None):
     The two sweeps are independent, so they run as one stack: the lambda
     values of the up sweep followed by those of the down sweep, and each
     of the `depth` steps is one bracket far @ R + near and one
-    `np.linalg.solve` for the whole stack.  A bracket B is singular where
-    |det B| <= PIVOT_REL prod_i |row_i(B)|_2, a fraction of Hadamard's
-    bound; it is solved against I instead, since LAPACK would raise for
-    the whole stack on an exactly singular one.  For one lambda a
-    breakdown raises CfBreakdown with the level of the first singular
-    bracket of the up sweep, or else of the down sweep, attached; for an
-    array it leaves NaN in the closure of that lambda.
+    `linalg.solve_stack` for the whole stack, which flags a bracket B
+    singular where |det B| <= PIVOT_REL prod_i |row_i(B)|_2, a fraction of
+    Hadamard's bound.  For one lambda a breakdown raises CfBreakdown with
+    the level of the first singular bracket of the up sweep, or else of
+    the down sweep, attached; for an array it leaves NaN in the closure of
+    that lambda.
     """
     if depth is None:
         depth = blocks.depth
@@ -184,15 +177,10 @@ def tridiagonal_closure(blocks: TridiagonalBlocks, depth: int | None = None):
     sweep_sign = np.repeat([1, -1], count)
     level = np.zeros(2 * count, dtype=int)
     broken = np.zeros(2 * count, dtype=bool)
-    eye = np.eye(blocks.block_dim)
     r = np.zeros_like(near[0])
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         for s in range(depth):
-            bracket = far[s] @ r + near[s]
-            hadamard = np.log(np.linalg.norm(bracket, axis=-1)).sum(axis=-1)
-            singular = np.linalg.slogdet(bracket)[1] <= np.log(PIVOT_REL) + hadamard
-            bracket[singular] = eye
-            r = np.linalg.solve(bracket, rhs[s])
+            r, singular = solve_stack(far[s] @ r + near[s], rhs[s])
             fresh = singular & ~broken
             level[fresh] = sweep_sign[fresh] * (depth - s)
             broken |= fresh

@@ -7,10 +7,11 @@ import numpy as np
 import pytest
 
 import ddefloquet as df
-from ddefloquet import floquet, rootfind
+from ddefloquet import rootfind
 from ddefloquet.errors import CfBreakdown, ExponentOverflow
 from ddefloquet.floquet import closure_determinant, ladder_operators
 from ddefloquet.linalg import determinant
+from ddefloquet.model import build_L, truncated_matrix
 from ddefloquet.risken import closure_determinant_risken, tridiagonal_closure
 from ddefloquet.rootfind import _minima_seeds, _newton
 
@@ -169,14 +170,23 @@ def test_risken_singular_block_masks_one_lambda():
 
 @pytest.mark.parametrize("dim", [1, 2, 3])
 def test_cf_singular_inversion_masks_one_lambda(dim):
+    # at a zero of det T_RR, T on the class of n = 0 without block 0, the
+    # ladder solve is singular: one lambda raises, a batch marks only it
     dens = _undelayed_density([-0.5, -0.3, -0.7][:dim], [0.1, 0.2, 0.15][:dim])
-    bad = complex(-0.5, -2.0)  # bracket L_{0,2} - (lambda + 2i) is exactly zero
+    others = np.flatnonzero(np.repeat(np.arange(-8, 9), dim) != 0)
+
+    def det_rr(z):
+        T = truncated_matrix(build_L(dens, z, 8), 8)
+        return np.linalg.det(T[..., others[:, None], others])
+
+    bad, ok = _newton(det_rr, complex(-0.5, -2.0), 1e-15)
+    assert ok
     lams = np.array([0.1 + 0.2j, bad, -1.0 + 0.3j])
     values = closure_determinant(dens, lams, 4, 4)
     assert list(np.isnan(values)) == [False, True, False]
     for i in (0, 2):
         assert values[i] == closure_determinant(dens, lams[i], 4, 4)
-    with pytest.raises(CfBreakdown, match="singular inversion level"):
+    with pytest.raises(CfBreakdown, match="singular T_RR"):
         ladder_operators(dens, bad, 4, 4)
 
 
@@ -219,22 +229,6 @@ def test_newton_reports_unevaluable_points():
     assert (root, ok) == (0.5 + 0.1j, False)
     root, ok = _newton(lambda z: z * z - 2.0, 1.0 + 0.1j, 1e-12)
     assert ok and abs(root - np.sqrt(2.0)) < 1e-12
-
-
-def test_passes_record_what_ran(s3, monkeypatch):
-    lam = -0.4 + 0.15j
-    lad = ladder_operators(s3, lam, 10, 10)
-    budget = 2 * lad.bound + 1 + floquet.EXTRA_PASSES
-    assert 1 <= lad.passes <= budget // 4
-    batch = ladder_operators(s3, np.array([lam, 0.3 - 0.2j]), 10, 10)
-    assert batch.passes[0] == lad.passes
-    assert batch.passes[1] == ladder_operators(s3, 0.3 - 0.2j, 10, 10).passes
-    # a budget of exactly the passes that ran reproduces the operators
-    monkeypatch.setattr(floquet, "EXTRA_PASSES", lad.passes - (2 * lad.bound + 1))
-    again = ladder_operators(s3, lam, 10, 10)
-    assert again.passes == lad.passes
-    for m in lad.ops:
-        assert np.array_equal(again.ops[m], lad.ops[m])
 
 
 def _minima_seeds_reference(logabs):

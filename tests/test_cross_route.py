@@ -6,7 +6,9 @@ falling by 4 per harmonic and a damping -0.5 I on the undelayed weight.
 They are drawn once, from a fixed seed, before any route runs.  Inside
 the CLI default box the contour solve on the Hill matrix, both continued
 fraction routes and the monodromy oracle must agree class for class, and
-for K = 0 so must the characteristic roots.
+for K = 0 so must the characteristic roots.  The continued fraction
+closure is the exact Schur complement of T(lambda) onto block 0, so its
+Newton run converges from every contour eigenvalue, K = 2 included.
 """
 
 import warnings
@@ -21,6 +23,7 @@ from ddefloquet import (
     find_exponents,
     monodromy_exponents,
 )
+from ddefloquet import floquet
 from ddefloquet.errors import NewtonStallWarning
 from ddefloquet.risken import find_exponents_risken
 from ddefloquet.rootfind import contour_classes, to_strip
@@ -57,7 +60,7 @@ def _same_classes(name, got, want, tol=1e-6):
 
 
 @pytest.mark.parametrize("d, K", CASES, ids=[f"d{d}-K{K}" for d, K in CASES])
-def test_routes_agree_class_for_class(d, K):
+def test_routes_agree_class_for_class(d, K, monkeypatch):
     density = KERNELS[d, K]
     mono = [
         lam
@@ -65,7 +68,19 @@ def test_routes_agree_class_for_class(d, K):
         if lam.real <= BOX[1]
     ]
     assert mono
-    modes = find_exponents(density, box=BOX)
+    runs = []
+
+    def recorded(*args, **kwargs):
+        root, ok = newton(*args, **kwargs)
+        runs.append(ok)
+        return root, ok
+
+    newton = floquet._newton
+    with monkeypatch.context() as mp:
+        mp.setattr(floquet, "_newton", recorded)
+        modes = find_exponents(density, box=BOX)
+    # every class's Newton run on det M converges
+    assert len(runs) == len(modes) and all(runs)
     risken = find_exponents_risken(density, box=BOX)
     # every mode of either route passes the truncation check, whichever
     # Newton run or contour value produced it, and solves the recurrence

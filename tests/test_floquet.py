@@ -13,23 +13,33 @@ from ddefloquet import (
     ladder_operators,
 )
 from ddefloquet.errors import NoRootsInBoxWarning
+from ddefloquet.model import index_classes, truncated_matrix
 from ddefloquet.systems import constant_density, parametric_density, s1_density
+from test_cross_route import KERNELS
 
 
 def test_k0_ladders_vanish():
+    # the class of n = 0 is {0} alone: no other component follows from phi_0
     dens = constant_density(-0.5, -0.3)
     lad = ladder_operators(dens, 0.2 + 0.1j, 5, 5)
     assert lad.ops == {}
-    assert np.allclose(lad.get(1, 0), 0.0)
-    assert np.allclose(lad.get(0, 2), np.eye(1))
 
 
-def test_k0_closure_is_L00_minus_lambda():
-    dens = constant_density(-0.5, -0.3)
-    lam = 0.4 - 0.2j
-    m = assemble_M(dens, lam, 5, 5)
-    tab = build_L(dens, lam, 0)
-    assert np.allclose(m, tab.get(0, 0) - lam * np.eye(1))
+def test_k0_closure_is_L00_minus_lambda(monkeypatch):
+    # M = L_00 - lambda I exactly, without a LAPACK call
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a K = 0 closure called LAPACK")
+
+    for name in ("solve", "slogdet", "det", "inv"):
+        monkeypatch.setattr(np.linalg, name, forbidden)
+    for dens in (constant_density(-0.5, -0.3), KERNELS[2, 0]):
+        d = dens.dim
+        lams = np.array([0.4 - 0.2j, -1.0 + 0.3j])
+        for lam in (lams[0], lams):
+            m = assemble_M(dens, lam, 5, 5)
+            tab = build_L(dens, lam, 0)
+            want = tab.get(0, 0) - np.asarray(lam)[..., None, None] * np.eye(d)
+            assert np.array_equal(m, want)
 
 
 def test_single_cf_level_hand_unrolled():
@@ -42,59 +52,60 @@ def test_single_cf_level_hand_unrolled():
     want = -np.linalg.solve(
         tab.get(0, 1) - (lam + 1j) * np.eye(1), tab.get(1, 0)
     )
-    got = lad.get(1, 0)
+    got = lad.ops[1]
     assert np.max(np.abs(got - want)) < 10 * c**3
 
 
-def test_ladder_inverse_consistency_at_root(s3, s3_modes):
-    # S^{-1}_n = [S^{+1}_{n-1}]^{-1} holds where the eigensolution threads
-    # the levels; far outside the dominant region the truncated down ladder
-    # follows the subdominant solution and the identity degrades
-    lam = s3_modes[0].lam_raw
-    lad = ladder_operators(s3, lam, 8, 8)
-    for n in (-1, 0, 1, 2):
-        up = lad.get(1, n - 1)
-        dn = lad.get(-1, n)
-        assert np.max(np.abs(dn @ up - np.eye(1))) < 1e-8
-
-
-def _bracket_residual(density, lad, m, n):
-    """Defining relation: [sum_{k != m} A_{k,n+m} S^{-k}_{n+m}] S^m_n
-    + L_{m,n} must vanish once the insertion passes have settled."""
-    table = lad.table
-    K = density.bandwidth
-    p = n + m
+def _class_of_zero(density, bound):
+    """T's indices on the class of n = 0, and those of R, the class
+    without block 0."""
     d = density.dim
-    acc = table.get(0, p) - (lad.lam + 1j * p) * np.eye(d)
-    bracket = acc @ lad.get(m, n)
-    for k in range(-K, K + 1):
-        if k in (0, m):
-            continue
-        bracket = bracket + table.get(k, p - k) @ (lad.get(-k, p) @ lad.get(m, n))
-    return np.max(np.abs(bracket + table.get(m, n)))
+    members = next(c for c in index_classes(density, bound) if 0 in c)
+    at = ((members + bound)[:, None] * d + np.arange(d)).ravel()
+    return at, at[np.repeat(members, d) != 0]
 
 
-def test_ladder_defining_relations_pentadiagonal():
-    # K = 2 scalar kernel away from the spectrum: the fixed point of the
-    # insertion passes satisfies every inversion relation
-    coeffs = np.zeros((2, 5, 1, 1), dtype=complex)
-    coeffs[0, 2, 0, 0] = -0.5
-    coeffs[1, 1, 0, 0] = coeffs[1, 3, 0, 0] = 0.05
-    coeffs[1, 0, 0, 0] = coeffs[1, 4, 0, 0] = 0.02
-    coeffs[1, 2, 0, 0] = -0.3
-    dens = df.FourierMatrixDensity(1.0, np.array([-1.0, 0.0]), coeffs)
-    lad = ladder_operators(dens, 0.3 + 0.2j, 8, 8)
-    for m in (-2, -1, 1, 2):
-        for n in (-3, 0, 2):
-            assert _bracket_residual(dens, lad, m, n) < 1e-10
+def _closure_kernel(name, s3, vdp_linearization):
+    """(density, n_win, depth) of each kernel the closure is checked on."""
+    if name == "s3":
+        return s3, 10, 10
+    if name == "s2":
+        return vdp_linearization[0], 8, 8
+    return KERNELS[2, 2], 10, 10
 
 
-def test_ladder_defining_relations_matrix(vdp_linearization):
-    density = vdp_linearization[0]
-    lad = ladder_operators(density, 0.4 + 0.3j, 8, 8)
-    for m in (-2, 2):
-        for n in (-2, 0, 1):
-            assert _bracket_residual(density, lad, m, n) < 1e-10
+@pytest.mark.parametrize("name", ["s3", "s2", "seed7-d2-K2"])
+def test_det_M_times_det_T_RR_is_det_T_on_the_class(name, s3, vdp_linearization):
+    # M is the Schur complement of T onto block 0 on the class of n = 0
+    density, n_win, depth = _closure_kernel(name, s3, vdp_linearization)
+    bound = n_win + depth
+    lams = np.array([0.1 + 0.2j, -0.45 - 0.3j, -1.7 + 0.05j, -2.6 + 0.4j])
+    T = truncated_matrix(build_L(density, lams, bound), bound)
+    whole, rest = _class_of_zero(density, bound)
+    want = np.linalg.det(T[:, whole[:, None], whole])
+    got = closure_determinant(density, lams, n_win, depth) * np.linalg.det(
+        T[:, rest[:, None], rest]
+    )
+    assert np.max(np.abs(got - want) / np.abs(want)) < 1e-12
+
+
+@pytest.mark.parametrize("name", ["s3", "s2", "seed7-d2-K2"])
+def test_ladders_at_a_root_give_the_mode(name, s3, vdp_linearization):
+    # phi_m = S^m_0 phi_0 for every m of the window, with S^m_0 = 0 off the
+    # class of n = 0, against the null vector of T that extract_mode reads
+    density, n_win, depth = _closure_kernel(name, s3, vdp_linearization)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        modes = find_exponents(density, box=(-3.0, 1.0, -0.5, 0.5), n_win=n_win, depth=depth)
+    assert modes
+    for mode in modes:
+        lad = ladder_operators(density, mode.lam_raw, n_win, depth)
+        phi0 = mode.component(0)
+        for m in range(-n_win, n_win + 1):
+            if m == 0:
+                continue
+            want = lad.ops[m] @ phi0 if m in lad.ops else 0.0
+            assert np.max(np.abs(mode.component(m) - want)) < 1e-10
 
 
 def test_constant_coefficient_roots_match_characteristic():

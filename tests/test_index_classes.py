@@ -50,8 +50,10 @@ def _whole_window(density, bound):
 
 
 def test_the_coupling_rule_is_said_once():
-    # the ladder offsets of floquet are model's, so both read one rule
-    assert floquet._coupled_offsets is model._coupled_offsets
+    # the ladders of floquet solve on model's class of n = 0, so the Hill
+    # blocks and the continued fraction read one rule
+    assert floquet.index_classes is model.index_classes
+    assert not hasattr(floquet, "_coupled_offsets")
 
 
 def test_s2_splits_into_even_and_odd(vdp_linearization):

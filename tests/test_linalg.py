@@ -1,8 +1,10 @@
+import warnings
+
 import numpy as np
 import pytest
 
 from ddefloquet import SingularMatrix, determinant, solve_linear
-from ddefloquet.linalg import plane_solve
+from ddefloquet.linalg import PIVOT_REL, solve_stack
 
 
 def cofactor_det(a):
@@ -77,27 +79,24 @@ def test_determinant_singular_returns_zero():
     assert determinant(a) == 0
 
 
-@pytest.mark.parametrize("d", [2, 3])
-def test_plane_solve_matches_lapack(d):
-    rng = np.random.default_rng(d)
-    shape = (5, 3, 7, d, d)
-    U = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-    X = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-    # block (1, 0, 0): zero leading entry, nonsingular; block (3, 2, 5):
-    # its first column is zero, an exactly singular inversion
-    U[1, 0, 0, 0, 0] = 0.0
-    U[3, 2, 5, :, 0] = 0.0
-    planes = [np.moveaxis(x, (-2, -1), (0, 1)).copy() for x in (U, X)]
-    Y, pivots = plane_solve(*planes)
-    assert Y.shape == planes[1].shape and pivots.shape == (d,) + shape[:3]
-    # the pivots are the diagonal of the eliminated U; the singular block
-    # has an exactly zero one, after which its elimination is meaningless
-    zero = ~pivots.all(axis=0)
-    assert list(np.flatnonzero(zero)) == [np.ravel_multi_index((3, 2, 5), shape[:3])]
-    det = np.abs(np.prod(pivots, axis=0))[~zero]
-    ref_det = np.abs(np.linalg.det(U))[~zero]
-    assert np.allclose(det, ref_det, rtol=1e-12, atol=0.0)
-    ours = np.moveaxis(Y, (0, 1), (-2, -1))
-    ok = np.arange(5) != 3
-    ref = np.linalg.solve(U[ok], X[ok])
-    assert np.allclose(ours[ok], ref, rtol=0.0, atol=1e-12 * np.abs(ref).max())
+def test_solve_stack_flags_the_singular_members_and_solves_the_rest(rng):
+    # member 1 is exactly singular (a zero column), member 2 nearly so
+    # (|det| 1e-15 against a Hadamard bound of about 2), member 3 carries a
+    # NaN; the others are solved as LAPACK solves them one at a time
+    shape = (6, 3, 3)
+    a = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    b = rng.standard_normal((6, 3, 2)) + 1j * rng.standard_normal((6, 3, 2))
+    a[1, :, 0] = 0.0
+    a[2] = [[1.0, 1.0, 0.0], [1.0, 1.0 + 1e-15, 0.0], [0.0, 0.0, 1.0]]
+    a[3, 0, 2] = np.nan
+    assert 1e-15 < PIVOT_REL * 2.0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        x, singular = solve_stack(a, b)
+        singles = [solve_stack(m, r) for m, r in zip(a, b)]
+    assert singular.tolist() == [False, True, True, False, False, False]
+    assert np.isnan(x[3]).all()
+    for i in (0, 4, 5):
+        assert np.array_equal(x[i], np.linalg.solve(a[i], b[i]))
+    for i, (xi, si) in enumerate(singles):
+        assert si == singular[i] and np.array_equal(xi, x[i], equal_nan=True)

@@ -9,7 +9,7 @@ import pytest
 import ddefloquet as df
 from ddefloquet import floquet, rootfind
 from ddefloquet.floquet import _hill_refine, find_exponents, recurrence_residual
-from ddefloquet.model import build_L, hill_matrix, recurrence_blocks, truncated_matrix
+from ddefloquet.model import build_L, hill_matrix, truncated_matrix
 from ddefloquet.risken import find_exponents_risken
 from ddefloquet.rootfind import _damped_newton, contour_classes
 from ddefloquet.systems import parametric_density, s3_density
@@ -72,22 +72,6 @@ def test_hill_matrix_is_the_gathered_matrix(kernel):
         assert np.max(np.abs(got[i] - want[i])) <= 1e-15 * scale
         one = hill_matrix(dens, bound)(lams[i])
         assert np.max(np.abs(one - want[i])) <= 1e-15 * scale
-
-
-def test_recurrence_blocks_are_slices_of_the_full_matrix():
-    dens = _matrix_band3_density()
-    lams = np.array([0.2 + 0.1j, -0.4 + 0.3j])
-    bound, d, size = 6, 2, 4
-    table = build_L(dens, lams, bound)
-    T = truncated_matrix(table, bound)
-    rows0 = np.array([-6, -2, 0, 2])
-    cols0 = np.array([-2, -6, 2, 0])
-    blocks = recurrence_blocks(table, rows0, cols0, size)
-    assert blocks.shape == (2, 4, size * d, size * d)
-    for b, (r0, c0) in enumerate(zip(rows0, cols0)):
-        r, c = (r0 + bound) * d, (c0 + bound) * d
-        want = T[:, r : r + size * d, c : c + size * d]
-        assert np.array_equal(blocks[:, b], want)
 
 
 def _loop_residual(comps, table, left):
@@ -244,8 +228,11 @@ def test_the_class_radius_only_saves_work(case, request, monkeypatch):
 def test_s2_zero_mode_search_hands_pinched_runs_over_early(
     vdp_linearization, monkeypatch
 ):
-    # every continued fraction Newton run on s2 at the verify settings
-    # pinches; spending each run's budget before the Hill handover took
+    # on s2 at the verify settings every continued fraction Newton run
+    # converges on the exact closure, each at its first step from the
+    # contour eigenvalue, one ladder evaluation per class; a run that
+    # pinches is still handed over to the Hill eigenvalue at its first
+    # step outside its class, where spending each run's budget once took
     # 225 ladder evaluations
     density, _, state, _ = vdp_linearization
     calls = []

@@ -6,7 +6,7 @@ import pytest
 import ddefloquet as df
 from ddefloquet import cli
 from ddefloquet.errors import ExponentOverflow
-from ddefloquet.model import build_L, recurrence_blocks
+from ddefloquet.model import build_L, truncated_matrix
 from ddefloquet.risken import (
     _stack_width,
     assemble_blocks,
@@ -20,16 +20,25 @@ from test_risken_planes import OVERFLOW, _pair_density
 
 def _l_table_blocks(density, lam, depth):
     """The L table on the window the blocks need, and the diag, upper and
-    lower blocks gathered from it by `model.recurrence_blocks`: the
-    reference the blocks read off the pencil must match."""
+    lower blocks sliced from the matrix `model.truncated_matrix` gathers
+    from it: the reference the blocks read off the pencil must match."""
     w0 = _stack_width(density.bandwidth)
-    table = build_L(density, lam, 2 * w0 * (depth + 1) + density.bandwidth)
     size = 2 * w0
-    starts = size * np.arange(-depth - 1, depth + 1)
+    bound = size * (depth + 2)
+    table = build_L(density, lam, bound)
+    T = truncated_matrix(table, bound)
+    at = (size * np.arange(-depth - 1, depth + 2) + bound) * density.dim
+    width = size * density.dim
+
+    def blocks(rows, cols):
+        return np.stack(
+            [T[..., r : r + width, c : c + width] for r, c in zip(rows, cols)], axis=-3
+        )
+
     gathered = [
-        recurrence_blocks(table, starts, starts, size),
-        recurrence_blocks(table, starts, starts + size, size),
-        recurrence_blocks(table, starts + size, starts, size),
+        blocks(at[:-1], at[:-1]),
+        blocks(at[:-1], at[1:]),
+        blocks(at[1:], at[:-1]),
     ]
     return table, gathered
 

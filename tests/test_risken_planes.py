@@ -17,7 +17,7 @@ import pytest
 import ddefloquet as df
 from ddefloquet import risken
 from ddefloquet.errors import CfBreakdown
-from ddefloquet.risken import PIVOT_REL
+from ddefloquet.linalg import PIVOT_REL
 
 OVERFLOW = -800.0  # Re(lambda) * theta = 800 > 700 at theta = -1
 

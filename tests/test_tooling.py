@@ -2,6 +2,7 @@
 outside the package; a rename or a changed call shape must fail here, not
 silently in the trace."""
 
+import dataclasses
 import importlib
 import importlib.util
 import inspect
@@ -278,103 +279,51 @@ def test_monodromy_spans_split_the_march_from_eigvals(monkeypatch):
 
 
 def test_risken_reads_no_l_table_and_eliminates_through_lapack(monkeypatch):
-    # the tridiagonal route reads its blocks off the pencil and sweeps with
-    # np.linalg.solve, so the n-diagonal ladder passes are the one caller
-    # of the batched elimination of linalg, and floquet keeps no copy of it
-    for name in ("build_L", "LMatrixTable", "recurrence_blocks", "plane_solve", "_window"):
+    # the tridiagonal route reads its blocks off the pencil, and it and the
+    # ladder operators solve through the one stacked LAPACK solve of linalg:
+    # one call per sweep level, one per ladder evaluation
+    for name in ("build_L", "LMatrixTable", "recurrence_blocks", "_window"):
         assert not hasattr(risken, name)
-    assert not hasattr(floquet, "_plane_solve")
-    binders = []
-    for info in pkgutil.iter_modules(df.__path__):
-        module = importlib.import_module(f"ddefloquet.{info.name}")
-        if module is not linalg and hasattr(module, "plane_solve"):
-            binders.append(module)
-    assert binders == [floquet]
-    assert floquet.plane_solve is linalg.plane_solve
     callers = []
+    for module in (floquet, risken):
 
-    def counted(U, X):
-        frame, names = sys._getframe(1), set()
-        while frame is not None:
-            names.add(frame.f_code.co_name)
-            frame = frame.f_back
-        callers.append("ladder_operators" in names)
-        return linalg.plane_solve(U, X)
+        def counted(a, b, module=module):
+            callers.append(module.__name__.rsplit(".", 1)[1])
+            return linalg.solve_stack(a, b)
 
-    monkeypatch.setattr(floquet, "plane_solve", counted)
+        monkeypatch.setattr(module, "solve_stack", counted)
     coeffs = np.zeros((1, 3, 2, 2), dtype=complex)
     coeffs[0, 1] = [[-0.5, 0.3], [0.3, -0.3]]
     coeffs[0, 0] = coeffs[0, 2] = 0.1 * np.eye(2)
     dens = df.FourierMatrixDensity(1.0, np.array([0.0]), coeffs)
     risken.closure_determinant_risken(dens, 0.1 + 0.2j, 2)
-    assert callers == []
-    floquet.closure_determinant(dens, 0.1 + 0.2j, 2, 2)
-    assert callers and all(callers)
+    assert callers == ["risken"] * 2
+    callers.clear()
+    floquet.closure_determinant(dens, np.array([0.1 + 0.2j, 0.3j]), 2, 2)
+    assert callers == ["floquet"]
 
 
-def test_scalar_kernels_take_the_plane_pass_and_read_t(monkeypatch):
-    # d = 1 has no pass of its own, and the ladders read their coefficients
-    # from one recurrence_blocks call instead of shifting L themselves
-    for name in ("_scalar_passes", "_brackets", "_shift_to_target"):
-        assert not hasattr(floquet, name)
-    calls = []
-    for module, name in ((floquet, "plane_solve"), (floquet, "recurrence_blocks")):
-        original = getattr(module, name)
-
-        def counted(*args, name=name, original=original):
-            calls.append(name)
-            return original(*args)
-
-        monkeypatch.setattr(module, name, counted)
-    coeffs = np.zeros((2, 3, 1, 1), dtype=complex)
-    coeffs[:, 1] = [[[-0.5]], [[-0.3]]]
-    coeffs[1, 0] = coeffs[1, 2] = 0.05
-    dens = df.FourierMatrixDensity(1.0, np.array([-1.0, 0.0]), coeffs)
-    ladders = floquet.ladder_operators(dens, np.array([-0.3 + 0.2j, 0.1j]), 4, 4)
-    assert calls.count("recurrence_blocks") == 1
-    assert calls.count("plane_solve") == int(ladders.passes.max())
-
-
-def test_s2_passes_form_only_the_even_offsets(vdp_linearization, monkeypatch):
-    # the s2 linearization has only even harmonics, so the relations of
-    # m = +-1, +-3, +-5 are never formed
-    seen = []
-    passes = floquet._matrix_passes
-
-    def recorded(a_zero, a_stack, rhs_stack, m_list, *rest):
-        seen.append(list(m_list))
-        assert a_stack.shape[3] == rhs_stack.shape[3] == len(m_list)
-        return passes(a_zero, a_stack, rhs_stack, m_list, *rest)
-
-    monkeypatch.setattr(floquet, "_matrix_passes", recorded)
-    density = vdp_linearization[0]
-    assert density.bandwidth == 6
-    floquet.ladder_operators(density, np.array([-0.3 + 0.2j, 0.1j]), 8, 8)
-    assert seen == [[-6, -4, -2, 2, 4, 6]]
-
-
-def test_band_without_coupled_offsets_takes_the_k0_return():
-    coeffs = np.zeros((2, 5, 2, 2), dtype=complex)
-    coeffs[0, 2] = [[-0.5, 0.2], [0.1, -0.4]]
-    coeffs[1, 2] = [[-0.3, 0.05], [-0.1, -0.2]]
-    wide = df.FourierMatrixDensity(1.0, np.array([-1.0, 0.0]), coeffs)
-    narrow = df.FourierMatrixDensity(1.0, wide.delays, coeffs[:, 2:3])
-    assert wide.bandwidth == 2 and narrow.bandwidth == 0
-    lams = np.array([-0.3 + 0.2j, 0.4 - 0.1j])
-    for lam in (lams[0], lams):
-        ladders = floquet.ladder_operators(wide, lam, 4, 4)
-        assert ladders.ops == {}
-        assert np.array_equal(ladders.passes, np.zeros(np.shape(lam), dtype=int))
-        k0 = floquet.ladder_operators(narrow, lam, 4, 4)
-        assert np.array_equal(ladders.passes, k0.passes)
-        assert np.array_equal(
-            floquet.assemble_M(wide, lam, 4, 4, ladders=ladders),
-            floquet.assemble_M(narrow, lam, 4, 4),
-        )
+def test_the_insertion_passes_are_gone():
+    # the ladder operators are one exact solve: no module keeps a pass, its
+    # budget, its stopping rules or the hand-written elimination it ran on
+    deleted = (
+        "plane_solve",
+        "_run_passes",
+        "_matrix_passes",
+        "EXTRA_PASSES",
+        "EARLY_EXIT",
+        "DIVERGENCE_GUARD",
+    )
+    for info in pkgutil.iter_modules(df.__path__):
+        module = importlib.import_module(f"ddefloquet.{info.name}")
+        for name in deleted:
+            assert not hasattr(module, name), (info.name, name)
+    assert not hasattr(df, "plane_solve")
+    assert "passes" not in {f.name for f in dataclasses.fields(floquet.LadderSet)}
 
 
 def test_one_adjoint_route_and_one_hand_written_elimination(s3, s3_modes, monkeypatch):
-    # linalg keeps plane_solve as its only elimination, and adjoint_modes and
+    # linalg writes no elimination of its own, and adjoint_modes and
     # extract_mode read the null vectors of T(lambda) without a ladder or a
     # closure matrix
     for name in ("_lu", "_substitute", "solve_batch"):
@@ -428,7 +377,10 @@ def test_lapack_factors_the_class_blocks_not_the_whole_t(
     # solve, slogdet or svd is a class block: 34 x 34 and 32 x 32 for the
     # even and odd indices of s2 at bound 16, the whole 41 x 41 on s3 at
     # bound 20, whose indices are all coupled; the only other matrix is
-    # the contour's moment matrix, T's height by the probe columns
+    # the contour's moment matrix, T's height by the probe columns.  The
+    # ladder solve of det M hands over T_RR alone, the class of n = 0
+    # without block 0: 32 x 32, the even indices of s2 but 0, and 40 x 40
+    # on s3
     shapes = []
     for name in ("solve", "slogdet", "svd"):
         original = getattr(np.linalg, name)
@@ -438,9 +390,9 @@ def test_lapack_factors_the_class_blocks_not_the_whole_t(
             return original(a, *args, **kwargs)
 
         monkeypatch.setattr(np.linalg, name, recorded)
-    for density, box, bound, blocks in (
-        (vdp_linearization[0], (-0.6, 0.3, -0.5, 0.5), 16, {(34, 34), (32, 32)}),
-        (s3, (-3.0, 1.0, -0.5, 0.5), 20, {(41, 41)}),
+    for density, box, bound, blocks, rest in (
+        (vdp_linearization[0], (-0.6, 0.3, -0.5, 0.5), 16, {(34, 34), (32, 32)}, 32),
+        (s3, (-3.0, 1.0, -0.5, 0.5), 20, {(41, 41)}, 40),
     ):
         shapes.clear()
         lam = rootfind.contour_classes(density, box, bound)[0]
@@ -451,3 +403,6 @@ def test_lapack_factors_the_class_blocks_not_the_whole_t(
         assert square == blocks
         size = (2 * bound + 1) * density.dim
         assert all(s[0] == size and s[1] < size for s in shapes if s[0] != s[1])
+        shapes.clear()
+        floquet.closure_determinant(density, root, bound // 2, bound - bound // 2)
+        assert shapes and set(shapes) == {(rest, rest)}
