@@ -120,14 +120,24 @@ def _require(data, key, where):
     return data[key]
 
 
+def _powers(values, spot):
+    """Exponents of a monomial, each a nonnegative integer."""
+    out = []
+    for p in values:
+        if not isinstance(p, (int, float)) or p < 0 or not float(p).is_integer():
+            raise ConfigError(f"{spot}: power {p!r} is not a nonnegative integer")
+        out.append(int(p))
+    return tuple(out)
+
+
 def _load_oscillator(data, where):
     forcing = []
     for i, t in enumerate(_require(data, "forcing", where)):
         spot = f"{where}: forcing[{i}]"
-        powers = _require(t, "powers", spot)
+        powers = _powers(_require(t, "powers", spot), spot)
         if len(powers) != 4:
             raise ConfigError(f"{spot}: powers must list 4 exponents")
-        forcing.append((float(_require(t, "coeff", spot)), tuple(int(p) for p in powers)))
+        forcing.append((float(_require(t, "coeff", spot)), powers))
     return DrivenOscillator(
         omega0=float(_require(data, "omega0", where)),
         tau=float(_require(data, "tau", where)),
@@ -140,8 +150,8 @@ def _load_first_order(data, where):
     terms = []
     for i, t in enumerate(_require(data, "terms", where)):
         spot = f"{where}: terms[{i}]"
-        powers = tuple(int(p) for p in _require(t, "powers", spot))
-        dpowers = tuple(int(p) for p in _require(t, "delayed_powers", spot))
+        powers = _powers(_require(t, "powers", spot), spot)
+        dpowers = _powers(_require(t, "delayed_powers", spot), spot)
         if len(powers) != dim or len(dpowers) != dim:
             raise ConfigError(f"{spot}: power lists must have length dim = {dim}")
         terms.append(

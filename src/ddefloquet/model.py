@@ -55,6 +55,10 @@ class MonomialTerm:
     powers: tuple
     delayed_powers: tuple
 
+    def __post_init__(self):
+        if any(p < 0 or p != int(p) for p in (*self.powers, *self.delayed_powers)):
+            raise ValueError("monomial powers must be nonnegative integers")
+
     def degree(self) -> int:
         return sum(self.powers) + sum(self.delayed_powers)
 

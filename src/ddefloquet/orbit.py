@@ -18,7 +18,15 @@ previous order amplitude) is fixed by that solvability condition.  The
 first harmonic of I_m is exactly polynomial in the amplitude and affine in
 the frequency coefficient, so the solve reconstructs that polynomial from
 samples and extracts the root closest to the starting guess; no numerical
-differentiation is involved.
+differentiation is involved.  The I_m of the secular defect check is the one
+the order m equation is then solved with, so each order evaluates it once.
+
+The hierarchy runs on coefficient arrays.  A power series in the expansion
+parameter whose coefficients are Fourier series is one complex array: row k
+holds the coefficient of eps^k, column N + n its harmonic n, |n| <= N.  N is
+the degree of f times the widest orbit order, so the exact np.convolve
+products of the forcing are never cut.  The public values (`x_orders`,
+`assemble`, `orbit_to_state`, `orbit_residual_series`) are FourierSeries.
 """
 
 from __future__ import annotations
@@ -65,6 +73,9 @@ class DrivenOscillator:
             raise ValueError("omega0 must be positive")
         if self.tau < 0:
             raise ValueError("tau must be nonnegative")
+        for _, ex in self.forcing:
+            if len(ex) != 4 or any(e < 0 or e != int(e) for e in ex):
+                raise ValueError(f"monomial {ex}: need 4 nonnegative integer exponents")
         object.__setattr__(
             self,
             "forcing",
@@ -146,39 +157,45 @@ def _frequency_series(freq, scheme: str) -> np.ndarray:
     return f
 
 
-# -- power series of Fourier series ("None" marks an all-zero order) ----
+# -- power series of Fourier series, as (order, harmonic) arrays --------
 
 
-def _ps_add(a, b):
-    out = []
-    for x, y in zip(a, b):
-        if x is None:
-            out.append(y)
-        elif y is None:
-            out.append(x)
-        else:
-            out.append(x + y)
+def _ps_diag(a, b):
+    """Series product whose coefficients multiply harmonic by harmonic."""
+    out = np.zeros_like(b)
+    for q in range(len(out)):
+        out[q:] += a[: len(out) - q] * b[q]
     return out
 
 
-def _ps_mul(a, b, up_to):
-    out = [None] * (up_to + 1)
-    for i, x in enumerate(a):
-        if x is None or i > up_to:
-            continue
-        for j, y in enumerate(b):
-            if y is None or i + j > up_to:
-                continue
-            p = x.convolve(y).trim(1e-16)
-            out[i + j] = p if out[i + j] is None else out[i + j] + p
+def _ps_mul(a, b):
+    """Series product whose coefficients multiply by exact convolution.
+
+    A full convolution of two rows spans -2N..2N; the hierarchy sizes N so
+    that no product reaches past N, and the crop drops only exact zeros.
+    """
+    out = np.zeros_like(a)
+    N = a.shape[1] // 2
+    for i in range(len(a)):
+        if a[i].any():
+            for j in range(len(a) - i):
+                out[i + j] += np.convolve(a[i], b[j])[N : 3 * N + 1]
     return out
 
 
-def _ps_pow(a, e, up_to):
-    out = [FourierSeries.constant(1.0)] + [None] * up_to
-    for _ in range(e):
-        out = _ps_mul(out, a, up_to)
-    return out
+def _orbit_rows(bases, amps, factors):
+    """Orbit orders x_p = base_p + A_p cos(xi) as rows of harmonics -N..N.
+
+    N is `factors` times the widest base, so that no product of that many
+    orders is cut.
+    """
+    N = factors * max(b.cutoff for b in bases)
+    X = np.zeros((len(bases), 2 * N + 1), dtype=complex)
+    for p, b in enumerate(bases):
+        X[p, N - b.cutoff : N + b.cutoff + 1] = b.coeffs
+    X[:, N - 1] += 0.5 * np.asarray(amps)
+    X[:, N + 1] += 0.5 * np.asarray(amps)
+    return X
 
 
 class _Hierarchy:
@@ -198,6 +215,8 @@ class _Hierarchy:
         self.model = model
         self.scheme = scheme
         self.w0 = model.omega0
+        # a forcing monomial multiplies at most this many orbit factors
+        self.factors = max(model.degree(), 1)
 
     def g_coeffs(self, freq, m):
         f = np.asarray(freq, dtype=float)
@@ -213,97 +232,61 @@ class _Hierarchy:
 
     def rhs_order(self, f_ser, m):
         if self.scheme == "shohat":
-            acc = None
-            for s in range(1, m + 1):
-                weight = math.comb(s + 1, 2)
-                fs = f_ser[m - s]
-                if fs is None:
-                    continue
-                term = fs.scale(float(weight))
-                acc = term if acc is None else acc + term
-            return acc
+            weights = [math.comb(m - r + 1, 2) for r in range(m)]
+            return np.asarray(weights, dtype=float) @ f_ser
         return f_ser[m - 1]
 
-    def argument_series(self, xs, freq, up_to):
-        """Series of the four forcing arguments up to order `up_to`.
+    def argument_series(self, X, freq):
+        """Series of the four forcing arguments (x, v, x_tau, v_tau).
 
-        xs holds the orbit orders x_0..x_{up_to}; freq the frequency
-        coefficients known so far (at least up to index up_to).
+        X holds the orbit orders 0..R-1 as rows; freq at least R frequency
+        coefficients.  Each argument is X times a series of harmonic-wise
+        multipliers: v is omega(eps) d/dxi, and the delay xi -> xi -
+        omega(eps) tau is exp(-i n omega(eps) tau) = exp(-i n omega_0 tau)
+        exp(-i n tau Delta(eps)), Delta = sum_{r>=1} omega_r eps^r, whose
+        exponential series ends at eps^(R-1) because Delta starts at eps.
         """
-        fs = _frequency_series(freq, self.scheme)[: up_to + 1]
+        R, W = X.shape
+        n = np.arange(W) - W // 2
+        fs = _frequency_series(freq, self.scheme)[:R]
         tau = self.model.tau
-        phi0 = fs[0] * tau
+        omega = np.outer(fs, 1j * n)
+        step = np.outer(fs, -1j * tau * n)
+        step[0] = 0.0
+        term = np.zeros((R, W), dtype=complex)
+        term[0] = np.exp(-1j * n * (fs[0] * tau))
+        delay = term
+        for j in range(1, R):
+            term = _ps_diag(term, step) / j
+            delay = delay + term
+        delayed_v = _ps_diag(omega, delay)
+        return X, _ps_diag(omega, X), _ps_diag(delay, X), _ps_diag(delayed_v, X)
 
-        X = list(xs[: up_to + 1])
-        Xdot = [s.derivative() for s in X]
-        # V = omega(eps) * xdot(eps)
-        V = [None] * (up_to + 1)
-        for a in range(up_to + 1):
-            for b in range(up_to + 1 - a):
-                term = Xdot[b].scale(fs[a])
-                V[a + b] = term if V[a + b] is None else V[a + b] + term
-
-        # chain rule table: D[s][j] = eps^s coefficient of (-tau*Delta)^j / j!
-        # with Delta = sum_{r>=1} fs[r] eps^r
-        delta = np.zeros(up_to + 1)
-        delta[1:] = fs[1:] * tau
-        D = [np.zeros(up_to + 1) for _ in range(up_to + 1)]
-        D[0][0] = 1.0
-        powj = np.zeros(up_to + 1)
-        powj[0] = 1.0
-        for j in range(1, up_to + 1):
-            powj = np.convolve(powj, -delta)[: up_to + 1]
-            D[j] = powj / math.factorial(j)
-
-        def delayed(series_list):
-            out = [None] * (up_to + 1)
-            for q, sq in enumerate(series_list):
-                shifted = [sq.shift(phi0)]
-                for j in range(1, up_to + 1 - q):
-                    shifted.append(shifted[0].derivative(j))
-                for s in range(up_to + 1 - q):
-                    for j in range(s + 1):
-                        w = D[j][s]
-                        if w == 0.0:
-                            continue
-                        term = shifted[j].scale(w)
-                        out[q + s] = term if out[q + s] is None else out[q + s] + term
-            return out
-
-        XD = delayed(X)
-        W = delayed(Xdot)
-        VD = [None] * (up_to + 1)
-        for a in range(up_to + 1):
-            for b in range(up_to + 1 - a):
-                if W[b] is None:
-                    continue
-                term = W[b].scale(fs[a])
-                VD[a + b] = term if VD[a + b] is None else VD[a + b] + term
-        return X, V, XD, VD
-
-    def forcing_series(self, xs, freq, up_to):
-        X, V, XD, VD = self.argument_series(xs, freq, up_to)
-        total = [None] * (up_to + 1)
-        for c, (e1, e2, e3, e4) in self.model.forcing:
-            term = [FourierSeries.constant(c)] + [None] * up_to
-            for base, e in ((X, e1), (V, e2), (XD, e3), (VD, e4)):
-                if e:
-                    term = _ps_mul(term, _ps_pow(base, e, up_to), up_to)
-            total = _ps_add(total, term)
+    def forcing_series(self, X, freq):
+        args = self.argument_series(X, freq)
+        total = np.zeros_like(X)
+        for c, exponents in self.model.forcing:
+            term = None
+            for base, e in zip(args, exponents):
+                for _ in range(e):
+                    term = base if term is None else _ps_mul(term, base)
+            if term is None:
+                total[0, X.shape[1] // 2] += c
+            else:
+                total += c * term
         return total
 
-    def inhomogeneity(self, m, xs, freq_with_w):
-        """I_m given orbit orders < m and frequency coefficients through m."""
-        f_ser = self.forcing_series(xs, freq_with_w, m - 1)
-        acc = self.rhs_order(f_ser, m)
-        if acc is None:
-            acc = FourierSeries.zeros(0)
-        G = self.g_coeffs(freq_with_w, m)
+    def inhomogeneity(self, m, X, freq):
+        """I_m given the orbit orders X[0..m-1] (`_orbit_rows`, wide enough
+        for every product of the forcing) and frequency coefficients
+        through m."""
+        n = np.arange(X.shape[1]) - X.shape[1] // 2
+        f_ser = self.forcing_series(X, freq)
+        G = self.g_coeffs(freq, m)
         H = self.h_coeffs(m)
-        for a in range(1, m + 1):
-            xm = xs[m - a]
-            acc = acc - xm.derivative(2).scale(G[a]) - xm.scale(H[a])
-        return acc.scale(1.0 / self.w0**2).trim(1e-16)
+        # sum over a = 1..m of G_a x''_{m-a} + H_a x_{m-a}, with x'' = -n^2 x
+        lhs = (H[1:, None] - np.outer(G[1:], n**2)) * X[::-1]
+        return (self.rhs_order(f_ser, m) - lhs.sum(axis=0)) / self.w0**2
 
 
 def _poly_from_samples(nodes, values):
@@ -317,20 +300,22 @@ def _solve_secular(hier, m, x_bases, amps, freq, a_start, flags):
 
     The first harmonic c1(A, w) is exactly polynomial in A and affine in w
     with slope sigma(A) = A0/omega0 (A0 being the zeroth amplitude, equal
-    to A itself when m = 1), so the solve is algebraic.
+    to A itself when m = 1), so the solve is algebraic.  Returns A, w, the
+    secular defect and the I_m it was read off, on the `_orbit_rows` window.
     """
     w0 = hier.w0
 
-    def c1_of(A, w):
-        xs = [x_bases[p] + FourierSeries.cosine(a) for p, a in enumerate(amps)]
-        xs.append(x_bases[m - 1] + FourierSeries.cosine(A))
-        ff = list(freq) + [w]
-        return complex(hier.inhomogeneity(m, xs, ff).coefficient(1))
+    def inhomogeneity(A, w):
+        X = _orbit_rows(x_bases, amps + [A], hier.factors)
+        return hier.inhomogeneity(m, X, freq + [w])
+
+    def c1(I_m):
+        return complex(I_m[len(I_m) // 2 + 1])
 
     deg = max(hier.model.degree(), 1) if m == 1 else 1
     spread = max(abs(a_start), 1.0)
     nodes = [a_start + spread * 0.8 * ((k + 1) // 2) * (-1) ** k for k in range(deg + 1)]
-    coeffs = _poly_from_samples(nodes, [c1_of(a, 0.0) for a in nodes])
+    coeffs = _poly_from_samples(nodes, [c1(inhomogeneity(a, 0.0)) for a in nodes])
 
     scale = max(float(np.max(np.abs(coeffs))), 1e-300)
     im = np.real(coeffs * -1j)  # imaginary parts, ascending
@@ -366,12 +351,13 @@ def _solve_secular(hier, m, x_bases, amps, freq, a_start, flags):
     else:
         w = -p_at_A.real / sigma
 
-    defect = abs(c1_of(A, w))
+    I_m = inhomogeneity(A, w)
+    defect = abs(c1(I_m))
     if defect > 1e-9 * max(1.0, abs(A)):
         raise NonconvergentAmplitude(
             f"order {m}: secular defect {defect:.2e} after algebraic solve"
         )
-    return float(A), float(w), defect
+    return float(A), float(w), defect, I_m
 
 
 def _expand(model, mu, order, scheme, cutoff, a_start):
@@ -389,14 +375,13 @@ def _expand(model, mu, order, scheme, cutoff, a_start):
     flags: list[str] = []
 
     for m in range(1, order + 2):
-        A, w, defect = _solve_secular(hier, m, x_bases, amps, freq, a_start, flags)
+        A, w, defect, I_m = _solve_secular(hier, m, x_bases, amps, freq, a_start, flags)
         amps.append(A)
         defects.append(defect)
         if m == order + 1:
             break  # A_P is fixed; the next frequency coefficient is not stored
         freq.append(w)
-        xs = [x_bases[p] + FourierSeries.cosine(a) for p, a in enumerate(amps)]
-        I_m = hier.inhomogeneity(m, xs, freq)
+        I_m = FourierSeries(I_m).trim(1e-16)
         N = I_m.cutoff
         idx = np.arange(-N, N + 1)
         fac = np.zeros(2 * N + 1)

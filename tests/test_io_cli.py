@@ -59,6 +59,26 @@ def test_load_oscillator_file(tmp_path):
     assert model.degree() == 3
 
 
+@pytest.mark.parametrize("bad", [2.7, -1])
+@pytest.mark.parametrize("kind", ["oscillator", "first_order"])
+def test_powers_must_be_nonnegative_integers(tmp_path, capsys, kind, bad):
+    # int() used to turn a power of 2.7 into 2 and exit 0
+    if kind == "oscillator":
+        forcing = [{"coeff": 1.0, "powers": [0, 0, 0, 1]}]
+        forcing.append({"coeff": -1.0, "powers": [bad, 0, 0, 1]})
+        system = {"omega0": 1.0, "tau": 0.5, "mu": 0.1, "forcing": forcing}
+    else:
+        term = {"coeff": -1.0, "target": 0, "powers": [bad], "delayed_powers": [0]}
+        system = {"dim": 1, "tau": 1.0, "terms": [term]}
+    path = tmp_path / "sys.json"
+    path.write_text(json.dumps(dict(system, version=1, kind=kind)))
+    with pytest.raises(ConfigError, match="nonnegative integer"):
+        load_system(str(path))
+    code = main(["orbit", "--system", str(path), "--out", str(tmp_path / "o")])
+    assert code == 2
+    assert "nonnegative integer" in capsys.readouterr().err
+
+
 def test_load_density_file(tmp_path):
     path = tmp_path / "dens.json"
     path.write_text(

@@ -42,6 +42,16 @@ def test_rescale_vdp_against_symbolic_substitution():
     assert r.tau == pytest.approx(w * sys0.tau)
 
 
+def test_monomial_powers_are_nonnegative_integers():
+    # a power of -1 evaluated a reciprocal in rhs and a zero Jacobian in the
+    # linearization
+    with pytest.raises(ValueError):
+        MonomialTerm(1.0, 0, (0,), (-1,))
+    with pytest.raises(ValueError):
+        MonomialTerm(1.0, 0, (2.5,), (0,))
+    assert MonomialTerm(1.0, 0, (0,), (1,)).degree() == 1
+
+
 def test_constant_orbit_gives_constant_jacobians():
     # q' = q - q^3 + 0.5 q_tau about the fixed point q* of the full rhs
     terms = (

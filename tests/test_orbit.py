@@ -3,7 +3,7 @@ import pytest
 
 import ddefloquet as df
 from ddefloquet import DrivenOscillator, expand_pl, expand_shohat, orbit_to_state
-from ddefloquet.errors import DegenerateSecularWarning
+from ddefloquet.errors import CutoffTooSmall, DegenerateSecularWarning
 from ddefloquet.orbit import orbit_residual_series
 from ddefloquet.systems import S2_TAU, s2_model
 
@@ -54,7 +54,7 @@ def test_initial_condition_convention(vdp_orbit2):
         assert abs(np.real(xm.derivative().evaluate(0.0))) < 1e-12
 
 
-@pytest.mark.parametrize("order", [1, 2])
+@pytest.mark.parametrize("order", [1, 2, 3, 4])
 def test_residual_slope_is_order_plus_one(vdp_model, order):
     mus = [0.01, 0.02, 0.05, 0.1]
     res = [df.oscillator_residual(expand_pl(vdp_model, mu, order)) for mu in mus]
@@ -93,11 +93,35 @@ def test_shohat_order1_equals_pl_shifted(vdp_model):
     assert sh.freq_coeffs[1] == pytest.approx(1.0 + np.sin(S2_TAU), abs=1e-10)
 
 
-def test_shohat_residual_also_scales(vdp_model):
+@pytest.mark.parametrize("order", [2, 3, 4])
+def test_shohat_residual_also_scales(vdp_model, order):
     mus = [0.02, 0.05, 0.1]
-    res = [df.oscillator_residual(expand_shohat(vdp_model, mu, 2)) for mu in mus]
+    res = [df.oscillator_residual(expand_shohat(vdp_model, mu, order)) for mu in mus]
     slope = np.polyfit(np.log(mus), np.log(res), 1)[0]
-    assert abs(slope - 3.0) < 0.7
+    assert abs(slope - (order + 1)) < 0.7
+
+
+def test_cutoff_keeps_an_orbit_that_fits_and_refuses_one_that_does_not(
+    vdp_model, vdp_orbit2
+):
+    assert [x.cutoff for x in vdp_orbit2.x_orders] == [1, 3, 5]
+    for cutoff in (5, 9):
+        exp = expand_pl(vdp_model, 0.1, 2, cutoff=cutoff)
+        for got, want in zip(exp.x_orders, vdp_orbit2.x_orders):
+            assert np.array_equal(got.coeffs, want.coeffs)
+        assert exp.freq_coeffs == vdp_orbit2.freq_coeffs
+        assert exp.amplitudes == vdp_orbit2.amplitudes
+    with pytest.raises(CutoffTooSmall):
+        expand_pl(vdp_model, 0.1, 2, cutoff=3)
+
+
+@pytest.mark.parametrize(
+    "exponents", [(-1, 0, 0, 1), (0, 0, 1), (0, 0, 0, 1, 0), (2.5, 0, 0, 1)]
+)
+def test_forcing_exponents_are_four_nonnegative_integers(exponents):
+    # a negative exponent used to expand as exponent 0
+    with pytest.raises(ValueError):
+        DrivenOscillator(omega0=1.0, tau=0.5, forcing=((-1.0, exponents),))
 
 
 def test_orbit_to_state_mu_zero(vdp_model):

@@ -22,10 +22,11 @@ from ddefloquet import (
     linalg,
     model,
     oracles,
+    orbit,
     risken,
     rootfind,
 )
-from ddefloquet.systems import constant_density
+from ddefloquet.systems import constant_density, s2_model
 from test_cross_route import BOX as CROSS_BOX
 from test_cross_route import KERNELS as CROSS_KERNELS
 from test_risken_planes import _wide_band_density
@@ -406,3 +407,19 @@ def test_lapack_factors_the_class_blocks_not_the_whole_t(
         shapes.clear()
         floquet.closure_determinant(density, root, bound // 2, bound - bound // 2)
         assert shapes and set(shapes) == {(rest, rest)}
+
+
+def test_an_order_two_expansion_evaluates_the_hierarchy_eleven_times(monkeypatch):
+    # orders 1, 2 and 3 sample the secular polynomial at 4, 2 and 2
+    # amplitudes and check the defect once each; x_m is solved with the
+    # I_m of that check, so it is not evaluated again
+    calls = []
+    original = orbit._Hierarchy.forcing_series
+
+    def counted(self, *args):
+        calls.append(len(args[0]))
+        return original(self, *args)
+
+    monkeypatch.setattr(orbit._Hierarchy, "forcing_series", counted)
+    orbit.expand_pl(s2_model(), 0.1, 2)
+    assert calls == [1] * 5 + [2] * 3 + [3] * 3
