@@ -18,7 +18,10 @@ with a plain (non conjugating) scalar product.  For point mass kernels the
 double integral collapses into finite sums of closed form exponential
 integrals, evaluated here without quadrature.  Eigenmode pairs at distinct
 exponents pair to zero and the pairing of a matched pair is independent of
-the phase xi, both up to truncation error.
+the phase xi, both up to truncation error.  The collapsed normalization
+sum and the effective forcing are array expressions over the banded
+coefficients C_{p-q,j} (zero where |p - q| > K) that `hill_matrix` reads
+too; they loop over the delay slots only.
 """
 
 from __future__ import annotations
@@ -35,7 +38,7 @@ from .floquet import FloquetMode, _null_vector, closure_determinant
 # which checks that the instrumentation rewraps a second binding
 from .floquet import ladder_operators  # noqa: F401
 from .linalg import solve_linear
-from .model import FourierMatrixDensity, hill_matrix
+from .model import FourierMatrixDensity, _band, hill_matrix
 from .rootfind import _newton, to_strip
 
 __all__ = [
@@ -146,21 +149,13 @@ class BilinearContext:
         """sum_{n,j} <Psi_j, (delta_{jn} I - sum_slots theta e^{(lam+in)theta}
         C_{j-n}) Phi_n>, the collapsed xi independent pairing."""
         lam = phi.lam_raw
-        pj = psi.components
-        pn = phi.components
-        Nw = phi.n_win
+        pj, pn = psi.components, phi.components
+        n = np.arange(-phi.n_win, phi.n_win + 1)
         total = complex(np.sum(pj * pn))  # diagonal j = n term
-        dens = self.density
-        K = dens.bandwidth
-        for j in range(-Nw, Nw + 1):
-            for n in range(max(-Nw, j - K), min(Nw, j + K) + 1):
-                k = j - n
-                for s_idx, theta in enumerate(dens.delays):
-                    if theta >= 0.0:
-                        continue
-                    c = dens.coeffs[s_idx, k + K]
-                    w = -theta * np.exp((lam + 1j * n) * theta)
-                    total += w * (pj[j + Nw] @ c @ pn[n + Nw])
+        for C, theta in zip(_band(self.density, n), self.density.delays):
+            if theta < 0.0:
+                w = -theta * np.exp((lam + 1j * n) * theta)
+                total += np.einsum("ja,jnab,nb->", pj, C, pn * w[:, None])
         return total
 
 
@@ -233,7 +228,7 @@ def solve_inhomogeneous(
     """
     lam = complex(lam)
     d = density.dim
-    chi_arr = _forcing_to_array(chi, n_win, d)
+    b = _effective_rhs(density, lam, _forcing_to_array(chi, n_win, d), n_win)
 
     def det_at(lams):
         return closure_determinant(density, lams, n_win, depth)
@@ -241,7 +236,6 @@ def solve_inhomogeneous(
     root, ok = _newton(det_at, lam, tol=1e-12, max_iter=15)
     if ok and abs(root - lam) <= RESONANCE_TOL:
         psi = adjoint_modes(density, root, n_win, depth)
-        b = _effective_rhs(density, lam, chi_arr, n_win)
         defect = complex(np.sum(psi.components * b))
         raise ResonantForcing(
             f"lambda = {lam:.6g} is within {RESONANCE_TOL:.0e} of root {root:.6g}",
@@ -250,8 +244,7 @@ def solve_inhomogeneous(
 
     B = n_win + depth
     T = hill_matrix(density, B)(lam)
-    b_full = np.zeros((2 * B + 1, d), dtype=complex)
-    b_full[B - n_win : B + n_win + 1] = _effective_rhs(density, lam, chi_arr, n_win)
+    b_full = np.pad(b, ((depth, depth), (0, 0)))
     x = solve_linear(T, b_full.reshape(-1)).reshape(2 * B + 1, d)
     residual = float(
         np.max(np.abs(T @ x.reshape(-1) - b_full.reshape(-1)))
@@ -261,21 +254,10 @@ def solve_inhomogeneous(
 
 
 def _effective_rhs(density, lam, chi_arr, n_win) -> np.ndarray:
-    K = density.bandwidth
-    d = density.dim
-    out = chi_arr.astype(complex).copy()
-    for n in range(-n_win, n_win + 1):
-        for k in range(-K, K + 1):
-            m = n - k
-            if abs(m) > n_win:
-                continue
-            src = chi_arr[m + n_win]
-            if not np.any(src):
-                continue
-            a = lam + 1j * m
-            for s_idx, theta in enumerate(density.delays):
-                if theta >= 0.0:
-                    continue
-                c = density.coeffs[s_idx, k + K]
-                out[n + n_win] -= _eint(a, float(theta)) * (c @ src)
+    m = np.arange(-n_win, n_win + 1)
+    out = chi_arr.astype(complex)
+    for C, theta in zip(_band(density, m), density.delays):
+        if theta < 0.0:
+            src = _eint(lam + 1j * m, float(theta))[:, None] * chi_arr
+            out -= np.einsum("nmab,mb->na", C, src)
     return out

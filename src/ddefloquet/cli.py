@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 import numpy as np
@@ -24,13 +25,13 @@ import numpy as np
 from .adjoint import BilinearContext, adjoint_modes, normalize
 from .errors import ConfigError, DdeFloquetError, ZeroPairing
 from .floquet import find_exponents
+from .fourier import FourierSeries
 from .io import dumps_json, format_float, load_system, spectrum_records, write_text
 from .model import linearize_about_orbit
-from .oracles import monodromy_exponents
+from .oracles import MIN_SEGMENT_POINTS, monodromy_exponents
 from .orbit import expand_pl, expand_shohat
 from .risken import find_exponents_risken
 from .rootfind import CLASS_TOL, to_strip
-from .systems import constant_density
 from .verify import run_all
 
 DEFAULTS = {
@@ -51,6 +52,14 @@ DEFAULTS = {
 
 MU_SWEEP = (0.01, 0.02, 0.05, 0.1)
 
+# config keys that hold integers, with their least value
+INTEGER_KEYS = {
+    "order": 0,
+    "n_win": 0,
+    "depth": 1,  # the risken sweep needs one level
+    "monodromy_grid": MIN_SEGMENT_POINTS,
+}
+
 
 def _load_config(args) -> dict:
     cfg = dict(DEFAULTS)
@@ -65,6 +74,8 @@ def _load_config(args) -> dict:
                 f"{args.config}: invalid JSON at line {exc.lineno}, "
                 f"column {exc.colno}: {exc.msg}"
             ) from exc
+        if not isinstance(data, dict):
+            raise ConfigError(f"{args.config}: a job config is a JSON object")
         unknown = set(data) - set(DEFAULTS)
         if unknown:
             raise ConfigError(f"{args.config}: unknown keys {sorted(unknown)}")
@@ -79,11 +90,36 @@ def _load_config(args) -> dict:
         raise ConfigError(f"scheme must be 'pl' or 'shohat', not {cfg['scheme']!r}")
     if cfg["method"] not in ("cf", "risken", "monodromy", "all"):
         raise ConfigError(f"unknown method {cfg['method']!r}")
-    if len(cfg["box"]) != 4:
-        raise ConfigError("box needs 4 numbers: re0 re1 im0 im1")
+    for key, kind in (("system", str), ("out", str), ("strict", bool)):
+        if not isinstance(cfg[key], kind):
+            raise ConfigError(f"{key} must be a {kind.__name__}, not {cfg[key]!r}")
+    for key, low in INTEGER_KEYS.items():
+        cfg[key] = _integer(key, cfg[key], low)
+    if cfg["cutoff"] is not None:
+        cfg["cutoff"] = _integer("cutoff", cfg["cutoff"], 0)
+    for key in ("mu", "tol"):
+        if not _finite(cfg[key]):
+            raise ConfigError(f"{key} must be a finite number, not {cfg[key]!r}")
+    box = cfg["box"]
+    numbers = isinstance(box, list) and len(box) == 4 and all(map(_finite, box))
+    if not (numbers and box[0] < box[1] and box[2] < box[3]):
+        raise ConfigError(
+            f"box needs 4 finite numbers, re0 < re1 and im0 < im1: {box!r}"
+        )
     if cfg["tol"] <= 0:
         raise ConfigError("tol must be positive")
     return cfg
+
+
+def _finite(value) -> bool:
+    number = isinstance(value, (int, float)) and not isinstance(value, bool)
+    return number and math.isfinite(value)
+
+
+def _integer(key, value, low) -> int:
+    if not _finite(value) or not float(value).is_integer() or value < low:
+        raise ConfigError(f"{key} must be an integer >= {low}, not {value!r}")
+    return int(value)
 
 
 def _expansion(cfg, model):
@@ -104,16 +140,7 @@ def _density_from_config(cfg):
         raise ConfigError(
             "first_order systems must be linear for spectrum/adjoint jobs"
         )
-    n = obj.dim
-    a = np.zeros((n, n))
-    b = np.zeros((n, n))
-    for t in obj.terms:
-        for j in range(n):
-            if t.powers[j] == 1:
-                a[t.target, j] += t.coeff
-            if t.delayed_powers[j] == 1:
-                b[t.target, j] += t.coeff
-    return constant_density(a, b, omega=1.0, tau=obj.tau)
+    return linearize_about_orbit(obj, FourierSeries.constant(np.zeros(obj.dim)), 1.0)
 
 
 def cmd_orbit(cfg) -> int:

@@ -45,34 +45,29 @@ def format_float(x: float) -> str:
     v = float(x)
     if v != v or v in (float("inf"), float("-inf")):
         raise ValueError(f"non-finite float {v} cannot be serialized")
-    out = f"{v:.17g}"
-    return out
+    return f"{v:.17g}"
 
 
 def _dump(obj, parts, indent, level):
     pad = " " * (indent * level)
     pad_in = " " * (indent * (level + 1))
-    if isinstance(obj, dict):
-        if not obj:
-            parts.append("{}")
+    if isinstance(obj, (dict, list, tuple)):
+        # (lead, value) per item: dict keys sorted, list items in order
+        if isinstance(obj, dict):
+            brackets = "{}"
+            items = [(f'"{k}": ', obj[k]) for k in sorted(obj)]
+        else:
+            brackets = "[]"
+            items = [("", v) for v in obj]
+        if not items:
+            parts.append(brackets)
             return
-        parts.append("{\n")
-        keys = sorted(obj.keys())
-        for i, k in enumerate(keys):
-            parts.append(f'{pad_in}"{k}": ')
-            _dump(obj[k], parts, indent, level + 1)
-            parts.append(",\n" if i < len(keys) - 1 else "\n")
-        parts.append(pad + "}")
-    elif isinstance(obj, (list, tuple)):
-        if len(obj) == 0:
-            parts.append("[]")
-            return
-        parts.append("[\n")
-        for i, v in enumerate(obj):
-            parts.append(pad_in)
+        parts.append(brackets[0] + "\n")
+        for i, (lead, v) in enumerate(items):
+            parts.append(pad_in + lead)
             _dump(v, parts, indent, level + 1)
-            parts.append(",\n" if i < len(obj) - 1 else "\n")
-        parts.append(pad + "]")
+            parts.append(",\n" if i < len(items) - 1 else "\n")
+        parts.append(pad + brackets[1])
     elif isinstance(obj, bool):
         parts.append("true" if obj else "false")
     elif obj is None:
@@ -170,9 +165,7 @@ def _load_density(data, where):
     omega = float(_require(data, "omega", where))
     tau = float(_require(data, "tau", where))
     weights = _require(data, "weights", where)
-    kmax = 0
-    for w in weights:
-        kmax = max(kmax, abs(int(_require(w, "k", where))))
+    kmax = max((abs(int(_require(w, "k", where))) for w in weights), default=0)
     coeffs = np.zeros((2, 2 * kmax + 1, dim, dim), dtype=complex)
     for i, w in enumerate(weights):
         spot = f"{where}: weights[{i}]"
@@ -260,36 +253,21 @@ def spectrum_records(entries, method: str, include_components: bool = False):
     """
     records = []
     for e in entries:
-        if isinstance(e, tuple):
-            lam, rho = e
-            rec = {
-                "lambda_re": float(lam.real),
-                "lambda_im": float(lam.imag),
-                "multiplier_re": float(rho.real),
-                "multiplier_im": float(rho.imag),
-                "residual": None,
-                "converged": True,
-                "n_win": None,
-                "depth": None,
-                "method": method,
-            }
-        else:
-            rho = e.multiplier
-            rec = {
-                "lambda_re": float(e.lam.real),
-                "lambda_im": float(e.lam.imag),
-                "multiplier_re": float(rho.real),
-                "multiplier_im": float(rho.imag),
-                "residual": float(e.residual),
-                "converged": bool(e.converged),
-                "n_win": int(e.n_win),
-                "depth": int(e.depth),
-                "method": method,
-            }
-            if include_components:
-                rec["components"] = [
-                    [complex(v) for v in row] for row in e.components
-                ]
+        oracle = isinstance(e, tuple)
+        lam, rho = e if oracle else (e.lam, e.multiplier)
+        rec = {
+            "lambda_re": float(lam.real),
+            "lambda_im": float(lam.imag),
+            "multiplier_re": float(rho.real),
+            "multiplier_im": float(rho.imag),
+            "residual": None if oracle else float(e.residual),
+            "converged": oracle or bool(e.converged),
+            "n_win": None if oracle else int(e.n_win),
+            "depth": None if oracle else int(e.depth),
+            "method": method,
+        }
+        if include_components and not oracle:
+            rec["components"] = [[complex(v) for v in row] for row in e.components]
         records.append(rec)
     records.sort(key=lambda r: spectrum_key(complex(r["lambda_re"], r["lambda_im"])))
     return records

@@ -2,7 +2,9 @@
 
 A system dq/dt = N(q(t), q(t - tau)) is stored as a list of monomial
 terms, which makes Jacobians exact (symbolic differentiation of monomials)
-and lets every Fourier operation use exact convolutions.  Linearizing about
+and lets every Fourier operation use exact convolutions: the linearization
+multiplies rows of orbit coefficients by `np.convolve`, cropped to a window
+no product reaches past, as the orbit hierarchy does.  Linearizing about
 a 2*pi periodic reference state in rescaled time xi = omega*t produces a
 kernel with two point delays,
 
@@ -18,11 +20,11 @@ evaluated here in closed form because the kernel is a sum of point masses.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ExponentOverflow, NonpositiveFrequency
+from .errors import CutoffTooSmall, ExponentOverflow, NonpositiveFrequency
 from .fourier import FourierSeries
 
 __all__ = [
@@ -270,6 +272,16 @@ def truncated_matrix(table: LMatrixTable, bound: int) -> np.ndarray:
     return out[0] if one else out
 
 
+def _band(density: FourierMatrixDensity, n) -> np.ndarray:
+    """C_{p-q,j} over the index pairs (p, q) of the last axis of `n`, zero
+    where |p - q| > K: shape (J, *n.shape, m, d, d) for m = n.shape[-1]."""
+    k = n[..., :, None] - n[..., None, :]
+    inside = np.abs(k) <= density.bandwidth
+    out = density.coeffs[:, np.where(inside, k, 0) + density.bandwidth]
+    out[:, ~inside] = 0.0
+    return out
+
+
 def hill_matrix(density: FourierMatrixDensity, bound: int, members=None):
     """lambda -> T(lambda) on |n| <= bound, from the exponential pencil
     T(lambda) = sum_j exp(lambda theta_j) H_j + D - lambda I, whose H_j
@@ -284,13 +296,10 @@ def hill_matrix(density: FourierMatrixDensity, bound: int, members=None):
     the c diagonal blocks T[members_i, members_i], shape ([N,] c, m d, m d).
     """
     n = np.arange(-bound, bound + 1)[None] if members is None else np.asarray(members)
-    k = n[:, :, None] - n[:, None, :]
-    band = np.abs(k) <= density.bandwidth
-    # pencil[j, c, p, q] = C_{p-q,j} exp(i q theta_j), zero off the band
-    pencil = density.coeffs[:, np.where(band, k, 0) + density.bandwidth] * np.exp(
+    # pencil[j, c, p, q] = C_{p-q,j} exp(i q theta_j)
+    pencil = _band(density, n) * np.exp(
         1j * density.delays[:, None, None] * n
     )[:, :, None, :, None, None]
-    pencil[:, ~band] = 0.0
     count, size = n.shape[0], n.shape[1] * density.dim
     pencil = pencil.transpose(0, 1, 2, 4, 3, 5).reshape(-1, count * size * size)
     shift, reach = np.repeat(1j * n, density.dim, axis=1), -density.delays[0]
@@ -403,18 +412,6 @@ class HillBlocks:
         return vec, values[0], values[1]
 
 
-def _component_powers(state: FourierSeries, max_powers):
-    """Per component powers q_j^p as scalar series, p = 0..max_powers[j]."""
-    pows = []
-    for j, pmax in enumerate(max_powers):
-        comp = state.component(j)
-        col = [FourierSeries.constant(1.0)]
-        for _ in range(pmax):
-            col.append(col[-1].convolve(comp).trim(1e-16))
-        pows.append(col)
-    return pows
-
-
 def linearize_about_orbit(
     system: DdeSystem,
     orbit: FourierSeries,
@@ -423,6 +420,11 @@ def linearize_about_orbit(
     tail_frac: float = 1e-9,
 ) -> FourierMatrixDensity:
     """Linearization kernel of the rescaled system about a periodic state.
+
+    The 2n arguments q_j(xi) and q_j(xi - omega*tau) are rows of harmonics
+    -W..W, W = degree(system) * orbit cutoff, and each partial derivative
+    of a monomial is a product of rows by exact convolution.  No product
+    reaches past W, so cropping it to -W..W drops only exact zeros.
 
     Parameters
     ----------
@@ -435,11 +437,10 @@ def linearize_about_orbit(
     omega : float
         Orbit frequency; the delayed argument shift is omega*tau.
     bandwidth : int, optional
-        Harmonic cutoff K of the returned kernel.  Defaults to
-        degree(system) * orbit cutoff, then trimmed to drop only
-        coefficients below TAIL_TOL relative to the largest one.  An
-        explicit bandwidth raises CutoffTooSmall when it would drop more
-        than `tail_frac` of any entry's coefficient norm.
+        Harmonic cutoff K of the returned kernel.  Defaults to W, then
+        trimmed to drop only coefficients below TAIL_TOL relative to the
+        largest one.  An explicit bandwidth raises CutoffTooSmall when it
+        would drop more than `tail_frac` of any entry's coefficient norm.
 
     Returns
     -------
@@ -451,72 +452,43 @@ def linearize_about_orbit(
     if orbit.dim != n:
         raise ValueError("orbit dimension does not match the system")
     shift = omega * system.tau
-    delayed = orbit.shift(shift)
+    N = orbit.cutoff
+    W = max(system.degree(), 1) * max(N, 1)
+    # rows 0..n-1 hold q_j, rows n..2n-1 hold q_j(xi - omega*tau)
+    args = np.concatenate([orbit.coeffs, orbit.shift(shift).coeffs], axis=1).T
+    args = np.pad(args, ((0, 0), (W - N, W - N)))
+    unit = np.zeros(2 * W + 1, dtype=complex)
+    unit[W] = 1.0
 
-    max_pow = [0] * n
-    max_dpow = [0] * n
+    # jac[slot, k, i, l]: harmonic k of dN_i/dq_l / omega, slot 0 the delayed
+    # argument and slot 1 the undelayed one
+    jac = np.zeros((2, 2 * W + 1, n, n), dtype=complex)
     for t in system.terms:
-        for j in range(n):
-            max_pow[j] = max(max_pow[j], t.powers[j])
-            max_dpow[j] = max(max_dpow[j], t.delayed_powers[j])
-    cap = max(system.degree(), 1) * max(orbit.cutoff, 1)
-    pows = _component_powers(orbit, max_pow)
-    dpows = _component_powers(delayed, max_dpow)
+        powers = (*t.powers, *t.delayed_powers)
+        for a, e in enumerate(powers):
+            if e:
+                prod = unit
+                for b, p in enumerate(powers):
+                    for _ in range(p - (b == a)):
+                        prod = np.convolve(prod, args[b])[W : 3 * W + 1]
+                jac[1 - a // n, :, t.target, a % n] += t.coeff * e / omega * prod
 
-    # jac[slot][(i, l)] accumulates the scalar series of dN_i/dq_l
-    jac = [dict(), dict()]
-
-    def _accumulate(slot, i, l, series):
-        key = (i, l)
-        if key in jac[slot]:
-            jac[slot][key] = jac[slot][key] + series
-        else:
-            jac[slot][key] = series
-
-    for t in system.terms:
-        # product of all factors except the one being differentiated
-        for l in range(n):
-            p = t.powers[l]
-            if p:
-                series = FourierSeries.constant(t.coeff * p)
-                for j in range(n):
-                    e = t.powers[j] - (1 if j == l else 0)
-                    if e:
-                        series = series.convolve(pows[j][e])
-                for j in range(n):
-                    if t.delayed_powers[j]:
-                        series = series.convolve(dpows[j][t.delayed_powers[j]])
-                _accumulate(1, t.target, l, series.trim(1e-16))
-            pd = t.delayed_powers[l]
-            if pd:
-                series = FourierSeries.constant(t.coeff * pd)
-                for j in range(n):
-                    if t.powers[j]:
-                        series = series.convolve(pows[j][t.powers[j]])
-                for j in range(n):
-                    e = t.delayed_powers[j] - (1 if j == l else 0)
-                    if e:
-                        series = series.convolve(dpows[j][e])
-                _accumulate(0, t.target, l, series.trim(1e-16))
-
-    K = cap if bandwidth is None else bandwidth
-    coeffs = np.zeros((2, 2 * K + 1, n, n), dtype=complex)
-    for slot in (0, 1):
-        for (i, l), series in jac[slot].items():
-            series = series.truncate(
-                K, tail_frac=tail_frac if bandwidth is not None else None
-            )
-            pad = K - series.cutoff
-            coeffs[slot, pad : 2 * K + 1 - pad, i, l] += series.coeffs / omega
+    m = np.abs(np.arange(-W, W + 1))
     if bandwidth is None:
         # trim the band to the smallest window keeping the dropped tail tiny
-        mags = np.abs(coeffs).reshape(2, 2 * K + 1, -1).max(axis=(0, 2))
-        scale = max(float(mags.max()), 1e-300)
-        keep = K
-        while keep > 0 and mags[K - keep] <= TAIL_TOL * scale and mags[K + keep] <= TAIL_TOL * scale:
-            keep -= 1
-        if keep < K:
-            coeffs = coeffs[:, K - keep : K + keep + 1]
-    return FourierMatrixDensity(
-        omega=omega, delays=np.array([-shift, 0.0]), coeffs=coeffs
-    )
+        mags = np.abs(jac).max(axis=(0, 2, 3))
+        K = int(m[mags > TAIL_TOL * max(mags.max(), 1e-300)].max(initial=0))
+    else:
+        K = bandwidth
+        mass = np.abs(jac) ** 2
+        total = np.sqrt(mass.sum(axis=1))
+        tail = np.sqrt(mass[:, m > K].sum(axis=1))
+        over = tail > tail_frac * total
+        if over.any():
+            raise CutoffTooSmall(
+                f"cutoff {K} drops {tail[over][0]:.3e} of norm {total[over][0]:.3e}"
+            )
+    c = min(K, W)
+    coeffs = np.zeros((2, 2 * K + 1, n, n), dtype=complex)
+    coeffs[:, K - c : K + c + 1] = jac[:, W - c : W + c + 1]
+    return FourierMatrixDensity(omega, np.array([-shift, 0.0]), coeffs)

@@ -49,12 +49,10 @@ def s2_linearization(mu: float = 0.1, order: int = 2, bandwidth: int | None = 6)
     model = s2_model()
     exp = expand_pl(model, mu, order)
     state, omega = orbit_to_state(exp)
-    if bandwidth is None:
-        density = linearize_about_orbit(model.to_dde(mu), state, omega)
-    else:
-        density = linearize_about_orbit(
-            model.to_dde(mu), state, omega, bandwidth=bandwidth, tail_frac=1e-4
-        )
+    # tail_frac is read only with an explicit bandwidth
+    density = linearize_about_orbit(
+        model.to_dde(mu), state, omega, bandwidth=bandwidth, tail_frac=1e-4
+    )
     return density, exp, state, omega
 
 

@@ -241,3 +241,27 @@ def test_zero_pairing_raises_for_degenerate_pair(s3, s3_pairs):
     )
     with pytest.raises(ZeroPairing):
         normalize(hollow, phi1, s3)
+
+
+@pytest.mark.parametrize("name", ["s2", "s3"])
+def test_normalization_sum_is_the_phase_mean_of_the_pairing(
+    name, s3, s3_pairs, vdp_linearization, s2_modes
+):
+    # pair(psi, phi, xi) is a trigonometric polynomial in xi of degree at
+    # most 2 n_win + K whose mean is the collapsed sum, so M = 2 (2 n_win +
+    # K) + 1 equispaced phases average it exactly
+    if name == "s2":
+        density = vdp_linearization[0]
+        pairs = [
+            (adjoint_modes(density, m.lam_raw, m.n_win, m.depth), m) for m in s2_modes
+        ]
+    else:
+        density, pairs = s3, s3_pairs
+    ctx = BilinearContext(density)
+    assert pairs
+    for psi, phi in pairs:
+        M = 2 * (2 * phi.n_win + density.bandwidth) + 1
+        phases = 2 * np.pi * np.arange(M) / M
+        mean = np.mean([ctx.pair(psi, phi, xi) for xi in phases])
+        total = ctx.normalization_sum(psi, phi)
+        assert abs(total - mean) < 1e-13 * abs(total)

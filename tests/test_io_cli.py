@@ -300,3 +300,37 @@ def test_cli_config_file_with_flag_override(tmp_path):
     assert code == 0
     report = json.loads((out / "orbit.json").read_text())
     assert report["mu"] == 0.08
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [
+        {"order": -1},
+        {"order": 1.5},
+        {"n_win": -1},
+        {"n_win": 2.5},
+        {"depth": -1},
+        {"depth": 0},
+        {"monodromy_grid": 5},
+        {"mu": "abc"},
+        {"mu": float("inf")},
+        {"tol": "x"},
+        {"cutoff": -2, "system": "builtin:s2"},
+        {"box": [1, 0, 0, 1]},
+        {"box": "abcd"},
+        {"box": [0, 1, 0, None]},
+        {"system": 5},
+        {"out": 5},
+        {"strict": "no"},
+        5,
+        None,
+        [1, 2],
+    ],
+    ids=str,
+)
+def test_cli_malformed_config_value_exit_2(tmp_path, capsys, bad):
+    cfg = tmp_path / "job.json"
+    cfg.write_text(json.dumps(bad))
+    out = [] if bad == {"out": 5} else ["--out", str(tmp_path / "o")]
+    assert main(["spectrum", "--config", str(cfg), *out]) == 2
+    assert "error:" in capsys.readouterr().err

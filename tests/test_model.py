@@ -3,6 +3,7 @@ import pytest
 
 import ddefloquet as df
 from ddefloquet import (
+    CutoffTooSmall,
     DdeSystem,
     ExponentOverflow,
     FourierSeries,
@@ -96,6 +97,66 @@ def test_vdp_density_against_finite_difference_jacobian(vdp_linearization_full):
             jd[:, j] = (sys_t.rhs(q0, qd + dq) - sys_t.rhs(q0, qd - dq)) / (2 * eps)
         assert np.max(np.abs(density.evaluate_weight(1, xi).real - j0 / omega)) < 1e-8
         assert np.max(np.abs(density.evaluate_weight(0, xi).real - jd / omega)) < 1e-8
+
+
+def _random_system(rng, dim=3, tau=0.8):
+    """A polynomial delay system whose first term has variable 0 both
+    undelayed and delayed, plus random monomials of power <= 2 each."""
+    terms = [MonomialTerm(float(rng.normal()), 1, (1, 1, 0), (2, 0, 1))]
+    for _ in range(5):
+        powers = tuple(int(p) for p in rng.integers(0, 3, dim))
+        delayed = tuple(int(p) for p in rng.integers(0, 3, dim))
+        target = int(rng.integers(dim))
+        terms.append(MonomialTerm(float(rng.normal()), target, powers, delayed))
+    return DdeSystem(dim, tau, tuple(terms))
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_random_density_against_finite_difference_jacobian(seed):
+    rng = np.random.default_rng(seed)
+    system = _random_system(rng)
+    c = 0.4 * (rng.normal(size=(5, 3)) + 1j * rng.normal(size=(5, 3)))
+    state = FourierSeries(c + np.conj(c[::-1]))  # real, cutoff 2
+    omega = 1.3
+    density = linearize_about_orbit(system, state, omega)
+    delay = omega * system.tau
+    eps = 1e-6
+    for xi in np.linspace(0.0, 2 * np.pi, 16, endpoint=False):
+        q0 = state.evaluate_real(xi)
+        qd = state.evaluate_real(xi - delay)
+        j0 = np.zeros((3, 3))
+        jd = np.zeros((3, 3))
+        for j in range(3):
+            dq = np.zeros(3)
+            dq[j] = eps
+            j0[:, j] = (system.rhs(q0 + dq, qd) - system.rhs(q0 - dq, qd)) / (2 * eps)
+            jd[:, j] = (system.rhs(q0, qd + dq) - system.rhs(q0, qd - dq)) / (2 * eps)
+        tol = 1e-8 * max(1.0, np.max(np.abs(j0)), np.max(np.abs(jd)))
+        assert np.max(np.abs(density.evaluate_weight(1, xi) - j0 / omega)) < tol
+        assert np.max(np.abs(density.evaluate_weight(0, xi) - jd / omega)) < tol
+
+
+def _s2_kernel_inputs(mu, order):
+    model = s2_model()
+    state, omega = df.orbit_to_state(df.expand_pl(model, mu, order))
+    return model.to_dde(mu), state, omega
+
+
+def test_an_explicit_bandwidth_that_drops_too_much_raises():
+    args = _s2_kernel_inputs(0.3, 2)
+    with pytest.raises(CutoffTooSmall):
+        linearize_about_orbit(*args, bandwidth=6, tail_frac=1e-4)
+
+
+def test_an_explicit_bandwidth_above_the_products_pads_the_default_kernel():
+    system, state, omega = _s2_kernel_inputs(0.1, 2)
+    default = linearize_about_orbit(system, state, omega)
+    wide = system.degree() * state.cutoff + 2
+    padded = linearize_about_orbit(system, state, omega, bandwidth=wide)
+    assert padded.bandwidth == wide
+    K, pad = default.bandwidth, wide - default.bandwidth
+    assert np.array_equal(padded.coeffs[:, pad : pad + 2 * K + 1], default.coeffs)
+    assert not padded.coeffs[:, :pad].any() and not padded.coeffs[:, -pad:].any()
 
 
 def test_density_real_symmetry(vdp_linearization_full):

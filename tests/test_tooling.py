@@ -423,3 +423,18 @@ def test_an_order_two_expansion_evaluates_the_hierarchy_eleven_times(monkeypatch
     monkeypatch.setattr(orbit._Hierarchy, "forcing_series", counted)
     orbit.expand_pl(s2_model(), 0.1, 2)
     assert calls == [1] * 5 + [2] * 3 + [3] * 3
+
+
+def test_the_kernel_is_linearized_on_coefficient_arrays(monkeypatch):
+    # linearize_about_orbit multiplies coefficient rows by np.convolve: no
+    # table of component powers, no product of FourierSeries objects
+    assert not hasattr(model, "_component_powers")
+    s2 = s2_model()
+    state, omega = orbit.orbit_to_state(orbit.expand_pl(s2, 0.1, 2))
+
+    def refuse(*args):
+        raise AssertionError("FourierSeries.convolve called")
+
+    monkeypatch.setattr(df.FourierSeries, "convolve", refuse)
+    density = model.linearize_about_orbit(s2.to_dde(0.1), state, omega)
+    assert density.coeffs.shape[1:] == (2 * density.bandwidth + 1, 2, 2)
