@@ -43,7 +43,7 @@ from .floquet import (
     find_exponents,
     ladder_operators,
 )
-from .fourier import FourierSeries, fourier_product
+from .fourier import FourierSeries
 from .linalg import determinant, solve_linear
 from .model import (
     DdeSystem,

@@ -26,14 +26,15 @@ poles, the zeros of det T_RR, so plain Newton iterations refine its
 roots.  The search locates each exponent class once, as an eigenvalue of
 the Hill matrix T(lambda) of the same window
 (`rootfind.contour_classes`; T is the exponential pencil of
-`model.hill_matrix`, built once per search, refinement or mode, and
-factored over the index classes it never couples, `model.HillBlocks`),
-and runs one Newton iteration on det M per class.  Where an exponent sits
-close to a truncation resonance, det M pinches its zero against a pole,
-and the run stops at its first step outside CLASS_TOL of its class; the
-Hill eigenvalue and T's null vector there are then the answer.  Every
-root, from either route, is checked against truncation once, by a Newton
-run on the entire Hill determinant of the window enlarged by two.  The
+`model.hill_matrix`, factored over the index classes it never couples,
+`model.HillBlocks`, each built once per search whatever its number of
+classes, at the window and at the window enlarged by two), and runs one
+Newton iteration on det M per class.  Where an exponent sits close to a
+truncation resonance, det M pinches its zero against a pole, and the run
+stops at its first step outside CLASS_TOL of its class; the Hill
+eigenvalue and T's null vector there are then the answer.  Every root,
+from either route, is checked against truncation once, by a Newton run
+on the entire Hill determinant of the window enlarged by two.  The
 paired tridiagonal route (`risken`) runs this same class loop
 (`_search`), at the same window, on the determinant of its own closure.
 
@@ -164,9 +165,10 @@ def _hill_logdet(hill, lams):
         return hill.slogdet(hill(lams))
 
 
-def _hill_refine(density, lam0: complex, bound: int, tol: float):
+def _hill_refine(hill, lam0: complex, tol: float):
     """Damped Newton on the entire Hill determinant via its logarithmic
-    derivative, the step being 1 / (log det T)'.
+    derivative, the step being 1 / (log det T)', T given by `hill`
+    (`model.HillBlocks`).
 
     The derivative is a central difference over lambda +- h, evaluated as
     one batch of two, with h = 1e-6 * (1 + |lam|) at the first step and at
@@ -181,7 +183,6 @@ def _hill_refine(density, lam0: complex, bound: int, tol: float):
     underflows to an exact zero is a root.
     """
     last = np.inf
-    hill = HillBlocks(density, bound)
 
     def newton_step(lam, h):
         signs, logabs = _hill_logdet(hill, np.array([lam + h, lam - h]))
@@ -314,6 +315,8 @@ def _null_vector(
     n_win: int,
     depth: int,
     left: bool = False,
+    hill=None,
+    window=None,
 ):
     """The null vector of the Hill matrix T(lambda) on |n| <= n_win + depth.
 
@@ -326,19 +329,23 @@ def _null_vector(
     of block 0 is 1, or of the whole cut where block 0 is exactly zero:
     at a translate lambda + i m whose vector lives in a class without
     n = 0.  Returns the components, their recurrence residual and T's two
-    smallest singular values, smallest first.
+    smallest singular values, smallest first.  `hill`, T's class blocks
+    (`model.HillBlocks`), and `window`, the pencil of T on |n| <= n_win that
+    the residual reads, are built here unless the search holds them.
     """
     d = density.dim
-    hill = HillBlocks(density, n_win + depth)
+    if hill is None:
+        hill = HillBlocks(density, n_win + depth)
+    if window is None:
+        # the central block of T on the whole window: a pencil entry does
+        # not depend on the bound
+        window = hill_matrix(density, n_win)
     vec, least, second = hill.null_vector(hill(lam), left)
-    window = slice(depth * d, (depth + 2 * n_win + 1) * d)
-    blocks = np.conj(vec[window]).reshape(2 * n_win + 1, d)
+    cut = slice(depth * d, (depth + 2 * n_win + 1) * d)
+    blocks = np.conj(vec[cut]).reshape(2 * n_win + 1, d)
     center = blocks[n_win] if blocks[n_win].any() else blocks.ravel()
     comps = blocks / center[np.argmax(np.abs(center))]
-    # the central block of T on the whole window, T on |n| <= n_win: a
-    # pencil entry does not depend on the bound
-    T = hill_matrix(density, n_win)(lam)
-    residual = _residual(comps, T, density.bandwidth, left)
+    residual = _residual(comps, window(lam), density.bandwidth, left)
     return comps, residual, least, second
 
 
@@ -347,6 +354,8 @@ def extract_mode(
     lam: complex,
     n_win: int,
     depth: int,
+    hill=None,
+    window=None,
 ) -> FloquetMode:
     """The Floquet mode at a root `lam`: the right null vector of the Hill
     matrix T(lambda) on |n| <= n_win + depth, cut to the window.
@@ -354,10 +363,13 @@ def extract_mode(
     Its block 0 is scaled so that its largest entry is 1 (phi_0 = 1 for
     d = 1).  NullSpaceAmbiguous is raised when T's two smallest singular
     values are within a factor 10, the sign of a degenerate eigenvalue
-    whose null space one vector does not describe.
+    whose null space one vector does not describe.  `hill` and `window` are
+    the pencils of `_null_vector`, if the caller holds them.
     """
     lam = complex(lam)
-    comps, residual, least, second = _null_vector(density, lam, n_win, depth)
+    comps, residual, least, second = _null_vector(
+        density, lam, n_win, depth, hill=hill, window=window
+    )
     if second <= 10.0 * least:
         raise NullSpaceAmbiguous(
             f"singular values {least:.3e}, {second:.3e} too close at {lam:.6g}"
@@ -422,22 +434,32 @@ def _search(
     produced it, the root is checked the same way: a Newton run on the
     entire Hill determinant at the enlarged truncation |n| <= n_win +
     depth + 2 (`_hill_refine`) starts from it, and `converged` records
-    whether that run converged within CONV_TOL of the root.  Returns the
-    modes sorted by `rootfind.spectrum_key` of the strip value.
+    whether that run converged within CONV_TOL of the root.  The three
+    pencils, the class blocks of T at both bounds and T on |n| <= n_win for
+    the mode residuals, are built once, whatever the number of classes, and
+    handed to every step; a search that finds no class builds only the
+    first.  Returns the modes sorted by `rootfind.spectrum_key` of the
+    strip value.
     """
     bound = n_win + depth
+    hill = HillBlocks(density, bound)
+    classes = contour_classes(hill, box)
+    if not classes:
+        return []
+    enlarged = HillBlocks(density, bound + 2)
+    pencils = {"hill": hill, "window": hill_matrix(density, n_win)}
     modes = []
-    for lam in contour_classes(density, box, bound):
+    for lam in classes:
         root, ok = _newton(det_at, lam, tol, SEEDED_ITER, radius=CLASS_TOL)
         if ok:
-            mode = extract_mode(density, root, n_win, depth)
+            mode = extract_mode(density, root, n_win, depth, **pencils)
         else:
             # no ambiguity check: a wrong contour value may fail it
-            comps, residual, _, _ = _null_vector(density, lam, n_win, depth)
+            comps, residual, _, _ = _null_vector(density, lam, n_win, depth, **pencils)
             mode = FloquetMode(
                 to_strip(lam), lam, comps, residual, n_win, depth, density.bandwidth
             )
-        bigger, ok = _hill_refine(density, mode.lam_raw, bound + 2, tol)
+        bigger, ok = _hill_refine(enlarged, mode.lam_raw, tol)
         converged = bool(ok and abs(bigger - mode.lam_raw) <= CONV_TOL)
         modes.append(replace(mode, converged=converged))
     modes.sort(key=lambda m: spectrum_key(m.lam))

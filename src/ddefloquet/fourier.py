@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import CutoffTooSmall
 
-__all__ = ["FourierSeries", "fourier_product"]
+__all__ = ["FourierSeries"]
 
 
 @dataclass(frozen=True)
@@ -51,15 +51,6 @@ class FourierSeries:
     def constant(cls, value) -> "FourierSeries":
         value = np.asarray(value, dtype=complex)
         return cls(value[np.newaxis, ...])
-
-    @classmethod
-    def harmonic(cls, n: int, value=1.0) -> "FourierSeries":
-        """Single harmonic value * exp(i*n*xi)."""
-        value = np.asarray(value, dtype=complex)
-        N = abs(n)
-        arr = np.zeros((2 * N + 1,) + value.shape, dtype=complex)
-        arr[n + N] = value
-        return cls(arr)
 
     @classmethod
     def cosine(cls, amplitude=1.0, n: int = 1) -> "FourierSeries":
@@ -107,10 +98,6 @@ class FourierSeries:
         if abs(n) > self.cutoff:
             return np.zeros(self.tail_shape, dtype=complex)
         return self.coeffs[n + self.cutoff]
-
-    def component(self, j: int) -> "FourierSeries":
-        """Scalar series of one component of a vector valued series."""
-        return FourierSeries(self.coeffs[:, j])
 
     def norm(self) -> float:
         """l2 norm of the coefficient sequence (Parseval norm / sqrt(2*pi))."""
@@ -219,14 +206,6 @@ class FourierSeries:
         """
         return _convolve(self, other)
 
-    def power(self, exponent: int) -> "FourierSeries":
-        if exponent < 0:
-            raise ValueError("negative powers are not representable")
-        out = FourierSeries.constant(np.ones(()))
-        for _ in range(exponent):
-            out = _convolve(out, self)
-        return out
-
 
 def _result_tail(tf: tuple, tg: tuple) -> tuple:
     if tf == ():
@@ -265,20 +244,3 @@ def _convolve(f: FourierSeries, g: FourierSeries) -> FourierSeries:
         out[i : i + 2 * Ng + 1] += contrib
     return FourierSeries(out)
 
-
-def fourier_product(
-    f: FourierSeries,
-    g: FourierSeries,
-    out_cutoff: int | None = None,
-    tail_frac: float = 1e-10,
-) -> FourierSeries:
-    """Exact product of two series, truncated to `out_cutoff`.
-
-    The coefficients are the convolution sum_m f_m g_{n-m}.  When the
-    truncation would drop more than `tail_frac` of the total coefficient
-    norm, CutoffTooSmall is raised.
-    """
-    prod = _convolve(f, g)
-    if out_cutoff is None:
-        return prod
-    return prod.truncate(out_cutoff, tail_frac=tail_frac)

@@ -350,16 +350,20 @@ class HillBlocks:
     together.  Classes of equal size are stacked: one pencil of
     `hill_matrix` per size, at most two, and one LAPACK call of each kind
     per size.  A kernel with one class is one stack of one block, the
-    whole T, whose LAPACK calls are those on T itself.  `rows` holds, per
-    size, the positions of its classes' entries in T's index order;
-    `order`, all of them one class after another, is the class order that
-    `solve` works in; and `entries` is the number of block entries per
-    lambda.
+    whole T, whose LAPACK calls are those on T itself.  The blocks,
+    `solve` and `slogdet` take a batch of lambda at once, one call of each
+    per size, and a search builds one HillBlocks per bound for its contour,
+    mode SVDs and Hill check (`floquet._search`).  `rows` holds, per size,
+    the positions of its classes' entries in T's index order; `order`, all
+    of them one class after another, is the class order that `solve` works
+    in; `entries` is the number of block entries per lambda; and `bound`
+    is the truncation.
     """
 
     def __init__(self, density: FourierMatrixDensity, bound: int):
         d = density.dim
         classes = index_classes(density, bound)
+        self.bound = bound
         self.size = (2 * bound + 1) * d
         self.rows, self._pencils = [], []
         for m in sorted({c.size for c in classes}, reverse=True):

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 
@@ -21,7 +22,6 @@ from .errors import (
     NewtonStallWarning,
     NoRootsInBoxWarning,
 )
-from .model import HillBlocks
 
 __all__ = ["SearchBox", "find_roots", "spectrum_key", "strip_shift", "to_strip"]
 
@@ -29,8 +29,9 @@ DEFAULT_BOX = (-3.0, 1.0, -0.5, 0.5)
 DEFAULT_GRID = (61, 31)
 
 # the scan hands f as many grid points at a time as keep each of its
-# working arrays near this size
-CHUNK_BYTES = 128 * 1024
+# working arrays near this size, and the contour as many nodes as keep
+# their class blocks near it
+CHUNK_BYTES = 512 * 1024
 # distance modulo i below which two roots are one exponent class: a
 # Newton run from a Hill eigenvalue stops at its first iterate farther off,
 # having left its class
@@ -221,34 +222,33 @@ def find_roots(
     return roots
 
 
-def contour_classes(density, box, bound: int) -> list:
+def contour_classes(hill, box) -> list:
     """One eigenvalue of the Hill matrix T(lambda) per exponent class of
-    `density` whose strip value lies in `box`.
+    its kernel whose strip value lies in `box`.
 
-    T(lambda) is the truncated recurrence matrix on |n| <= `bound`, the
-    exponential pencil of `model.hill_matrix`, built once per call on each size
-    of T's index classes (`model.HillBlocks`), so a contour node costs one
-    matrix product per size, not an L table, and its factorizations run on the
-    class blocks.  The nodes go in chunks whose blocks hold about CHUNK_BYTES.
-    Every class has one eigenvalue in each period strip, and `_contour_solve`
-    finds those in Re [box.re_min, box.re_max] of the strip with edges Im =
-    STRIP_EDGE and STRIP_EDGE + 1, where a real kernel's real multipliers, at
-    Im 0 and 1/2, lie inside rather than on an edge.  Each eigenvalue is
-    returned as the translate lam + i*n* at which its null vector peaks at
-    n = 0 (T(lam + i m) is T(lam) with its indices shifted by m), sorted by
-    `spectrum_key` of the strip value.
+    T(lambda) is the truncated recurrence matrix on |n| <= hill.bound, the
+    exponential pencil of `model.hill_matrix` on each size of T's index classes,
+    given by `hill` (`model.HillBlocks`), which the search also hands to its mode
+    SVDs.  A contour node costs one matrix product per size, not an L table, and
+    the nodes go in batches whose class blocks hold about CHUNK_BYTES.  Every
+    class has one eigenvalue in each period strip, and `_contour_solve` finds
+    those in Re [box.re_min, box.re_max] of the strip with edges Im = STRIP_EDGE
+    and STRIP_EDGE + 1, where a real kernel's real multipliers, at Im 0 and 1/2,
+    lie inside rather than on an edge.  Each eigenvalue is returned as the
+    translate lam + i*n* at which its null vector peaks at n = 0 (T(lam + i m)
+    is T(lam) with its indices shifted by m), sorted by `spectrum_key` of the
+    strip value.
     """
     sb = box if isinstance(box, SearchBox) else SearchBox(*box)
-    hill = HillBlocks(density, bound)
-    chunk = max(1, CHUNK_BYTES // (16 * hill.entries))
+    batch = max(1, CHUNK_BYTES // (16 * hill.entries))
     found = []
-    for lam, null in _contour_solve(hill, sb.re_min, sb.re_max, chunk, MAX_SPLITS):
+    for lam, null in _contour_solve(hill, sb.re_min, sb.re_max, batch, MAX_SPLITS):
         if not sb.contains(to_strip(lam), slack=1e-6):
             continue
         # a real mode of a real kernel has |phi_n| = |phi_-n|; norms equal
         # to 8 digits tie, and the tie goes to the lowest n, not to rounding
-        norms = np.linalg.norm(null.reshape(2 * bound + 1, density.dim), axis=1)
-        peak = int(np.argmax(np.round(norms / norms.max(), 8))) - bound
+        norms = np.linalg.norm(null.reshape(2 * hill.bound + 1, -1), axis=1)
+        peak = int(np.argmax(np.round(norms / norms.max(), 8))) - hill.bound
         found.append(lam + 1j * peak)
     if not found:
         warnings.warn("no roots found in the search box", NoRootsInBoxWarning)
@@ -256,7 +256,16 @@ def contour_classes(density, box, bound: int) -> list:
     return found
 
 
-def _contour_solve(hill, re0: float, re1: float, chunk: int, splits: int):
+@cache
+def _gauss_rule():
+    """The SIDE_NODES-point Gauss-Legendre nodes and weights on [-1, 1],
+    computed on the first contour of the process and kept, read-only."""
+    x, w = np.polynomial.legendre.leggauss(SIDE_NODES)
+    x.flags.writeable = w.flags.writeable = False
+    return x, w
+
+
+def _contour_solve(hill, re0: float, re1: float, batch: int, splits: int):
     """Eigenvalues of T in the strip rectangle over Re [re0, re1], with
     their null vectors, by Beyn's integral method (Linear Algebra Appl.
     436, 2012); `hill` is a `model.HillBlocks`, whose solves and
@@ -265,9 +274,10 @@ def _contour_solve(hill, re0: float, re1: float, chunk: int, splits: int):
     nothing, and the moments go back to T's index order once per pass.
 
     The moments A_j = (1/2 pi i) contour-integral z^j T(z)^-1 V dz, j = 0, 1,
-    are summed by Gauss-Legendre quadrature on each side, over chunks of
-    `chunk` nodes.  The rank k of A_0 counts the eigenvalues inside, and
-    the probe columns V are doubled while k equals their number.  With
+    are summed by Gauss-Legendre quadrature on each side over batches of
+    `batch` nodes, each one `solve` and one `slogdet` call per class size.
+    The rank k of A_0 counts the eigenvalues inside, and the probe
+    columns V are doubled while k equals their number.  With
     A_0 = U S W^H cut to rank k, the eigenvalues are those of
     U^H A_1 W S^-1 and the null vectors U times its eigenvectors.
     Quadrature leakage lets in eigenvalues just outside; only those inside
@@ -278,7 +288,7 @@ def _contour_solve(hill, re0: float, re1: float, chunk: int, splits: int):
     """
     corners = np.array([re0, re1, re1 + 1j, re0 + 1j]) + 1j * STRIP_EDGE
     half = (np.roll(corners, -1) - corners)[:, None] / 2
-    x, w = np.polynomial.legendre.leggauss(SIDE_NODES)
+    x, w = _gauss_rule()
     z = (corners[:, None] + half * (1 + x)).ravel()
     weights = (half * w).ravel()
     size = hill.size
@@ -297,17 +307,17 @@ def _contour_solve(hill, re0: float, re1: float, chunk: int, splits: int):
         phases = np.empty(z.size, dtype=complex)
         # the size of the quadrature's terms, which its rounding scales with
         scale = 0.0
-        for start in range(0, z.size, chunk):
-            nodes = z[start : start + chunk]
+        for start in range(0, z.size, batch):
+            nodes = z[start : start + batch]
             T = hill(nodes)
             if not all(np.isfinite(block).all() for block in T):
                 raise ExponentOverflow("the search box reaches the exponent guard")
             X = hill.solve(T, probe)
-            wx = weights[start : start + chunk, None, None] * X
+            wx = weights[start : start + batch, None, None] * X
             scale += float(np.abs(wx).max(axis=(1, 2)).sum())
             m0 += wx.sum(axis=0)
             m1 += (nodes[:, None, None] * wx).sum(axis=0)
-            phases[start : start + chunk] = hill.slogdet(T)[0]
+            phases[start : start + batch] = hill.slogdet(T)[0]
         m0[hill.order], m1[hill.order] = m0.copy(), m1.copy()  # T's index order
         U, s, Wh = np.linalg.svd(m0 / (2j * np.pi), full_matrices=False)
         rank = int(np.count_nonzero(s > RANK_TOL * scale / (2 * np.pi)))
@@ -327,8 +337,8 @@ def _contour_solve(hill, re0: float, re1: float, chunk: int, splits: int):
         return inside
     if splits > 0:
         mid = 0.5 * (re0 + re1)
-        return _contour_solve(hill, re0, mid, chunk, splits - 1) + _contour_solve(
-            hill, mid, re1, chunk, splits - 1
+        return _contour_solve(hill, re0, mid, batch, splits - 1) + _contour_solve(
+            hill, mid, re1, batch, splits - 1
         )
     warnings.warn(
         f"{len(inside)} eigenvalue(s) in Re [{re0:.6g}, {re1:.6g}] against a "

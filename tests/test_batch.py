@@ -11,7 +11,7 @@ from ddefloquet import rootfind
 from ddefloquet.errors import CfBreakdown, ExponentOverflow
 from ddefloquet.floquet import closure_determinant, ladder_operators
 from ddefloquet.linalg import determinant
-from ddefloquet.model import build_L, truncated_matrix
+from ddefloquet.model import HillBlocks, build_L, truncated_matrix
 from ddefloquet.risken import closure_determinant_risken, tridiagonal_closure
 from ddefloquet.rootfind import _minima_seeds, _newton
 
@@ -115,17 +115,50 @@ def test_characteristic_roots_do_not_depend_on_the_chunk(monkeypatch):
 
 def test_contour_raises_where_its_box_reaches_the_exponent_guard(s3):
     with pytest.raises(ExponentOverflow):
-        rootfind.contour_classes(s3, (-800.0, 1.0, -0.5, 0.5), 4)
+        rootfind.contour_classes(HillBlocks(s3, 4), (-800.0, 1.0, -0.5, 0.5))
 
 
-def test_contour_classes_do_not_depend_on_the_chunk(s3, monkeypatch):
-    batched = rootfind.contour_classes(s3, (-3.0, 1.0, -0.5, 0.5), 20)
-    # one contour node per call of the Hill matrix
-    monkeypatch.setattr(rootfind, "CHUNK_BYTES", 1)
-    single = rootfind.contour_classes(s3, (-3.0, 1.0, -0.5, 0.5), 20)
-    assert len(batched) == len(single) >= 2
-    for a, b in zip(batched, single):
-        assert abs(a - b) <= 1e-12
+def _contour_cases(s3, vdp_linearization):
+    """s3 at the CLI window, whose T is one class, and s2 at the `verify`
+    settings, whose T splits into even and odd classes of two sizes."""
+    return [
+        (s3, (-3.0, 1.0, -0.5, 0.5), 20),
+        (vdp_linearization[0], (-0.6, 0.3, -0.5, 0.5), 16),
+    ]
+
+
+def test_contour_classes_do_not_depend_on_the_chunk(s3, vdp_linearization, monkeypatch):
+    for density, box, bound in _contour_cases(s3, vdp_linearization):
+        batched = rootfind.contour_classes(HillBlocks(density, bound), box)
+        with monkeypatch.context() as mp:
+            # one contour node per call of the Hill matrix
+            mp.setattr(rootfind, "CHUNK_BYTES", 1)
+            single = rootfind.contour_classes(HillBlocks(density, bound), box)
+        assert len(batched) == len(single) >= 2
+        for a, b in zip(batched, single):
+            assert abs(a - b) <= 1e-12
+
+
+def test_the_contour_hands_lapack_whole_batches_of_nodes(
+    s3, vdp_linearization, monkeypatch
+):
+    # with 128 KB of class blocks per batch a contour made 64 solve calls
+    # on s3 (64 batches of 4 nodes) and 172 on s2 (86 batches of 3 nodes,
+    # one call per class size); a batch now holds at least 4 times as many
+    calls = []
+    solve = np.linalg.solve
+
+    def counted(*args):
+        calls.append(args)
+        return solve(*args)
+
+    monkeypatch.setattr(np.linalg, "solve", counted)
+    for (density, box, bound), before in zip(
+        _contour_cases(s3, vdp_linearization), (64, 172)
+    ):
+        calls.clear()
+        rootfind.contour_classes(HillBlocks(density, bound), box)
+        assert 0 < 4 * len(calls) <= before
 
 
 def test_build_L_marks_only_the_overflowing_lambda(s3):

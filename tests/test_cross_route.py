@@ -25,6 +25,7 @@ from ddefloquet import (
 )
 from ddefloquet import floquet
 from ddefloquet.errors import NewtonStallWarning
+from ddefloquet.model import HillBlocks
 from ddefloquet.risken import find_exponents_risken
 from ddefloquet.rootfind import contour_classes, to_strip
 
@@ -91,7 +92,7 @@ def test_routes_agree_class_for_class(d, K, monkeypatch):
         assert adjoint_modes(density, m.lam_raw, m.n_win, m.depth).residual < 1e-8
     routes = {
         # the Hill window of find_exponents at its defaults, |n| <= 20
-        "contour": contour_classes(density, BOX, 20),
+        "contour": contour_classes(HillBlocks(density, 20), BOX),
         "cf": [m.lam for m in modes],
         "risken": [m.lam for m in risken],
     }

@@ -97,12 +97,12 @@ def test_a_tiny_coefficient_still_couples(vdp_linearization):
 def test_the_contour_on_the_classes_is_the_contour_on_the_whole_t(name, monkeypatch):
     density, box, bound = _kernel(name)
     assert len(index_classes(density, bound)) > 1
-    split = contour_classes(density, box, bound)
+    split = contour_classes(HillBlocks(density, bound), box)
     with monkeypatch.context() as mp:
         mp.setattr(model, "index_classes", _whole_window)
         (rows,) = HillBlocks(density, bound).rows
         assert np.array_equal(rows, np.arange((2 * bound + 1) * density.dim)[None])
-        whole = contour_classes(density, box, bound)
+        whole = contour_classes(HillBlocks(density, bound), box)
     assert len(split) == len(whole) >= 1
     for a, b in zip(split, whole):
         assert abs(a - b) < 1e-13

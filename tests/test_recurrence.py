@@ -9,7 +9,7 @@ import pytest
 import ddefloquet as df
 from ddefloquet import floquet, rootfind
 from ddefloquet.floquet import _hill_refine, find_exponents, recurrence_residual
-from ddefloquet.model import build_L, hill_matrix, truncated_matrix
+from ddefloquet.model import HillBlocks, build_L, hill_matrix, truncated_matrix
 from ddefloquet.risken import find_exponents_risken
 from ddefloquet.rootfind import _damped_newton, contour_classes
 from ddefloquet.systems import parametric_density, s3_density
@@ -288,9 +288,9 @@ def test_hill_refine_converges_from_a_contour_value(vdp_linearization):
     # the difference step shrinks with the Newton step, so the run converges
     # to tol instead of stopping at the spacing of its fixed step
     density = vdp_linearization[0]
-    lam = contour_classes(density, S2_SETTINGS["box"], 16)[0]
+    lam = contour_classes(HillBlocks(density, 16), S2_SETTINGS["box"])[0]
     assert abs(lam.real + 0.0006242654) < 1e-9
-    root, ok = _hill_refine(density, lam, 18, 1e-9)
+    root, ok = _hill_refine(HillBlocks(density, 18), lam, 1e-9)
     assert ok and abs(root - lam) < 1e-9
 
 
@@ -317,7 +317,7 @@ def test_hill_refine_stays_at_a_root_it_starts_on(vdp_linearization):
             dT = sum(t * np.exp(lam * t) * h for t, h in zip(density.delays, H))
             lam -= 1.0 / np.trace(np.linalg.solve(T, dT - np.eye(len(T))))
         for tol in (1e-9, 1e-11, 1e-13):
-            root, ok = _hill_refine(density, lam, bound, tol)
+            root, ok = _hill_refine(HillBlocks(density, bound), lam, tol)
             assert ok and abs(root - lam) < 1e-13
 
 
@@ -328,17 +328,18 @@ def test_hill_refine_never_narrows_its_stencil_below_the_floor():
     # lambda and no derivative is left.  The retake stops at the floor and
     # the run converges
     s3 = s3_density()
-    (lam,) = [z for z in contour_classes(s3, BOX, 20) if abs(z + 0.89 + 1.06j) < 0.01]
-    root, ok = _hill_refine(s3, lam, 20, 1e-13)
+    hill = HillBlocks(s3, 20)
+    (lam,) = [z for z in contour_classes(hill, BOX) if abs(z + 0.89 + 1.06j) < 0.01]
+    root, ok = _hill_refine(hill, lam, 1e-13)
     assert ok
     for offset in (4e-5j, 1e-4j, -1e-4):
-        end, ok = _hill_refine(s3, root + offset, 20, 1e-9)
+        end, ok = _hill_refine(hill, root + offset, 1e-9)
         assert ok and abs(end - root) < 1e-12
 
 
 def test_hill_refine_rejected_lambda_does_not_converge():
     dens = parametric_density(-0.4, 0.3, -0.3)
-    assert _hill_refine(dens, complex(OVERFLOW, 0.2), 6, 1e-10) == (
+    assert _hill_refine(HillBlocks(dens, 6), complex(OVERFLOW, 0.2), 1e-10) == (
         complex(OVERFLOW, 0.2),
         False,
     )

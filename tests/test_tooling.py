@@ -12,6 +12,7 @@ import subprocess
 import sys
 
 import numpy as np
+import pytest
 
 import ddefloquet as df
 from ddefloquet import (
@@ -145,9 +146,9 @@ def test_one_continued_fraction_run_per_class_on_s3(s3, monkeypatch):
         windows.append(set())
         return newton(*args, **kwargs)
 
-    def checked(density, lam0, bound, tol):
-        bounds.append(bound)
-        return hill_refine(density, lam0, bound, tol)
+    def checked(hill, lam0, tol):
+        bounds.append(hill.bound)
+        return hill_refine(hill, lam0, tol)
 
     monkeypatch.setattr(floquet, "closure_determinant", recorded)
     monkeypatch.setattr(floquet, "_newton", counted)
@@ -185,8 +186,8 @@ def test_both_searches_hand_the_contour_the_cf_window(s3, monkeypatch):
     # where the tridiagonal blocks stack two indices per half block
     bounds = []
 
-    def recorded(density, box, bound):
-        bounds.append(bound)
+    def recorded(hill, box):
+        bounds.append(hill.bound)
         return []
 
     monkeypatch.setattr(floquet, "contour_classes", recorded)
@@ -362,13 +363,66 @@ def test_the_contour_builds_the_hill_matrix_once_without_an_l_table(
                     return original(*args)
 
                 monkeypatch.setattr(module, name, counted)
-    found = rootfind.contour_classes(s3, (-3.0, 1.0, -0.5, 0.5), 20)
+    found = rootfind.contour_classes(model.HillBlocks(s3, 20), (-3.0, 1.0, -0.5, 0.5))
     assert len(found) >= 2
     assert calls == ["hill_matrix"]
     calls.clear()
-    found = rootfind.contour_classes(vdp_linearization[0], (-0.6, 0.3, -0.5, 0.5), 16)
+    hill = model.HillBlocks(vdp_linearization[0], 16)
+    found = rootfind.contour_classes(hill, (-0.6, 0.3, -0.5, 0.5))
     assert len(found) == 2
     assert calls == ["hill_matrix"] * 2
+
+    # a whole search builds each pencil once, whatever its number of
+    # classes: at the window for the contour and the mode SVDs, at the
+    # window enlarged by two for the Hill check, one per class size at
+    # each, and on |n| <= n_win for the mode residuals.  The Gauss rule of
+    # the contour is computed once per process.
+    builds = []
+    rules = []
+    hill_matrix = model.hill_matrix
+    leggauss = np.polynomial.legendre.leggauss
+
+    def built(density, bound, members=None):
+        builds.append((bound, None if members is None else np.shape(members)[1]))
+        return hill_matrix(density, bound, members)
+
+    def rule(*args):
+        rules.append(args)
+        return leggauss(*args)
+
+    for module in (model, floquet):
+        monkeypatch.setattr(module, "hill_matrix", built)
+    monkeypatch.setattr(np.polynomial.legendre, "leggauss", rule)
+    rootfind._gauss_rule.cache_clear()
+    for density, boxes, n_win, counts, want in (
+        (
+            s3,
+            [(-3.0, 1.0, -0.5, 0.5), (-1.0, 0.0, 0.0, 0.5)],
+            10,
+            [4, 1],
+            [(20, 41), (22, 45), (10, None)],
+        ),
+        (
+            vdp_linearization[0],
+            [(-0.6, 0.3, -0.5, 0.5), (-0.04, 0.3, -0.5, 0.5)],
+            8,
+            [2, 1],
+            [(16, 17), (16, 16), (18, 19), (18, 18), (8, None)],
+        ),
+    ):
+        for box, count in zip(boxes, counts):
+            builds.clear()
+            modes = floquet.find_exponents(
+                density, box=box, n_win=n_win, depth=n_win, tol=1e-9
+            )
+            assert len(modes) == count
+            assert builds == want
+    # a search that finds no class builds only the contour's pencils
+    builds.clear()
+    with pytest.warns(errors.NoRootsInBoxWarning):
+        assert floquet.find_exponents(s3, box=(0.2, 1.0, -0.5, 0.5)) == []
+    assert builds == [(20, 41)]
+    assert len(rules) == 1
 
 
 def test_lapack_factors_the_class_blocks_not_the_whole_t(
@@ -396,8 +450,9 @@ def test_lapack_factors_the_class_blocks_not_the_whole_t(
         (s3, (-3.0, 1.0, -0.5, 0.5), 20, {(41, 41)}, 40),
     ):
         shapes.clear()
-        lam = rootfind.contour_classes(density, box, bound)[0]
-        root, ok = floquet._hill_refine(density, lam, bound, 1e-9)
+        hill = model.HillBlocks(density, bound)
+        lam = rootfind.contour_classes(hill, box)[0]
+        root, ok = floquet._hill_refine(hill, lam, 1e-9)
         floquet._null_vector(density, root, bound // 2, bound - bound // 2)
         assert ok
         square = {s for s in shapes if s[0] == s[1]}
