@@ -71,7 +71,6 @@ from .rootfind import (
     CLASS_TOL,
     DEFAULT_BOX,
     DEFAULT_GRID,
-    _damped_newton,
     _newton,
     contour_classes,
     spectrum_key,
@@ -89,8 +88,6 @@ __all__ = [
     "find_exponents",
 ]
 
-# Hill refinement: iteration budget
-HILL_MAX_ITER = 60
 # both searches: the Newton budget from a Hill eigenvalue (a few steps
 # wherever the closure determinant has its zero there; a pinched run stops
 # at its first step outside CLASS_TOL of its class), and the largest move
@@ -166,51 +163,16 @@ def _hill_logdet(hill, lams):
 
 
 def _hill_refine(hill, lam0: complex, tol: float):
-    """Damped Newton on the entire Hill determinant via its logarithmic
-    derivative, the step being 1 / (log det T)', T given by `hill`
-    (`model.HillBlocks`).
+    """`rootfind._newton`, at its default budget, on the entire Hill
+    determinant det T, T given by `hill` (`model.HillBlocks`), scaled per
+    call by exp(-max log|det T|) over its points: a common factor, which
+    leaves the Newton step that of det T and keeps it finite."""
 
-    The derivative is a central difference over lambda +- h, evaluated as
-    one batch of two, with h = 1e-6 * (1 + |lam|) at the first step and at
-    most 1e-3 of the previous Newton step after it, so that lambda +- h
-    stays well inside the distance to the root and the run converges to
-    `tol`.  h never goes below 1e-14 * (1 + |lam|), which keeps lambda +- h
-    dozens of ulps apart.  A step within 10 h of lambda may come from a
-    stencil that straddles the root; it is taken again with h = 1e-3 of
-    it, until it is not or h is at that floor, and a retaken step that
-    cannot be computed leaves the one before it standing.  A rejected
-    lambda +- h stops the iteration unconverged; a determinant that
-    underflows to an exact zero is a root.
-    """
-    last = np.inf
+    def det_at(lams):
+        signs, logabs = _hill_logdet(hill, lams)
+        return signs * np.exp(logabs - np.max(logabs))
 
-    def newton_step(lam, h):
-        signs, logabs = _hill_logdet(hill, np.array([lam + h, lam - h]))
-        if not np.all(np.isfinite(signs)):
-            return None
-        s1, s2 = (complex(v) for v in signs)
-        if s1 == 0 or s2 == 0:
-            return 0.0
-        a1, a2 = (float(v) for v in logabs)
-        gprime = ((a1 - a2) + np.log(s1 / s2)) / (2.0 * h)
-        return None if gprime == 0 else 1.0 / gprime
-
-    def step(lam):
-        nonlocal last
-        floor = 1e-14 * (1.0 + abs(lam))
-        h = max(min(1e-6 * (1.0 + abs(lam)), 1e-3 * last), floor)
-        delta = newton_step(lam, h)
-        while delta and abs(delta) < 10.0 * h and h > floor:
-            h = max(1e-3 * abs(delta), floor)
-            retaken = newton_step(lam, h)
-            if retaken is None:
-                break
-            delta = retaken
-        if delta is not None:
-            last = abs(delta)
-        return delta
-
-    return _damped_newton(step, lam0, tol, HILL_MAX_ITER)
+    return _newton(det_at, lam0, tol)
 
 
 def assemble_M(
@@ -281,20 +243,21 @@ class FloquetMode:
         return ph @ self.components
 
 
-def recurrence_residual(components, table: LMatrixTable, left: bool = False) -> float:
+def recurrence_residual(components, density, lam, left: bool = False) -> float:
     """Max norm of the banded recurrence over the interior window, relative
     to the largest component.
 
     The recurrence is T @ phi, or psi @ T for `left` (adjoint row vectors),
-    with T the recurrence matrix of the table's lambda on the components'
-    window |n| <= n_win; its entries are taken on |n| <= n_win - K, where
-    every coupled component is stored.  When the band is wider than the
-    stored window that interior is empty; the primal residual then runs
-    over the whole window with the unstored components taken as zero, a
-    fair approximation because they sit beyond the truncation anyway.
+    with T = T(lam) on the components' window |n| <= n_win, read off the
+    pencil of `model.hill_matrix`; its entries are taken on |n| <= n_win -
+    K, where every coupled component is stored.  When the band is wider
+    than the stored window that interior is empty; the primal residual then
+    runs over the whole window with the unstored components taken as zero,
+    a fair approximation because they sit beyond the truncation anyway.
     """
     n_win = (components.shape[0] - 1) // 2
-    return _residual(components, truncated_matrix(table, n_win), table.bandwidth, left)
+    T = hill_matrix(density, n_win)(lam)
+    return _residual(components, T, density.bandwidth, left)
 
 
 def _residual(components, T, K: int, left: bool) -> float:
@@ -431,7 +394,7 @@ def _search(
     from each.  A converged run's mode is T's right null vector at its
     root (`extract_mode`); where the run does not converge, the mode is
     the contour value with T's right null vector there.  Whichever route
-    produced it, the root is checked the same way: a Newton run on the
+    produced it, the root is checked the same way: a `_newton` run on the
     entire Hill determinant at the enlarged truncation |n| <= n_win +
     depth + 2 (`_hill_refine`) starts from it, and `converged` records
     whether that run converged within CONV_TOL of the root.  The three

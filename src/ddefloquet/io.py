@@ -115,14 +115,18 @@ def _require(data, key, where):
     return data[key]
 
 
+def _integer(value, what: str, low=None) -> int:
+    """An integer (an integral float counts) of at least `low`: None, 0 or 1."""
+    whole = isinstance(value, (int, float)) and not isinstance(value, bool)
+    if whole and float(value).is_integer() and (low is None or value >= low):
+        return int(value)
+    kind = {None: "an integer", 0: "a nonnegative integer", 1: "a positive integer"}
+    raise ConfigError(f"{what} {value!r} is not {kind[low]}")
+
+
 def _powers(values, spot):
     """Exponents of a monomial, each a nonnegative integer."""
-    out = []
-    for p in values:
-        if not isinstance(p, (int, float)) or p < 0 or not float(p).is_integer():
-            raise ConfigError(f"{spot}: power {p!r} is not a nonnegative integer")
-        out.append(int(p))
-    return tuple(out)
+    return tuple(_integer(p, f"{spot}: power", 0) for p in values)
 
 
 def _load_oscillator(data, where):
@@ -141,7 +145,7 @@ def _load_oscillator(data, where):
 
 
 def _load_first_order(data, where):
-    dim = int(_require(data, "dim", where))
+    dim = _integer(_require(data, "dim", where), f"{where}: dim", 1)
     terms = []
     for i, t in enumerate(_require(data, "terms", where)):
         spot = f"{where}: terms[{i}]"
@@ -152,7 +156,7 @@ def _load_first_order(data, where):
         terms.append(
             MonomialTerm(
                 float(_require(t, "coeff", spot)),
-                int(_require(t, "target", spot)),
+                _integer(_require(t, "target", spot), f"{spot}: target", 0),
                 powers,
                 dpowers,
             )
@@ -161,16 +165,21 @@ def _load_first_order(data, where):
 
 
 def _load_density(data, where):
-    dim = int(_require(data, "dim", where))
+    dim = _integer(_require(data, "dim", where), f"{where}: dim", 1)
     omega = float(_require(data, "omega", where))
     tau = float(_require(data, "tau", where))
     weights = _require(data, "weights", where)
-    kmax = max((abs(int(_require(w, "k", where))) for w in weights), default=0)
+    spots = [f"{where}: weights[{i}]" for i in range(len(weights))]
+    ks = [
+        _integer(_require(w, "k", spot), f"{spot}: k") for w, spot in zip(weights, spots)
+    ]
+    kmax = max(map(abs, ks), default=0)
     coeffs = np.zeros((2, 2 * kmax + 1, dim, dim), dtype=complex)
-    for i, w in enumerate(weights):
-        spot = f"{where}: weights[{i}]"
-        k = int(w["k"])
-        slot = 0 if bool(_require(w, "delayed", spot)) else 1
+    for w, spot, k in zip(weights, spots, ks):
+        delayed = _require(w, "delayed", spot)
+        if not isinstance(delayed, bool):
+            raise ConfigError(f"{spot}: delayed must be true or false, not {delayed!r}")
+        slot = 0 if delayed else 1
         mat = _require(w, "matrix", spot)
         if len(mat) != dim or any(len(row) != dim for row in mat):
             raise ConfigError(f"{spot}: matrix must be {dim}x{dim}")
@@ -179,6 +188,8 @@ def _load_density(data, where):
                 coeffs[slot, k + kmax, r, c] += _entry_to_complex(
                     mat[r][c], f"{spot}[{r}][{c}]"
                 )
+    if not np.isfinite(coeffs).all():
+        raise ConfigError(f"{where}: matrix entries must be finite")
     return FourierMatrixDensity(
         omega=omega, delays=np.array([-omega * tau, 0.0]), coeffs=coeffs
     )
@@ -209,12 +220,14 @@ def load_system(path: str):
             f"{path}: invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}"
         ) from exc
     where = path
-    version = int(data.get("version", 0))
-    if version != SYSTEM_FILE_VERSION:
+    if not isinstance(data, dict):
+        raise ConfigError(f"{where}: a system definition is a JSON object")
+    version = data.get("version")
+    if isinstance(version, bool) or version != SYSTEM_FILE_VERSION:
         raise ConfigError(f"{where}: unsupported version {version!r}")
     kind = _require(data, "kind", where)
-    meta = {"mu": float(data.get("mu", 0.0))}
     try:
+        meta = {"mu": float(data.get("mu", 0.0))}
         if kind == "oscillator":
             return "oscillator", _load_oscillator(data, where), meta
         if kind == "first_order":

@@ -51,6 +51,50 @@ def _draw_kernels(seed):
 KERNELS = _draw_kernels(SEED)
 
 
+def newton_runs(monkeypatch, fn, *args, **kwargs):
+    """fn(*args, **kwargs), one record per `floquet._newton` run it made, and
+    the Hill bounds of the `_hill_logdet` calls made outside every run.
+
+    A record holds the (n_win, depth) windows at which the run evaluated
+    det M, the bounds at which it evaluated the Hill determinant, its
+    number of `_hill_logdet` calls and whether it converged.
+    """
+    runs, outside = [], []
+    newton = floquet._newton
+    determinant, logdet = floquet.closure_determinant, floquet._hill_logdet
+    active = False
+
+    def run(*a, **k):
+        nonlocal active
+        runs.append({"windows": set(), "bounds": set(), "logdets": 0})
+        active = True
+        try:
+            root, ok = newton(*a, **k)
+        finally:
+            active = False
+        runs[-1]["ok"] = ok
+        return root, ok
+
+    def closure(density, lam, n_win, depth):
+        runs[-1]["windows"].add((n_win, depth))
+        return determinant(density, lam, n_win, depth)
+
+    def hill(blocks, lams):
+        if active:
+            runs[-1]["bounds"].add(blocks.bound)
+            runs[-1]["logdets"] += 1
+        else:
+            outside.append(blocks.bound)
+        return logdet(blocks, lams)
+
+    with monkeypatch.context() as mp:
+        mp.setattr(floquet, "_newton", run)
+        mp.setattr(floquet, "closure_determinant", closure)
+        mp.setattr(floquet, "_hill_logdet", hill)
+        result = fn(*args, **kwargs)
+    return result, runs, outside
+
+
 def _same_classes(name, got, want, tol=1e-6):
     """Each value of `got` within tol of one of `want` modulo i, and back."""
     assert len(got) == len(want), (name, got, want)
@@ -69,19 +113,15 @@ def test_routes_agree_class_for_class(d, K, monkeypatch):
         if lam.real <= BOX[1]
     ]
     assert mono
-    runs = []
-
-    def recorded(*args, **kwargs):
-        root, ok = newton(*args, **kwargs)
-        runs.append(ok)
-        return root, ok
-
-    newton = floquet._newton
-    with monkeypatch.context() as mp:
-        mp.setattr(floquet, "_newton", recorded)
-        modes = find_exponents(density, box=BOX)
-    # every class's Newton run on det M converges
-    assert len(runs) == len(modes) and all(runs)
+    modes, runs, outside = newton_runs(monkeypatch, find_exponents, density, box=BOX)
+    # each class gets one converged Newton run on det M at the search
+    # window, then one truncation check: a run of the same Newton on the
+    # Hill determinant of the window enlarged by two, evaluating no closure
+    assert len(runs) == 2 * len(modes) and not outside
+    for closure, check in zip(runs[0::2], runs[1::2]):
+        assert closure["windows"] == {(10, 10)} and closure["ok"]
+        assert not closure["bounds"]
+        assert check["bounds"] == {22} and not check["windows"]
     risken = find_exponents_risken(density, box=BOX)
     # every mode of either route passes the truncation check, whichever
     # Newton run or contour value produced it, and solves the recurrence

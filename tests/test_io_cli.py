@@ -125,6 +125,47 @@ def test_unsupported_version(tmp_path):
         load_system(str(path))
 
 
+def _density_file(**changes):
+    weights = [
+        {"k": 0, "delayed": True, "matrix": [[-0.5]]},
+        {"k": 0, "delayed": False, "matrix": [[-0.3]]},
+    ]
+    system = {"version": 1, "kind": "density", "dim": 1, "omega": 1.0, "tau": 1.0}
+    weights[1].update(changes.pop("weight", {}))
+    return json.dumps(dict(system, weights=weights, **changes))
+
+
+def _first_order_file(dim=1, target=0):
+    term = {"coeff": -1.0, "target": target, "powers": [0], "delayed_powers": [1]}
+    system = {"version": 1, "kind": "first_order", "dim": dim, "tau": 1.0}
+    return json.dumps(dict(system, terms=[term]))
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        # bool("false") read the weight as delayed
+        _density_file(weight={"delayed": "false"}),
+        # int() truncated these silently
+        _density_file(dim=1.5),
+        _density_file(weight={"k": 0.5}),
+        _first_order_file(dim=1.5),
+        _first_order_file(target=0.5),
+        # these raised a traceback
+        "[1, 2]",
+        _density_file(version="x"),
+        _density_file().replace("-0.3", "NaN"),
+    ],
+    ids=["delayed", "dim", "k", "first-order-dim", "target", "list", "version", "nan"],
+)
+def test_cli_malformed_system_value_exit_2(tmp_path, capsys, text):
+    path = tmp_path / "sys.json"
+    path.write_text(text)
+    args = ["--system", str(path), "--method", "monodromy", "--out", str(tmp_path / "o")]
+    assert main(["spectrum", *args]) == 2
+    assert "error:" in capsys.readouterr().err
+
+
 def test_spectrum_records_shape(s3_modes):
     recs = spectrum_records(s3_modes, "cf")
     assert all(r["method"] == "cf" for r in recs)

@@ -107,7 +107,7 @@ def test_recurrence_residual_matches_the_row_sums(n_win, left):
     shape = (2 * n_win + 1, 2)
     comps = rng.normal(size=shape) + 1j * rng.normal(size=shape)
     table = build_L(dens, 0.3 - 0.2j, n_win + 2)
-    got = recurrence_residual(comps, table, left=left)
+    got = recurrence_residual(comps, dens, 0.3 - 0.2j, left=left)
     want = _loop_residual(comps, table, left)
     assert abs(got - want) <= 1e-13 * max(want, 1.0)
     if left and n_win < dens.bandwidth:
@@ -285,8 +285,7 @@ def test_s2_reports_the_zero_and_the_amplitude_class(vdp_linearization):
 
 
 def test_hill_refine_converges_from_a_contour_value(vdp_linearization):
-    # the difference step shrinks with the Newton step, so the run converges
-    # to tol instead of stopping at the spacing of its fixed step
+    # the contour value at bound 16 is within tol of the root at bound 18
     density = vdp_linearization[0]
     lam = contour_classes(HillBlocks(density, 16), S2_SETTINGS["box"])[0]
     assert abs(lam.real + 0.0006242654) < 1e-9
@@ -295,9 +294,8 @@ def test_hill_refine_converges_from_a_contour_value(vdp_linearization):
 
 
 def test_hill_refine_stays_at_a_root_it_starts_on(vdp_linearization):
-    # from the bound-18 root itself the first stencil lambda +- h straddles
-    # the root, and its step of about h is within tol; the run must take it
-    # again with a smaller h instead of returning it.  The root comes from
+    # from the bound-18 root itself, where det T is roundoff, the run must
+    # not move by more than roundoff, whatever its tol.  The root comes from
     # Newton with the exact derivative tr(T^-1 T'), T' = sum_j theta_j
     # exp(lambda theta_j) H_j - I, each H_j read off the pencil of a kernel
     # that keeps only slot j
@@ -321,12 +319,10 @@ def test_hill_refine_stays_at_a_root_it_starts_on(vdp_linearization):
             assert ok and abs(root - lam) < 1e-13
 
 
-def test_hill_refine_never_narrows_its_stencil_below_the_floor():
-    # from 1e-4 off the s3 root near -0.89 - 1.06i a late stencil, h just
-    # above the floor 1e-14 (1 + |lambda|), straddles the root; 1e-3 of its
-    # step is under half an ulp of Re lambda, where lambda +- h rounds to
-    # lambda and no derivative is left.  The retake stops at the floor and
-    # the run converges
+def test_hill_refine_converges_from_just_off_the_root():
+    # from 4e-5i, 1e-4i and -1e-4 off the s3 root near -0.89 - 1.06i the run
+    # converges back onto it; a start 1e-4 off lies on the edge of
+    # CLASS_TOL, which is why the check runs with no radius
     s3 = s3_density()
     hill = HillBlocks(s3, 20)
     (lam,) = [z for z in contour_classes(hill, BOX) if abs(z + 0.89 + 1.06j) < 0.01]

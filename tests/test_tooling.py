@@ -30,6 +30,7 @@ from ddefloquet import (
 from ddefloquet.systems import constant_density, s2_model
 from test_cross_route import BOX as CROSS_BOX
 from test_cross_route import KERNELS as CROSS_KERNELS
+from test_cross_route import newton_runs
 from test_risken_planes import _wide_band_density
 
 SPANS = os.path.join(os.path.dirname(__file__), os.pardir, "bench", "spans.py")
@@ -130,33 +131,26 @@ def test_the_rk4_period_map_is_gone():
 
 
 def test_one_continued_fraction_run_per_class_on_s3(s3, monkeypatch):
-    # each class gets one Newton run on det M at the search window (10, 10),
-    # and one truncation check on the Hill determinant at bound 22, with no
-    # continued fraction re-run at (12, 12)
-    windows = []
-    bounds = []
-    determinant, newton = floquet.closure_determinant, floquet._newton
-    hill_refine = floquet._hill_refine
-
-    def recorded(density, lam, n_win, depth):
-        windows[-1].add((n_win, depth))
-        return determinant(density, lam, n_win, depth)
-
-    def counted(*args, **kwargs):
-        windows.append(set())
-        return newton(*args, **kwargs)
-
-    def checked(hill, lam0, tol):
-        bounds.append(hill.bound)
-        return hill_refine(hill, lam0, tol)
-
-    monkeypatch.setattr(floquet, "closure_determinant", recorded)
-    monkeypatch.setattr(floquet, "_newton", counted)
-    monkeypatch.setattr(floquet, "_hill_refine", checked)
-    modes = floquet.find_exponents(s3)
+    # each class gets one converged Newton run on det M at the search window
+    # (10, 10), then one truncation check: a run of the same Newton on the
+    # Hill determinant at bound 22 that evaluates no closure.  No continued
+    # fraction is re-run at (12, 12)
+    modes, runs, outside = newton_runs(monkeypatch, floquet.find_exponents, s3)
     assert len(modes) == 4
-    assert windows == [{(10, 10)}] * 4
-    assert bounds == [22] * 4
+    closure = {"windows": {(10, 10)}, "bounds": set(), "logdets": 0, "ok": True}
+    assert runs[0::2] == [closure] * 4
+    assert [(r["windows"], r["bounds"]) for r in runs[1::2]] == [(set(), {22})] * 4
+    assert len(runs) == 8 and not outside
+
+
+def test_the_truncation_check_is_a_run_of_the_shared_newton(s3, monkeypatch):
+    # each check is one `_newton` step from its converged root, so one
+    # `_hill_logdet` call, made inside that run; the check has no Newton
+    # loop or budget of its own
+    assert not hasattr(floquet, "HILL_MAX_ITER")
+    _, runs, outside = newton_runs(monkeypatch, floquet.find_exponents, s3)
+    assert [r["logdets"] for r in runs] == [0, 1] * 4
+    assert not outside
 
 
 def test_both_searches_run_one_class_loop(s3, monkeypatch):
