@@ -79,13 +79,19 @@ def adjoint_modes(
     lam: complex,
     n_win: int,
     depth: int,
+    hill=None,
+    window=None,
 ) -> AdjointMode:
     """Adjoint eigensolution at a root `lam` (raw, not strip mapped): the
     left null vector psi of the Hill matrix T(lambda) on |n| <= n_win +
     depth (psi T = 0), cut to the window, with the largest entry of psi_0
-    scaled to 1 (psi_0 = 1 for d = 1)."""
+    scaled to 1 (psi_0 = 1 for d = 1).  `hill` and `window` are the pencils
+    of `floquet._null_vector`, if the caller holds them: a job that pairs
+    several modes of one kernel builds them once."""
     lam = complex(lam)
-    comps, residual, _, _ = _null_vector(density, lam, n_win, depth, left=True)
+    comps, residual, _, _ = _null_vector(
+        density, lam, n_win, depth, left=True, hill=hill, window=window
+    )
     return AdjointMode(
         lam=to_strip(lam),
         lam_raw=lam,

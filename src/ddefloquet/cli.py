@@ -27,7 +27,7 @@ from .errors import ConfigError, DdeFloquetError, ZeroPairing
 from .floquet import find_exponents
 from .fourier import FourierSeries
 from .io import dumps_json, format_float, load_system, spectrum_records, write_text
-from .model import linearize_about_orbit
+from .model import HillBlocks, hill_matrix, linearize_about_orbit
 from .oracles import MIN_SEGMENT_POINTS, monodromy_exponents
 from .orbit import expand_pl, expand_shohat
 from .risken import find_exponents_risken
@@ -297,18 +297,20 @@ def cmd_spectrum(cfg) -> int:
 def cmd_adjoint(cfg) -> int:
     density = _density_from_config(cfg)
     box = tuple(float(v) for v in cfg["box"])
+    n_win, depth = int(cfg["n_win"]), int(cfg["depth"])
     modes = find_exponents(
-        density,
-        box=box,
-        n_win=int(cfg["n_win"]),
-        depth=int(cfg["depth"]),
-        tol=float(cfg["tol"]),
+        density, box=box, n_win=n_win, depth=depth, tol=float(cfg["tol"])
     )
     ctx = BilinearContext(density)
+    # every mode has the job's window, so one pair of pencils serves them all
+    pencils = {
+        "hill": HillBlocks(density, n_win + depth),
+        "window": hill_matrix(density, n_win),
+    }
     pairs = []
     flagged = 0
     for mode in modes:
-        psi = adjoint_modes(density, mode.lam_raw, mode.n_win, mode.depth)
+        psi = adjoint_modes(density, mode.lam_raw, n_win, depth, **pencils)
         try:
             psi_n, phi_n, _ = normalize(psi, mode, density)
             pairs.append((psi_n, phi_n, False))

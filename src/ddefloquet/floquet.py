@@ -389,9 +389,10 @@ def _search(
     """The class loop of both continued fraction searches.
 
     `rootfind.contour_classes` locates the classes once, as eigenvalues of
-    the Hill matrix T(lambda) on |n| <= n_win + depth, and one Newton run
-    on `det_at`, the vectorized determinant of the route's closure, starts
-    from each.  A converged run's mode is T's right null vector at its
+    the Hill matrix T(lambda) on |n| <= n_win + depth, each checked by its
+    residual |T v| / (|T|_F |v|) and all counted against the winding
+    number of det T, and one Newton run on `det_at`, the vectorized
+    determinant of the route's closure, starts from each.  A converged run's mode is T's right null vector at its
     root (`extract_mode`); where the run does not converge, the mode is
     the contour value with T's right null vector there.  Whichever route
     produced it, the root is checked the same way: a `_newton` run on the

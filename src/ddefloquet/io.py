@@ -17,6 +17,7 @@ timestamps anywhere.
 from __future__ import annotations
 
 import json
+import math
 import os
 
 import numpy as np
@@ -124,6 +125,14 @@ def _integer(value, what: str, low=None) -> int:
     raise ConfigError(f"{what} {value!r} is not {kind[low]}")
 
 
+def _real(value, what: str) -> float:
+    """A finite number: JSON's NaN and Infinity are refused."""
+    number = float(value)
+    if not math.isfinite(number):
+        raise ConfigError(f"{what} {value!r} is not a finite number")
+    return number
+
+
 def _powers(values, spot):
     """Exponents of a monomial, each a nonnegative integer."""
     return tuple(_integer(p, f"{spot}: power", 0) for p in values)
@@ -136,10 +145,11 @@ def _load_oscillator(data, where):
         powers = _powers(_require(t, "powers", spot), spot)
         if len(powers) != 4:
             raise ConfigError(f"{spot}: powers must list 4 exponents")
-        forcing.append((float(_require(t, "coeff", spot)), powers))
+        coeff = _real(_require(t, "coeff", spot), f"{spot}: coeff")
+        forcing.append((coeff, powers))
     return DrivenOscillator(
-        omega0=float(_require(data, "omega0", where)),
-        tau=float(_require(data, "tau", where)),
+        omega0=_real(_require(data, "omega0", where), f"{where}: omega0"),
+        tau=_real(_require(data, "tau", where), f"{where}: tau"),
         forcing=tuple(forcing),
     )
 
@@ -155,19 +165,20 @@ def _load_first_order(data, where):
             raise ConfigError(f"{spot}: power lists must have length dim = {dim}")
         terms.append(
             MonomialTerm(
-                float(_require(t, "coeff", spot)),
+                _real(_require(t, "coeff", spot), f"{spot}: coeff"),
                 _integer(_require(t, "target", spot), f"{spot}: target", 0),
                 powers,
                 dpowers,
             )
         )
-    return DdeSystem(dim, float(_require(data, "tau", where)), tuple(terms))
+    tau = _real(_require(data, "tau", where), f"{where}: tau")
+    return DdeSystem(dim, tau, tuple(terms))
 
 
 def _load_density(data, where):
     dim = _integer(_require(data, "dim", where), f"{where}: dim", 1)
-    omega = float(_require(data, "omega", where))
-    tau = float(_require(data, "tau", where))
+    omega = _real(_require(data, "omega", where), f"{where}: omega")
+    tau = _real(_require(data, "tau", where), f"{where}: tau")
     weights = _require(data, "weights", where)
     spots = [f"{where}: weights[{i}]" for i in range(len(weights))]
     ks = [
@@ -227,7 +238,7 @@ def load_system(path: str):
         raise ConfigError(f"{where}: unsupported version {version!r}")
     kind = _require(data, "kind", where)
     try:
-        meta = {"mu": float(data.get("mu", 0.0))}
+        meta = {"mu": _real(data.get("mu", 0.0), f"{where}: mu")}
         if kind == "oscillator":
             return "oscillator", _load_oscillator(data, where), meta
         if kind == "first_order":

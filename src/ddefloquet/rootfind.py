@@ -38,14 +38,22 @@ CHUNK_BYTES = 512 * 1024
 CLASS_TOL = 1e-4
 # the rounding error of an exponent on the strip edge Im = 1/2
 STRIP_SLACK = 1e-12
-# contour_classes: the lower strip edge, the Gauss-Legendre nodes per
-# side, the probe columns to start from, the rank cut relative to the
-# quadrature's scale, and the halvings allowed when the counts disagree
+# contour_classes: the lower strip edge to start from, the Gauss-Legendre
+# nodes per side, the probe columns beyond the winding count, the rank cut
+# relative to the quadrature's scale, the largest phase step of det T the
+# winding count trusts and the halvings of a step allowed to get there, the
+# largest acceptance residual |T v| / (|T|_F |v|) of an eigenvalue, the
+# node spacings that a widened side may move out, and the edge moves and
+# splits allowed along any path when a rectangle fails
 STRIP_EDGE = -0.25
-SIDE_NODES = 64
-PROBE_COLUMNS = 8
-RANK_TOL = 1e-10
-MAX_SPLITS = 3
+SIDE_NODES = 32
+PROBE_COLUMNS = 12
+RANK_TOL = 1e-12
+PHASE_STEP = 1.0
+PHASE_HALVINGS = 8
+ACCEPT_TOL = 1e-6
+WIDEN_SPACINGS = 4
+MAX_MOVES = 3
 
 
 @dataclass(frozen=True)
@@ -232,17 +240,22 @@ def contour_classes(hill, box) -> list:
     SVDs.  A contour node costs one matrix product per size, not an L table, and
     the nodes go in batches whose class blocks hold about CHUNK_BYTES.  Every
     class has one eigenvalue in each period strip, and `_contour_solve` finds
-    those in Re [box.re_min, box.re_max] of the strip with edges Im = STRIP_EDGE
-    and STRIP_EDGE + 1, where a real kernel's real multipliers, at Im 0 and 1/2,
-    lie inside rather than on an edge.  Each eigenvalue is returned as the
-    translate lam + i*n* at which its null vector peaks at n = 0 (T(lam + i m)
-    is T(lam) with its indices shifted by m), sorted by `spectrum_key` of the
-    strip value.
+    those in Re [box.re_min, box.re_max] of a strip of height one, starting
+    from the edges Im = STRIP_EDGE and STRIP_EDGE + 1, where a real kernel's
+    real multipliers, at Im 0 and 1/2, lie inside rather than on an edge.  It
+    returns only eigenvalues that pass its residual check, and it may move a
+    strip edge or widen the rectangle past the box to keep eigenvalues off
+    its sides, so the values are filtered by the box here.  Each eigenvalue
+    is returned as the translate lam + i*n* at which its null vector peaks at
+    n = 0 (T(lam + i m) is T(lam) with its indices shifted by m), sorted by
+    `spectrum_key` of the strip value.
     """
     sb = box if isinstance(box, SearchBox) else SearchBox(*box)
     batch = max(1, CHUNK_BYTES // (16 * hill.entries))
     found = []
-    for lam, null in _contour_solve(hill, sb.re_min, sb.re_max, batch, MAX_SPLITS):
+    for lam, null in _contour_solve(
+        hill, sb.re_min, sb.re_max, STRIP_EDGE, batch, MAX_MOVES
+    ):
         if not sb.contains(to_strip(lam), slack=1e-6):
             continue
         # a real mode of a real kernel has |phi_n| = |phi_-n|; norms equal
@@ -265,34 +278,125 @@ def _gauss_rule():
     return x, w
 
 
-def _contour_solve(hill, re0: float, re1: float, batch: int, splits: int):
-    """Eigenvalues of T in the strip rectangle over Re [re0, re1], with
-    their null vectors, by Beyn's integral method (Linear Algebra Appl.
+def _blocks(hill, lams):
+    """T's class blocks at the 1-D array `lams`; ExponentOverflow where the
+    exponent guard rejects one of them."""
+    T = hill(lams)
+    if not all(np.isfinite(block).all() for block in T):
+        raise ExponentOverflow("the search box reaches the exponent guard")
+    return T
+
+
+def _phases(hill, z, batch: int) -> np.ndarray:
+    """The phase exp(i arg det T) at each point of `z`, `batch` points a
+    call."""
+    return np.concatenate(
+        [
+            hill.slogdet(_blocks(hill, z[start : start + batch]))[0]
+            for start in range(0, z.size, batch)
+        ]
+    )
+
+
+def _winding(hill, corners, t, phases, batch: int):
+    """The winding number of det T along the rectangle `corners`, from its
+    phases at the contour parameters `t` (side floor(t), at fraction
+    frac(t) along it, ascending in [0, 4)).  Wherever the phase turns by
+    more than PHASE_STEP between neighbours, the midpoint is inserted and
+    only its phase computed, at most PHASE_HALVINGS times over.  Returns
+    the winding number and whether every step came within PHASE_STEP."""
+    for halvings in range(PHASE_HALVINGS + 1):
+        with np.errstate(divide="ignore", invalid="ignore"):
+            steps = np.angle(np.roll(phases, -1) / phases)
+        wide = np.abs(steps) > PHASE_STEP
+        if halvings == PHASE_HALVINGS or not wide.any():
+            break
+        ends = np.append(t[1:], t[0] + 4)
+        mids = np.mod(0.5 * (t + ends)[wide], 4)
+        side = mids.astype(int)
+        z = corners[side] + (np.roll(corners, -1) - corners)[side] * (mids - side)
+        order = np.argsort(np.concatenate([t, mids]), kind="stable")
+        t = np.concatenate([t, mids])[order]
+        phases = np.concatenate([phases, _phases(hill, z, batch)])[order]
+    return steps.sum() / (2 * np.pi), not wide.any()
+
+
+def _acceptance(hill, lams, vecs) -> np.ndarray:
+    """|T(lam) v| / (|T(lam)|_F |v|) for each eigenvalue lam and its vector
+    v, a column of `vecs` in T's index order: one `hill` call for all of
+    them, and the norms summed class block by class block."""
+    image = frobenius = 0.0
+    for T, rows in zip(_blocks(hill, lams), hill.rows):
+        Tv = np.einsum("kcij,cjk->kci", T, vecs[rows])
+        image = image + (np.abs(Tv) ** 2).sum(axis=(1, 2))
+        frobenius = frobenius + (np.abs(T) ** 2).sum(axis=(1, 2, 3))
+    return np.sqrt(image / frobenius) / np.linalg.norm(vecs, axis=0)
+
+
+def _widest_gap(points, lo: float, hi: float) -> float:
+    """The middle of the widest gap between the `points` in (lo, hi), the
+    ends lo and hi counting as points."""
+    p = np.sort(np.concatenate([[lo, hi], [v for v in points if lo < v < hi]]))
+    i = int(np.argmax(np.diff(p)))
+    return 0.5 * (p[i] + p[i + 1])
+
+
+def _contour_solve(
+    hill,
+    re0: float,
+    re1: float,
+    edge: float,
+    batch: int,
+    moves: int,
+    outer=(True, True),
+):
+    """Eigenvalues of T in the rectangle Re [re0, re1], Im [edge, edge + 1],
+    with their null vectors, by Beyn's integral method (Linear Algebra Appl.
     436, 2012); `hill` is a `model.HillBlocks`, whose solves and
     determinants run class by class.  The probe columns and the moments are
     kept in its class order, so a node's solve gathers and scatters
     nothing, and the moments go back to T's index order once per pass.
 
-    The moments A_j = (1/2 pi i) contour-integral z^j T(z)^-1 V dz, j = 0, 1,
-    are summed by Gauss-Legendre quadrature on each side over batches of
-    `batch` nodes, each one `solve` and one `slogdet` call per class size.
-    The rank k of A_0 counts the eigenvalues inside, and the probe
-    columns V are doubled while k equals their number.  With
-    A_0 = U S W^H cut to rank k, the eigenvalues are those of
-    U^H A_1 W S^-1 and the null vectors U times its eigenvectors.
+    A first pass takes the phase of det T at the SIDE_NODES Gauss-Legendre
+    nodes of each side, one `slogdet` call per class size and batch of
+    `batch` nodes, and refines the steps wider than PHASE_STEP (`_winding`),
+    which counts the eigenvalues inside.  The probe V gets that count plus
+    PROBE_COLUMNS columns.  The moments A_j = (1/2 pi i) contour-integral
+    z^j T(z)^-1 V dz, j = 0, 1, are summed by the same quadrature, one
+    `solve` call per class size and batch.  The rank k of A_0 counts the
+    eigenvalues again, and the probe columns are doubled while k equals
+    their number.  With A_0 = U S W^H cut to rank k, the eigenvalues are
+    those of U^H A_1 W S^-1 and the null vectors U times its eigenvectors.
     Quadrature leakage lets in eigenvalues just outside; only those inside
-    are kept, and their number must equal the winding number of det T
-    along the rectangle, from the phases `slogdet` gives at the same
-    nodes.  Where it does not, the rectangle is halved along Re, at most
-    `splits` times, and then kept with a ContourCountWarning.
+    are kept.
+
+    The rectangle passes when the winding count was resolved, equals the
+    number inside, and every eigenvalue inside has an acceptance residual
+    (`_acceptance`) of at most ACCEPT_TOL.  The quadrature's error grows as
+    an eigenvalue nears the contour, measured in node spacings (S. Guttel
+    and F. Tisseur, Acta Numerica 26, 2017, section 5), so a rectangle that
+    fails is moved before it is split, at most `moves` times along any
+    path.  Where an eigenvalue, inside or leaked, lies within one node
+    spacing of a horizontal edge, the strip edge goes to the middle of the
+    widest gap of the eigenvalues' Im modulo 1; where one lies within a
+    spacing of a vertical side that is `outer` (not a split line), that side
+    moves out to the widest gap of the eigenvalues' Re within
+    WIDEN_SPACINGS spacings outside it; and the rectangle is solved again
+    with every such move made.  Where neither applies, the rectangle is
+    split at the widest Re gap of its middle half.  A rectangle still failing
+    when the moves run out keeps its accepted eigenvalues, with a
+    ContourCountWarning.
     """
-    corners = np.array([re0, re1, re1 + 1j, re0 + 1j]) + 1j * STRIP_EDGE
+    corners = np.array([re0, re1, re1 + 1j, re0 + 1j]) + 1j * edge
     half = (np.roll(corners, -1) - corners)[:, None] / 2
     x, w = _gauss_rule()
     z = (corners[:, None] + half * (1 + x)).ravel()
     weights = (half * w).ravel()
+    t = (np.arange(4)[:, None] + (1 + x) / 2).ravel()
+    winding, resolved = _winding(hill, corners, t, _phases(hill, z, batch), batch)
     size = hill.size
-    columns = min(PROBE_COLUMNS, size)
+    count = int(round(winding)) if np.isfinite(winding) else 0
+    columns = min(max(count, 0) + PROBE_COLUMNS, size)
     while True:
         # deterministic probe columns, with no random generator: column c
         # holds the powers z_c^r, r = 1..size, of the distinct points
@@ -304,20 +408,15 @@ def _contour_solve(hill, re0: float, re1: float, batch: int, splits: int):
         probe = probe[hill.order]
         m0 = np.zeros((size, columns), dtype=complex)
         m1 = np.zeros((size, columns), dtype=complex)
-        phases = np.empty(z.size, dtype=complex)
         # the size of the quadrature's terms, which its rounding scales with
         scale = 0.0
         for start in range(0, z.size, batch):
             nodes = z[start : start + batch]
-            T = hill(nodes)
-            if not all(np.isfinite(block).all() for block in T):
-                raise ExponentOverflow("the search box reaches the exponent guard")
-            X = hill.solve(T, probe)
+            X = hill.solve(_blocks(hill, nodes), probe)
             wx = weights[start : start + batch, None, None] * X
             scale += float(np.abs(wx).max(axis=(1, 2)).sum())
             m0 += wx.sum(axis=0)
             m1 += (nodes[:, None, None] * wx).sum(axis=0)
-            phases[start : start + batch] = hill.slogdet(T)[0]
         m0[hill.order], m1[hill.order] = m0.copy(), m1.copy()  # T's index order
         U, s, Wh = np.linalg.svd(m0 / (2j * np.pi), full_matrices=False)
         rank = int(np.count_nonzero(s > RANK_TOL * scale / (2 * np.pi)))
@@ -326,23 +425,42 @@ def _contour_solve(hill, re0: float, re1: float, batch: int, splits: int):
         columns = min(2 * columns, size)
     U, s, W = U[:, :rank], s[:rank], Wh[:rank].conj().T
     lams, vecs = np.linalg.eig(U.conj().T @ (m1 / (2j * np.pi)) @ W / s)
-    inside = [
-        (complex(lam), U @ vec)
-        for lam, vec in zip(lams, vecs.T)
-        if re0 <= lam.real <= re1 and STRIP_EDGE <= lam.imag <= STRIP_EDGE + 1
-    ]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        winding = np.angle(np.roll(phases, -1) / phases).sum() / (2 * np.pi)
-    if abs(winding - len(inside)) < 0.5:
-        return inside
-    if splits > 0:
-        mid = 0.5 * (re0 + re1)
-        return _contour_solve(hill, re0, mid, batch, splits - 1) + _contour_solve(
-            hill, mid, re1, batch, splits - 1
-        )
+    vecs = U @ vecs
+    inside = (re0 <= lams.real) & (lams.real <= re1)
+    inside &= (edge <= lams.imag) & (lams.imag <= edge + 1)
+    residual = np.full(lams.size, np.inf)
+    residual[inside] = _acceptance(hill, lams[inside], vecs[:, inside])
+    accepted = np.flatnonzero(residual <= ACCEPT_TOL)
+    found = [(complex(lams[i]), vecs[:, i]) for i in accepted]
+    rejected = np.count_nonzero(inside) - len(found)
+    if resolved and not rejected and abs(winding - len(found)) < 0.5:
+        return found
+    if moves > 0:
+        across, up = (re1 - re0) / SIDE_NODES, 1.0 / SIDE_NODES
+        moved = (re0, re1, edge)
+        offset = np.mod(lams.imag - edge, 1.0)
+        if np.any(np.minimum(offset, 1.0 - offset) < across):
+            low = offset.min()
+            gap = _widest_gap(offset, low, low + 1.0)
+            # the representative of the new edge nearest the old one
+            edge += np.mod(gap + 0.5, 1.0) - 0.5
+        reach = WIDEN_SPACINGS * up
+        if outer[0] and np.any(np.abs(lams.real - re0) < up):
+            re0 = _widest_gap(lams.real, re0 - reach, re0)
+        if outer[1] and np.any(np.abs(lams.real - re1) < up):
+            re1 = _widest_gap(lams.real, re1, re1 + reach)
+        if (re0, re1, edge) != moved:
+            return _contour_solve(hill, re0, re1, edge, batch, moves - 1, outer)
+        quarter = 0.25 * (re1 - re0)
+        mid = _widest_gap(lams.real, re0 + quarter, re1 - quarter)
+        return _contour_solve(
+            hill, re0, mid, edge, batch, moves - 1, (outer[0], False)
+        ) + _contour_solve(hill, mid, re1, edge, batch, moves - 1, (False, outer[1]))
     warnings.warn(
-        f"{len(inside)} eigenvalue(s) in Re [{re0:.6g}, {re1:.6g}] against a "
-        f"winding number of {winding:.3f}",
+        f"{len(found)} eigenvalue(s) in Re [{re0:.6g}, {re1:.6g}] against a "
+        f"winding number of {winding:.3f}"
+        + (f", {rejected} rejected by the residual check" if rejected else "")
+        + ("" if resolved else ", the phase steps unresolved"),
         ContourCountWarning,
     )
-    return inside
+    return found

@@ -161,6 +161,34 @@ def test_the_contour_hands_lapack_whole_batches_of_nodes(
         assert 0 < 4 * len(calls) <= before
 
 
+def test_the_contour_makes_one_pass_of_four_sides_of_32_nodes(
+    s3, vdp_linearization, monkeypatch
+):
+    # the phases come first, and the probe holds their winding count plus
+    # PROBE_COLUMNS columns, so one rectangle sums its moments once; at 64
+    # nodes per side each pass took 256 solves
+    assert rootfind.SIDE_NODES == 32
+    solved, rectangles = [], []
+    solve, contour = HillBlocks.solve, rootfind._contour_solve
+
+    def counted_solve(self, blocks, rhs):
+        solved.append(blocks[0].shape[0])
+        return solve(self, blocks, rhs)
+
+    def counted_contour(*args, **kwargs):
+        rectangles.append(args[1:3])
+        return contour(*args, **kwargs)
+
+    monkeypatch.setattr(HillBlocks, "solve", counted_solve)
+    monkeypatch.setattr(rootfind, "_contour_solve", counted_contour)
+    for density, box, bound in _contour_cases(s3, vdp_linearization):
+        solved.clear()
+        rectangles.clear()
+        assert rootfind.contour_classes(HillBlocks(density, bound), box)
+        assert rectangles == [box[:2]]
+        assert sum(solved) == 4 * 32
+
+
 def test_build_L_marks_only_the_overflowing_lambda(s3):
     lams = np.array([0.1 + 0.2j, OVERFLOW, -1.0 - 0.5j])
     table = df.build_L(s3, lams, 4)

@@ -23,8 +23,8 @@ from ddefloquet import (
     find_exponents,
     monodromy_exponents,
 )
-from ddefloquet import floquet
-from ddefloquet.errors import NewtonStallWarning
+from ddefloquet import floquet, rootfind
+from ddefloquet.errors import ContourCountWarning, NewtonStallWarning
 from ddefloquet.model import HillBlocks
 from ddefloquet.risken import find_exponents_risken
 from ddefloquet.rootfind import contour_classes, to_strip
@@ -95,6 +95,15 @@ def newton_runs(monkeypatch, fn, *args, **kwargs):
     return result, runs, outside
 
 
+def _monodromy_classes(density):
+    """The oracle's exponents in BOX."""
+    return [
+        lam
+        for lam, _ in monodromy_exponents(density, re_min=BOX[0])
+        if lam.real <= BOX[1]
+    ]
+
+
 def _same_classes(name, got, want, tol=1e-6):
     """Each value of `got` within tol of one of `want` modulo i, and back."""
     assert len(got) == len(want), (name, got, want)
@@ -107,11 +116,7 @@ def _same_classes(name, got, want, tol=1e-6):
 @pytest.mark.parametrize("d, K", CASES, ids=[f"d{d}-K{K}" for d, K in CASES])
 def test_routes_agree_class_for_class(d, K, monkeypatch):
     density = KERNELS[d, K]
-    mono = [
-        lam
-        for lam, _ in monodromy_exponents(density, re_min=BOX[0])
-        if lam.real <= BOX[1]
-    ]
+    mono = _monodromy_classes(density)
     assert mono
     modes, runs, outside = newton_runs(monkeypatch, find_exponents, density, box=BOX)
     # each class gets one converged Newton run on det M at the search
@@ -163,3 +168,50 @@ def test_risken_flags_the_pair_its_window_truncates():
     assert len(pair) == 2
     assert all(abs(m.lam.real + 2.9048) < 1e-3 for m in pair)
     assert not any(m.converged for m in pair)
+
+
+@pytest.mark.parametrize("seed", [10, 8], ids=["seed10-d2-K0", "seed8-d2-K0"])
+def test_the_contour_faults_agree_with_monodromy(seed):
+    # two d = 2, K = 0 kernels the contour got wrong at 64 nodes per side
+    # with its strip edge fixed at Im = -1/4.  Seed 10: a class's translate
+    # sat 0.038 inside the upper edge, and two classes came back 0.504 off
+    # monodromy, unconverged.  Seed 8: a ContourCountWarning, 6 eigenvalues
+    # against a winding number of 5 in Re [-3, -2.5]
+    density = _draw_kernels(seed)[2, 0]
+    mono = _monodromy_classes(density)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        routes = {
+            "cf": find_exponents(density, box=BOX),
+            "risken": find_exponents_risken(density, box=BOX),
+        }
+    assert not caught, [str(w.message) for w in caught]
+    for name, modes in routes.items():
+        assert all(m.converged for m in modes), name
+        _same_classes(name, [m.lam for m in modes], mono)
+
+
+def test_a_rectangle_returns_no_eigenvalue_that_fails_the_residual_check(monkeypatch):
+    # seed 10 d2-K0 with the strip edge held at -1/4 and no moves left: of
+    # the Beyn step's eigenvalues inside, one is 0.11 off every class, and
+    # its residual |T v| / (|T|_F |v|) is about 1e-3
+    density = _draw_kernels(10)[2, 0]
+    checked = []
+    acceptance = rootfind._acceptance
+
+    def recorded(hill, lams, vecs):
+        residuals = acceptance(hill, lams, vecs)
+        checked.extend(zip(lams, residuals))
+        return residuals
+
+    monkeypatch.setattr(rootfind, "_acceptance", recorded)
+    hill = HillBlocks(density, 20)
+    with pytest.warns(ContourCountWarning, match="1 rejected by the residual check"):
+        found = rootfind._contour_solve(hill, -3.0, 1.0, rootfind.STRIP_EDGE, 64, 0)
+    passed = [lam for lam, r in checked if r <= rootfind.ACCEPT_TOL]
+    rejected = [lam for lam, r in checked if r > rootfind.ACCEPT_TOL]
+    assert len(rejected) == 1 and [lam for lam, _ in found] == passed
+    mono = _monodromy_classes(density)
+    for lam in passed:
+        assert min(abs(to_strip(lam - w)) for w in mono) < 1e-6
+    assert min(abs(to_strip(rejected[0] - w)) for w in mono) > 0.1

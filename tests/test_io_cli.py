@@ -135,35 +135,59 @@ def _density_file(**changes):
     return json.dumps(dict(system, weights=weights, **changes))
 
 
-def _first_order_file(dim=1, target=0):
+def _first_order_file(dim=1, target=0, tau=1.0):
     term = {"coeff": -1.0, "target": target, "powers": [0], "delayed_powers": [1]}
-    system = {"version": 1, "kind": "first_order", "dim": dim, "tau": 1.0}
+    system = {"version": 1, "kind": "first_order", "dim": dim, "tau": tau}
     return json.dumps(dict(system, terms=[term]))
 
 
+def _oscillator_file(coeff=1.0):
+    system = {"version": 1, "kind": "oscillator", "omega0": 1.0, "tau": 0.5}
+    forcing = [{"coeff": coeff, "powers": [0, 0, 0, 1]}]
+    return json.dumps(dict(system, forcing=forcing))
+
+
 @pytest.mark.parametrize(
-    "text",
+    "text, named",
     [
         # bool("false") read the weight as delayed
-        _density_file(weight={"delayed": "false"}),
+        (_density_file(weight={"delayed": "false"}), "delayed"),
         # int() truncated these silently
-        _density_file(dim=1.5),
-        _density_file(weight={"k": 0.5}),
-        _first_order_file(dim=1.5),
-        _first_order_file(target=0.5),
+        (_density_file(dim=1.5), "dim"),
+        (_density_file(weight={"k": 0.5}), "k"),
+        (_first_order_file(dim=1.5), "dim"),
+        (_first_order_file(target=0.5), "target"),
         # these raised a traceback
-        "[1, 2]",
-        _density_file(version="x"),
-        _density_file().replace("-0.3", "NaN"),
+        ("[1, 2]", "JSON object"),
+        (_density_file(version="x"), "version"),
+        (_density_file().replace("-0.3", "NaN"), "matrix entries"),
+        # a non-finite number: a LinAlgError or ValueError traceback, or the
+        # message that the last delay slot must be theta = 0
+        (_oscillator_file(coeff=float("nan")), "coeff"),
+        (_density_file(omega=float("nan")), "omega"),
+        (_first_order_file(tau=float("inf")), "tau"),
     ],
-    ids=["delayed", "dim", "k", "first-order-dim", "target", "list", "version", "nan"],
+    ids=[
+        "delayed",
+        "dim",
+        "k",
+        "first-order-dim",
+        "target",
+        "list",
+        "version",
+        "nan",
+        "oscillator-coeff-nan",
+        "density-omega-nan",
+        "first-order-tau-inf",
+    ],
 )
-def test_cli_malformed_system_value_exit_2(tmp_path, capsys, text):
+def test_cli_malformed_system_value_exit_2(tmp_path, capsys, text, named):
     path = tmp_path / "sys.json"
     path.write_text(text)
     args = ["--system", str(path), "--method", "monodromy", "--out", str(tmp_path / "o")]
     assert main(["spectrum", *args]) == 2
-    assert "error:" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "error:" in err and named in err
 
 
 def test_spectrum_records_shape(s3_modes):

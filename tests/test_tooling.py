@@ -419,6 +419,26 @@ def test_the_contour_builds_the_hill_matrix_once_without_an_l_table(
     assert len(rules) == 1
 
 
+def test_the_adjoint_job_builds_its_pencils_once(tmp_path, capsys, monkeypatch):
+    # the search builds T's class blocks at the window (bound 20), at the
+    # window enlarged by two and on |n| <= n_win; the job then builds the
+    # first and the last once more and hands them to every adjoint_modes
+    # call, where each of the four s3 modes built both again
+    builds = []
+    hill_matrix = model.hill_matrix
+
+    def built(density, bound, members=None):
+        builds.append((bound, None if members is None else np.shape(members)[1]))
+        return hill_matrix(density, bound, members)
+
+    for module in (model, floquet, cli):
+        monkeypatch.setattr(module, "hill_matrix", built, raising=False)
+    out = str(tmp_path / "out")
+    assert cli.main(["adjoint", "--system", "builtin:s3", "--out", out]) == 0
+    assert "adjoint: 4 mode(s), 0 flagged" in capsys.readouterr().out
+    assert builds == [(20, 41), (22, 45), (10, None), (20, 41), (10, None)]
+
+
 def test_lapack_factors_the_class_blocks_not_the_whole_t(
     s3, vdp_linearization, monkeypatch
 ):
