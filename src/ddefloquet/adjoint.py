@@ -75,23 +75,16 @@ class AdjointMode:
 
 
 def adjoint_modes(
-    density: FourierMatrixDensity,
-    lam: complex,
-    n_win: int,
-    depth: int,
-    hill=None,
-    window=None,
+    density: FourierMatrixDensity, lam: complex, n_win: int, depth: int, hill=None
 ) -> AdjointMode:
     """Adjoint eigensolution at a root `lam` (raw, not strip mapped): the
     left null vector psi of the Hill matrix T(lambda) on |n| <= n_win +
     depth (psi T = 0), cut to the window, with the largest entry of psi_0
-    scaled to 1 (psi_0 = 1 for d = 1).  `hill` and `window` are the pencils
-    of `floquet._null_vector`, if the caller holds them: a job that pairs
+    scaled to 1 (psi_0 = 1 for d = 1).  `hill` is T's class blocks of
+    `floquet._null_vector`, if the caller holds them: a job that pairs
     several modes of one kernel builds them once."""
     lam = complex(lam)
-    comps, residual, _, _ = _null_vector(
-        density, lam, n_win, depth, left=True, hill=hill, window=window
-    )
+    comps, residual, _, _ = _null_vector(density, lam, n_win, depth, True, hill)
     return AdjointMode(
         lam=to_strip(lam),
         lam_raw=lam,
@@ -120,35 +113,23 @@ class BilinearContext:
     density: FourierMatrixDensity
 
     def pair(self, psi: AdjointMode, phi: FloquetMode, xi: float = 0.0) -> complex:
-        """Bilinear pairing (psi_xi, phi_xi)_xi of two eigenmodes."""
-        lam = psi.lam_raw
-        mu = phi.lam_raw
-        pj = psi.components  # (2Nj+1, d) rows
-        pn = phi.components  # (2Nn+1, d)
-        Nj = psi.n_win
-        Nn = phi.n_win
-        js = np.arange(-Nj, Nj + 1)
-        ns = np.arange(-Nn, Nn + 1)
-
-        base = pj @ pn.T  # [j, n] = <psi_j, phi_n>
-        phase0 = np.exp(1j * xi * (ns[None, :] - js[:, None]))
-        total = np.sum(base * phase0)
-
-        dens = self.density
-        K = dens.bandwidth
-        for k in range(-K, K + 1):
-            for s_idx, theta in enumerate(dens.delays):
-                if theta >= 0.0:
-                    continue
-                c = dens.coeffs[s_idx, k + K]
-                if not np.any(c):
-                    continue
-                sandwich = pj @ c @ pn.T  # [j, n]
-                phase = np.exp(1j * xi * (ns[None, :] + k - js[:, None]))
-                theta_fac = np.exp((lam + 1j * (js[:, None] - k)) * theta)
-                a = mu - lam + 1j * (ns[None, :] + k - js[:, None])
-                eint = _eint(a, theta)
-                total = total - np.sum(sandwich * phase * theta_fac * eint)
+        """Bilinear pairing (psi_xi, phi_xi)_xi of two eigenmodes: per delay
+        slot one sum over the band k and the harmonics j of psi and n of
+        phi, the sandwich <psi_j, C_{k,slot} phi_n> times its closed form
+        phase and integral."""
+        lam, mu = psi.lam_raw, phi.lam_raw
+        pj, pn = psi.components, phi.components
+        j = np.arange(-psi.n_win, psi.n_win + 1)[:, None]
+        n = np.arange(-phi.n_win, phi.n_win + 1)
+        total = np.sum((pj @ pn.T) * np.exp(1j * xi * (n - j)))
+        K = self.density.bandwidth
+        k = np.arange(-K, K + 1)[:, None, None]
+        for C, theta in zip(self.density.coeffs, self.density.delays):
+            if theta < 0.0:
+                shift = n + k - j  # [k, j, n]
+                factor = np.exp(1j * xi * shift + (lam + 1j * (j - k)) * theta)
+                sandwich = np.einsum("ja,kab,nb->kjn", pj, C, pn)
+                total -= np.sum(sandwich * factor * _eint(mu - lam + 1j * shift, theta))
         return complex(total)
 
     def normalization_sum(self, psi: AdjointMode, phi: FloquetMode) -> complex:

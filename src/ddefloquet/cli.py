@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 
 import numpy as np
@@ -26,8 +25,9 @@ from .adjoint import BilinearContext, adjoint_modes, normalize
 from .errors import ConfigError, DdeFloquetError, ZeroPairing
 from .floquet import find_exponents
 from .fourier import FourierSeries
-from .io import dumps_json, format_float, load_system, spectrum_records, write_text
-from .model import HillBlocks, hill_matrix, linearize_about_orbit
+from .io import _finite, dumps_json, format_float, load_system
+from .io import spectrum_records, write_text
+from .model import HillBlocks, linearize_about_orbit
 from .oracles import MIN_SEGMENT_POINTS, monodromy_exponents
 from .orbit import expand_pl, expand_shohat
 from .risken import find_exponents_risken
@@ -109,11 +109,6 @@ def _load_config(args) -> dict:
     if cfg["tol"] <= 0:
         raise ConfigError("tol must be positive")
     return cfg
-
-
-def _finite(value) -> bool:
-    number = isinstance(value, (int, float)) and not isinstance(value, bool)
-    return number and math.isfinite(value)
 
 
 def _integer(key, value, low) -> int:
@@ -302,15 +297,12 @@ def cmd_adjoint(cfg) -> int:
         density, box=box, n_win=n_win, depth=depth, tol=float(cfg["tol"])
     )
     ctx = BilinearContext(density)
-    # every mode has the job's window, so one pair of pencils serves them all
-    pencils = {
-        "hill": HillBlocks(density, n_win + depth),
-        "window": hill_matrix(density, n_win),
-    }
+    # every mode has the job's window, so one pencil serves them all
+    hill = HillBlocks(density, n_win + depth)
     pairs = []
     flagged = 0
     for mode in modes:
-        psi = adjoint_modes(density, mode.lam_raw, n_win, depth, **pencils)
+        psi = adjoint_modes(density, mode.lam_raw, n_win, depth, hill=hill)
         try:
             psi_n, phi_n, _ = normalize(psi, mode, density)
             pairs.append((psi_n, phi_n, False))

@@ -103,11 +103,13 @@ def write_text(path: str, text: str) -> None:
 
 
 def _entry_to_complex(v, where: str) -> complex:
-    if isinstance(v, (int, float)):
-        return complex(v)
-    if isinstance(v, dict) and set(v) <= {"re", "im"}:
-        return complex(float(v.get("re", 0.0)), float(v.get("im", 0.0)))
-    raise ConfigError(f"{where}: expected number or {{re, im}} pair, got {v!r}")
+    """A number or a {re, im} pair of numbers; finiteness is checked over
+    the whole matrix by the caller."""
+    pair = isinstance(v, dict) and set(v) <= {"re", "im"}
+    parts = (v.get("re", 0.0), v.get("im", 0.0)) if pair else (v, 0.0)
+    if not all(map(_number, parts)):
+        raise ConfigError(f"{where}: expected number or {{re, im}} pair, got {v!r}")
+    return complex(*parts)
 
 
 def _require(data, key, where):
@@ -116,21 +118,29 @@ def _require(data, key, where):
     return data[key]
 
 
+def _number(value) -> bool:
+    """Whether `value` is a JSON number: no string and no boolean."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _finite(value) -> bool:
+    """A finite JSON number, the rule of system files and job configs."""
+    return _number(value) and math.isfinite(value)
+
+
 def _integer(value, what: str, low=None) -> int:
     """An integer (an integral float counts) of at least `low`: None, 0 or 1."""
-    whole = isinstance(value, (int, float)) and not isinstance(value, bool)
-    if whole and float(value).is_integer() and (low is None or value >= low):
+    if _finite(value) and float(value).is_integer() and (low is None or value >= low):
         return int(value)
     kind = {None: "an integer", 0: "a nonnegative integer", 1: "a positive integer"}
     raise ConfigError(f"{what} {value!r} is not {kind[low]}")
 
 
 def _real(value, what: str) -> float:
-    """A finite number: JSON's NaN and Infinity are refused."""
-    number = float(value)
-    if not math.isfinite(number):
+    """A finite JSON number (`_finite`)."""
+    if not _finite(value):
         raise ConfigError(f"{what} {value!r} is not a finite number")
-    return number
+    return float(value)
 
 
 def _powers(values, spot):
@@ -197,7 +207,7 @@ def _load_density(data, where):
         for r in range(dim):
             for c in range(dim):
                 coeffs[slot, k + kmax, r, c] += _entry_to_complex(
-                    mat[r][c], f"{spot}[{r}][{c}]"
+                    mat[r][c], f"{spot}: matrix[{r}][{c}]"
                 )
     if not np.isfinite(coeffs).all():
         raise ConfigError(f"{where}: matrix entries must be finite")

@@ -15,6 +15,8 @@ whose Fourier coefficients in xi feed the matrices
     L_{k,n}(lambda) = sum_j C_{k,j} exp((lambda + i n) theta_j),
 
 evaluated here in closed form because the kernel is a sum of point masses.
+`build_L` and `truncated_matrix` are reference evaluators of the recurrence
+matrix T(lambda) that no search uses: searches read T off `HillBlocks`.
 """
 
 from __future__ import annotations
@@ -256,10 +258,15 @@ def truncated_matrix(table: LMatrixTable, bound: int) -> np.ndarray:
     pole.  For an array table the result is a stack of matrices, NaN
     where the exponent guard rejected lambda.
     """
+    return _gathered(table, np.arange(-bound, bound + 1))
+
+
+def _gathered(table: LMatrixTable, n) -> np.ndarray:
+    """`truncated_matrix` on the ascending indices `n` of the table's window
+    alone: T[n, n], one class of `index_classes` or the whole window."""
     one = np.ndim(table.lam) == 0
     entries = table.entries[None] if one else table.entries
     K, d = table.bandwidth, table.dim
-    n = np.arange(-bound, bound + 1)
     k = n[:, None] - n[None, :]
     band = np.abs(k) <= K
     out = entries[:, np.where(band, k, 0) + K, np.where(band, n, 0) + table.n_win]
@@ -353,11 +360,11 @@ class HillBlocks:
     whole T, whose LAPACK calls are those on T itself.  The blocks,
     `solve` and `slogdet` take a batch of lambda at once, one call of each
     per size, and a search builds one HillBlocks per bound for its contour,
-    mode SVDs and Hill check (`floquet._search`).  `rows` holds, per size,
-    the positions of its classes' entries in T's index order; `order`, all
-    of them one class after another, is the class order that `solve` works
-    in; `entries` is the number of block entries per lambda; and `bound`
-    is the truncation.
+    closure, mode SVDs, mode residuals and Hill check (`floquet._search`).
+    `rows` holds, per size, the positions of its classes' entries in T's
+    index order; `order`, all of them one class after another, is the class
+    order that `solve` works in; `entries` is the number of block entries
+    per lambda; and `bound` is the truncation.
     """
 
     def __init__(self, density: FourierMatrixDensity, bound: int):
@@ -368,6 +375,9 @@ class HillBlocks:
         self.rows, self._pencils = [], []
         for m in sorted({c.size for c in classes}, reverse=True):
             members = np.array([c for c in classes if c.size == m])
+            if 0 in members:  # the stack and class of n = 0, and its block 0
+                ((c, j),) = np.argwhere(members == 0)
+                self._zero = len(self.rows), c, j * d + np.arange(d)
             at = (members + bound)[..., None] * d + np.arange(d)
             self.rows.append(at.reshape(len(members), m * d))
             self._pencils.append(hill_matrix(density, bound, members))
@@ -377,6 +387,22 @@ class HillBlocks:
     def __call__(self, lam) -> list:
         """The blocks at lambda: per size, T on its classes, ([N,] c, s, s)."""
         return [at(lam) for at in self._pencils]
+
+    def zero_class(self, lam):
+        """T at lambda on the index class of n = 0, ([N,] s, s), one block of
+        one stack, and the positions of block 0 in it."""
+        i, c, at = self._zero
+        return self._pencils[i](lam)[..., c, :, :], at
+
+    def apply(self, blocks, vecs, left: bool = False) -> np.ndarray:
+        """T v, or v T for `left`, for vectors `vecs` ([N,] size) in T's
+        index order, one per lambda of `blocks`: each class block on its
+        own entries."""
+        out = np.empty(np.shape(vecs), dtype=complex)
+        rule = "...ci,...cij->...cj" if left else "...cj,...cij->...ci"
+        for T, rows in zip(blocks, self.rows):
+            out[..., rows] = np.einsum(rule, vecs[..., rows], T)
+        return out
 
     def solve(self, blocks, rhs) -> np.ndarray:
         """T^-1 rhs at every lambda of `blocks`, with rhs (size, cols) and the

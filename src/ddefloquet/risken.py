@@ -224,7 +224,8 @@ def find_exponents_risken(
     by `rootfind.spectrum_key` of the strip representative.
     """
 
-    def det_at(lams):
+    def closure(hill, lams):
+        # the closure reads its own blocks, not the search's
         return closure_determinant_risken(density, lams, depth)
 
-    return _search(density, box, depth, depth, tol, det_at)
+    return _search(density, box, depth, depth, tol, closure)

@@ -324,13 +324,11 @@ def _winding(hill, corners, t, phases, batch: int):
 def _acceptance(hill, lams, vecs) -> np.ndarray:
     """|T(lam) v| / (|T(lam)|_F |v|) for each eigenvalue lam and its vector
     v, a column of `vecs` in T's index order: one `hill` call for all of
-    them, and the norms summed class block by class block."""
-    image = frobenius = 0.0
-    for T, rows in zip(_blocks(hill, lams), hill.rows):
-        Tv = np.einsum("kcij,cjk->kci", T, vecs[rows])
-        image = image + (np.abs(Tv) ** 2).sum(axis=(1, 2))
-        frobenius = frobenius + (np.abs(T) ** 2).sum(axis=(1, 2, 3))
-    return np.sqrt(image / frobenius) / np.linalg.norm(vecs, axis=0)
+    them, T v applied and |T|_F summed class block by class block."""
+    blocks = _blocks(hill, lams)
+    frobenius = sum((np.abs(T) ** 2).sum(axis=(1, 2, 3)) for T in blocks)
+    image = np.linalg.norm(hill.apply(blocks, vecs.T), axis=1)
+    return image / np.sqrt(frobenius) / np.linalg.norm(vecs, axis=0)
 
 
 def _widest_gap(points, lo: float, hi: float) -> float:

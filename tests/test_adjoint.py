@@ -265,3 +265,50 @@ def test_normalization_sum_is_the_phase_mean_of_the_pairing(
         mean = np.mean([ctx.pair(psi, phi, xi) for xi in phases])
         total = ctx.normalization_sum(psi, phi)
         assert abs(total - mean) < 1e-13 * abs(total)
+
+
+def _loop_pairing(density, psi, phi, xi):
+    """The pairing term by term, one band offset k and delay slot at a
+    time: the reference for the array expression of BilinearContext.pair."""
+    lam, mu = psi.lam_raw, phi.lam_raw
+    js = np.arange(-psi.n_win, psi.n_win + 1)[:, None]
+    ns = np.arange(-phi.n_win, phi.n_win + 1)[None, :]
+    pj, pn = psi.components, phi.components
+    total = np.sum((pj @ pn.T) * np.exp(1j * xi * (ns - js)))
+    K = density.bandwidth
+    for k in range(-K, K + 1):
+        for slot, theta in enumerate(density.delays):
+            if theta < 0.0:
+                sandwich = pj @ density.coeffs[slot, k + K] @ pn.T
+                phase = np.exp(1j * xi * (ns + k - js))
+                theta_fac = np.exp((lam + 1j * (js - k)) * theta)
+                a = mu - lam + 1j * (ns + k - js)
+                eint = np.where(
+                    np.abs(a * theta) < 1e-8,
+                    theta * (1.0 + a * theta / 2.0 + (a * theta) ** 2 / 6.0),
+                    (np.exp(a * theta) - 1.0) / np.where(a == 0, 1.0, a),
+                )
+                total = total - np.sum(sandwich * phase * theta_fac * eint)
+    return complex(total)
+
+
+@pytest.mark.parametrize("name", ["s2", "s3"])
+def test_pair_matches_the_term_by_term_loop(
+    name, s3, s3_pairs, vdp_linearization, s2_modes
+):
+    # the array expression sums in another order than the loop: equal to
+    # a few roundoffs of the O(1) terms, for matched and crossed pairs
+    if name == "s2":
+        density = vdp_linearization[0]
+        pairs = [
+            (adjoint_modes(density, m.lam_raw, m.n_win, m.depth), m) for m in s2_modes
+        ]
+    else:
+        density, pairs = s3, s3_pairs
+    ctx = BilinearContext(density)
+    for psi, _ in pairs:
+        for _, phi in pairs:
+            for xi in (0.0, 0.7, -2.3):
+                want = _loop_pairing(density, psi, phi, xi)
+                got = ctx.pair(psi, phi, xi)
+                assert abs(got - want) < 1e-13 * max(1.0, abs(want))

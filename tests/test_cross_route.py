@@ -55,18 +55,18 @@ def newton_runs(monkeypatch, fn, *args, **kwargs):
     """fn(*args, **kwargs), one record per `floquet._newton` run it made, and
     the Hill bounds of the `_hill_logdet` calls made outside every run.
 
-    A record holds the (n_win, depth) windows at which the run evaluated
-    det M, the bounds at which it evaluated the Hill determinant, its
-    number of `_hill_logdet` calls and whether it converged.
+    A record holds the bounds of the class blocks of T off which the run
+    evaluated det M, the bounds at which it evaluated the Hill determinant,
+    its number of `_hill_logdet` calls and whether it converged.
     """
     runs, outside = [], []
     newton = floquet._newton
-    determinant, logdet = floquet.closure_determinant, floquet._hill_logdet
+    determinant, logdet = floquet._closure_determinant, floquet._hill_logdet
     active = False
 
     def run(*a, **k):
         nonlocal active
-        runs.append({"windows": set(), "bounds": set(), "logdets": 0})
+        runs.append({"closures": set(), "bounds": set(), "logdets": 0})
         active = True
         try:
             root, ok = newton(*a, **k)
@@ -75,9 +75,9 @@ def newton_runs(monkeypatch, fn, *args, **kwargs):
         runs[-1]["ok"] = ok
         return root, ok
 
-    def closure(density, lam, n_win, depth):
-        runs[-1]["windows"].add((n_win, depth))
-        return determinant(density, lam, n_win, depth)
+    def closure(blocks, lams):
+        runs[-1]["closures"].add(blocks.bound)
+        return determinant(blocks, lams)
 
     def hill(blocks, lams):
         if active:
@@ -89,7 +89,7 @@ def newton_runs(monkeypatch, fn, *args, **kwargs):
 
     with monkeypatch.context() as mp:
         mp.setattr(floquet, "_newton", run)
-        mp.setattr(floquet, "closure_determinant", closure)
+        mp.setattr(floquet, "_closure_determinant", closure)
         mp.setattr(floquet, "_hill_logdet", hill)
         result = fn(*args, **kwargs)
     return result, runs, outside
@@ -124,9 +124,9 @@ def test_routes_agree_class_for_class(d, K, monkeypatch):
     # Hill determinant of the window enlarged by two, evaluating no closure
     assert len(runs) == 2 * len(modes) and not outside
     for closure, check in zip(runs[0::2], runs[1::2]):
-        assert closure["windows"] == {(10, 10)} and closure["ok"]
+        assert closure["closures"] == {20} and closure["ok"]
         assert not closure["bounds"]
-        assert check["bounds"] == {22} and not check["windows"]
+        assert check["bounds"] == {22} and not check["closures"]
     risken = find_exponents_risken(density, box=BOX)
     # every mode of either route passes the truncation check, whichever
     # Newton run or contour value produced it, and solves the recurrence

@@ -13,7 +13,8 @@ from ddefloquet import (
     ladder_operators,
 )
 from ddefloquet.errors import NoRootsInBoxWarning
-from ddefloquet.model import index_classes, truncated_matrix
+from ddefloquet import floquet
+from ddefloquet.model import HillBlocks, index_classes, truncated_matrix
 from ddefloquet.systems import constant_density, parametric_density, s1_density
 from test_cross_route import KERNELS
 
@@ -48,7 +49,7 @@ def test_single_cf_level_hand_unrolled():
     dens = parametric_density(-0.4, c, -0.3, tau=1.0, omega=1.0)
     lam = 0.1 + 0.05j
     lad = ladder_operators(dens, lam, 6, 6)
-    tab = lad.table
+    tab = build_L(dens, lam, 1)
     want = -np.linalg.solve(
         tab.get(0, 1) - (lam + 1j) * np.eye(1), tab.get(1, 0)
     )
@@ -76,17 +77,21 @@ def _closure_kernel(name, s3, vdp_linearization):
 
 @pytest.mark.parametrize("name", ["s3", "s2", "seed7-d2-K2"])
 def test_det_M_times_det_T_RR_is_det_T_on_the_class(name, s3, vdp_linearization):
-    # M is the Schur complement of T onto block 0 on the class of n = 0
+    # M is the Schur complement of T onto block 0 on the class of n = 0,
+    # whether the class is read off the L table, as outside a search, or
+    # off the class blocks of T that a search holds
     density, n_win, depth = _closure_kernel(name, s3, vdp_linearization)
     bound = n_win + depth
     lams = np.array([0.1 + 0.2j, -0.45 - 0.3j, -1.7 + 0.05j, -2.6 + 0.4j])
     T = truncated_matrix(build_L(density, lams, bound), bound)
     whole, rest = _class_of_zero(density, bound)
     want = np.linalg.det(T[:, whole[:, None], whole])
-    got = closure_determinant(density, lams, n_win, depth) * np.linalg.det(
-        T[:, rest[:, None], rest]
-    )
-    assert np.max(np.abs(got - want) / np.abs(want)) < 1e-12
+    for det_M in (
+        closure_determinant(density, lams, n_win, depth),
+        floquet._closure_determinant(HillBlocks(density, bound), lams),
+    ):
+        got = det_M * np.linalg.det(T[:, rest[:, None], rest])
+        assert np.max(np.abs(got - want) / np.abs(want)) < 1e-12
 
 
 @pytest.mark.parametrize("name", ["s3", "s2", "seed7-d2-K2"])

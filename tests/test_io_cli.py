@@ -166,6 +166,10 @@ def _oscillator_file(coeff=1.0):
         (_oscillator_file(coeff=float("nan")), "coeff"),
         (_density_file(omega=float("nan")), "omega"),
         (_first_order_file(tau=float("inf")), "tau"),
+        # a string or a boolean read as a number, and the job ran
+        (_density_file(omega="1.0"), "omega"),
+        (_first_order_file(tau=True), "tau"),
+        (_density_file(weight={"matrix": [[{"re": True}]]}), "matrix[0][0]"),
     ],
     ids=[
         "delayed",
@@ -179,6 +183,9 @@ def _oscillator_file(coeff=1.0):
         "oscillator-coeff-nan",
         "density-omega-nan",
         "first-order-tau-inf",
+        "density-omega-string",
+        "first-order-tau-bool",
+        "density-entry-bool",
     ],
 )
 def test_cli_malformed_system_value_exit_2(tmp_path, capsys, text, named):

@@ -131,15 +131,15 @@ def test_the_rk4_period_map_is_gone():
 
 
 def test_one_continued_fraction_run_per_class_on_s3(s3, monkeypatch):
-    # each class gets one converged Newton run on det M at the search window
-    # (10, 10), then one truncation check: a run of the same Newton on the
+    # each class gets one converged Newton run on det M, read off the
+    # search's class blocks of T at bound 20, then one truncation check: a run of the same Newton on the
     # Hill determinant at bound 22 that evaluates no closure.  No continued
     # fraction is re-run at (12, 12)
     modes, runs, outside = newton_runs(monkeypatch, floquet.find_exponents, s3)
     assert len(modes) == 4
-    closure = {"windows": {(10, 10)}, "bounds": set(), "logdets": 0, "ok": True}
+    closure = {"closures": {20}, "bounds": set(), "logdets": 0, "ok": True}
     assert runs[0::2] == [closure] * 4
-    assert [(r["windows"], r["bounds"]) for r in runs[1::2]] == [(set(), {22})] * 4
+    assert [(r["closures"], r["bounds"]) for r in runs[1::2]] == [(set(), {22})] * 4
     assert len(runs) == 8 and not outside
 
 
@@ -207,18 +207,18 @@ def test_one_newton_stopping_rule():
 def _search_window_evaluations(monkeypatch, density, **settings):
     """The lambda values passed to det M at the search window by one
     find_exponents call, and the number of classes it reports."""
-    n_win, depth = settings.get("n_win", 10), settings.get("depth", 10)
-    determinant = floquet.closure_determinant
+    bound = settings.get("n_win", 10) + settings.get("depth", 10)
+    determinant = floquet._closure_determinant
     count = 0
 
-    def counted(density, lam, nw, dp):
+    def counted(hill, lam):
         nonlocal count
-        if (nw, dp) == (n_win, depth):
+        if hill.bound == bound:
             count += np.size(lam)
-        return determinant(density, lam, nw, dp)
+        return determinant(hill, lam)
 
     with monkeypatch.context() as patch:
-        patch.setattr(floquet, "closure_determinant", counted)
+        patch.setattr(floquet, "_closure_determinant", counted)
         modes = floquet.find_exponents(density, **settings)
     return count, len(modes)
 
@@ -315,7 +315,13 @@ def test_the_insertion_passes_are_gone():
         for name in deleted:
             assert not hasattr(module, name), (info.name, name)
     assert not hasattr(df, "plane_solve")
-    assert "passes" not in {f.name for f in dataclasses.fields(floquet.LadderSet)}
+    fields = {f.name for f in dataclasses.fields(floquet.LadderSet)}
+    assert not {"passes", "table"} & fields
+    # the closure and the modes read the search's class blocks of T: no
+    # window pencil and no ladders are handed around
+    for fn in (floquet._null_vector, floquet.extract_mode, adjoint.adjoint_modes,
+               floquet.assemble_M):
+        assert not {"window", "ladders"} & set(inspect.signature(fn).parameters)
 
 
 def test_one_adjoint_route_and_one_hand_written_elimination(s3, s3_modes, monkeypatch):
@@ -341,7 +347,7 @@ def test_one_adjoint_route_and_one_hand_written_elimination(s3, s3_modes, monkey
 
 
 def test_the_contour_builds_the_hill_matrix_once_without_an_l_table(
-    s3, vdp_linearization, monkeypatch
+    s3, vdp_linearization, tmp_path, capsys, monkeypatch
 ):
     # the contour evaluates the exponential pencil of model.hill_matrix at
     # its nodes: no L table per node, and no pencil per node either; s2
@@ -366,11 +372,26 @@ def test_the_contour_builds_the_hill_matrix_once_without_an_l_table(
     assert len(found) == 2
     assert calls == ["hill_matrix"] * 2
 
+    # no search and no adjoint job evaluates an L table or gathers T from
+    # one, wherever a module binds them
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a search read the L table")
+
+    for info in pkgutil.iter_modules(df.__path__):
+        module = importlib.import_module(f"ddefloquet.{info.name}")
+        for name in ("build_L", "truncated_matrix"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, forbidden)
+    assert len(risken.find_exponents_risken(s3)) == 4
+    out = str(tmp_path / "out")
+    assert cli.main(["adjoint", "--system", "builtin:s3", "--out", out]) == 0
+    assert "adjoint: 4 mode(s), 0 flagged" in capsys.readouterr().out
+
     # a whole search builds each pencil once, whatever its number of
-    # classes: at the window for the contour and the mode SVDs, at the
-    # window enlarged by two for the Hill check, one per class size at
-    # each, and on |n| <= n_win for the mode residuals.  The Gauss rule of
-    # the contour is computed once per process.
+    # classes: at the window for the contour, the closure, the mode SVDs
+    # and their residuals, and at the window enlarged by two for the Hill
+    # check, one per class size at each.  The Gauss rule of the contour is
+    # computed once per process.
     builds = []
     rules = []
     hill_matrix = model.hill_matrix
@@ -384,8 +405,8 @@ def test_the_contour_builds_the_hill_matrix_once_without_an_l_table(
         rules.append(args)
         return leggauss(*args)
 
-    for module in (model, floquet):
-        monkeypatch.setattr(module, "hill_matrix", built)
+    assert not hasattr(floquet, "hill_matrix")
+    monkeypatch.setattr(model, "hill_matrix", built)
     monkeypatch.setattr(np.polynomial.legendre, "leggauss", rule)
     rootfind._gauss_rule.cache_clear()
     for density, boxes, n_win, counts, want in (
@@ -394,14 +415,14 @@ def test_the_contour_builds_the_hill_matrix_once_without_an_l_table(
             [(-3.0, 1.0, -0.5, 0.5), (-1.0, 0.0, 0.0, 0.5)],
             10,
             [4, 1],
-            [(20, 41), (22, 45), (10, None)],
+            [(20, 41), (22, 45)],
         ),
         (
             vdp_linearization[0],
             [(-0.6, 0.3, -0.5, 0.5), (-0.04, 0.3, -0.5, 0.5)],
             8,
             [2, 1],
-            [(16, 17), (16, 16), (18, 19), (18, 18), (8, None)],
+            [(16, 17), (16, 16), (18, 19), (18, 18)],
         ),
     ):
         for box, count in zip(boxes, counts):
@@ -420,10 +441,10 @@ def test_the_contour_builds_the_hill_matrix_once_without_an_l_table(
 
 
 def test_the_adjoint_job_builds_its_pencils_once(tmp_path, capsys, monkeypatch):
-    # the search builds T's class blocks at the window (bound 20), at the
-    # window enlarged by two and on |n| <= n_win; the job then builds the
-    # first and the last once more and hands them to every adjoint_modes
-    # call, where each of the four s3 modes built both again
+    # the search builds T's class blocks at the window (bound 20) and at
+    # the window enlarged by two; the job then builds the first once more
+    # and hands it to every adjoint_modes call, where each of the four s3
+    # modes built it again; nothing builds a pencil on |n| <= n_win
     builds = []
     hill_matrix = model.hill_matrix
 
@@ -431,12 +452,12 @@ def test_the_adjoint_job_builds_its_pencils_once(tmp_path, capsys, monkeypatch):
         builds.append((bound, None if members is None else np.shape(members)[1]))
         return hill_matrix(density, bound, members)
 
-    for module in (model, floquet, cli):
-        monkeypatch.setattr(module, "hill_matrix", built, raising=False)
+    assert not hasattr(cli, "hill_matrix")
+    monkeypatch.setattr(model, "hill_matrix", built)
     out = str(tmp_path / "out")
     assert cli.main(["adjoint", "--system", "builtin:s3", "--out", out]) == 0
     assert "adjoint: 4 mode(s), 0 flagged" in capsys.readouterr().out
-    assert builds == [(20, 41), (22, 45), (10, None), (20, 41), (10, None)]
+    assert builds == [(20, 41), (22, 45), (20, 41)]
 
 
 def test_lapack_factors_the_class_blocks_not_the_whole_t(
