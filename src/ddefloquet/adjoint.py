@@ -123,12 +123,13 @@ class BilinearContext:
         n = np.arange(-phi.n_win, phi.n_win + 1)
         total = np.sum((pj @ pn.T) * np.exp(1j * xi * (n - j)))
         K = self.density.bandwidth
-        k = np.arange(-K, K + 1)[:, None, None]
         for C, theta in zip(self.density.coeffs, self.density.delays):
-            if theta < 0.0:
+            live = np.flatnonzero(np.any(C, axis=(1, 2)))  # the k with C_k != 0
+            if theta < 0.0 and live.size:
+                k = (live - K)[:, None, None]
                 shift = n + k - j  # [k, j, n]
                 factor = np.exp(1j * xi * shift + (lam + 1j * (j - k)) * theta)
-                sandwich = np.einsum("ja,kab,nb->kjn", pj, C, pn)
+                sandwich = pj @ C[live] @ pn.T  # [k, j, n]
                 total -= np.sum(sandwich * factor * _eint(mu - lam + 1j * shift, theta))
         return complex(total)
 
