@@ -47,6 +47,9 @@ EXP_GUARD = 700.0  # |Re(lambda)*theta| beyond this overflows double exp
 # linearize_about_orbit trims a default band down to the coefficients above
 # this fraction of the largest one
 TAIL_TOL = 1e-12
+# HillBlocks calls a kernel real when |C_-k - conj(C_k)| <= REAL_TOL max(1,
+# max |C|) (`FourierMatrixDensity.is_real`)
+REAL_TOL = 1e-14
 
 
 @dataclass(frozen=True)
@@ -364,7 +367,11 @@ class HillBlocks:
     `rows` holds, per size, the positions of its classes' entries in T's
     index order; `order`, all of them one class after another, is the class
     order that `solve` works in; `entries` is the number of block entries
-    per lambda; and `bound` is the truncation.
+    per lambda; and `bound` is the truncation.  `real` records whether the
+    kernel is real to rounding (REAL_TOL): then
+    T(conj lambda) = J conj(T(lambda)) J exactly, J the reversal n -> -n of
+    the indices, so det T(conj lambda) = conj det T(lambda), and the contour
+    (`rootfind._contour_solve`) solves only the nodes below the real axis.
     """
 
     def __init__(self, density: FourierMatrixDensity, bound: int):
@@ -372,6 +379,7 @@ class HillBlocks:
         classes = index_classes(density, bound)
         self.bound = bound
         self.size = (2 * bound + 1) * d
+        self.real = density.is_real(REAL_TOL)
         self.rows, self._pencils = [], []
         for m in sorted({c.size for c in classes}, reverse=True):
             members = np.array([c for c in classes if c.size == m])

@@ -19,8 +19,8 @@ This module computes nothing of its own beyond block bookkeeping: T is
 the exponential pencil of `model.hill_matrix`, the one evaluator of
 T(lambda) that the contour, the modes and the Hill check use too, and
 T_{p+m,q+m}(lambda) = T_{p,q}(lambda + i m) makes every block row of T
-block row 0 at a shifted lambda, so the pencil is built once on
-|p| <= 2 w0 and every Q block is read off it.  Like the n-diagonal route
+block row 0 at a shifted lambda, so every Q block is read off one
+pencil on |p| <= 2 w0, which a search builds once.  Like the n-diagonal route
 it evaluates one lambda or a 1-D array of lambda values with the same
 code; a breakdown of one value marks only that value.  Its search is that
 route's class loop (`floquet._search`) on the determinant of this closure
@@ -122,10 +122,22 @@ def assemble_blocks(
     exponent guard rejects raises ExponentOverflow on its own and has NaN
     blocks in an array.
     """
+    return _read_blocks(_pencil(density), density, lam, depth)
+
+
+def _pencil(density: FourierMatrixDensity):
+    """lambda -> T(lambda) on |p| <= 2 w0, the `model.hill_matrix` off which
+    every block row is read."""
+    return hill_matrix(density, 2 * _stack_width(density.bandwidth))
+
+
+def _read_blocks(pencil, density: FourierMatrixDensity, lam, depth: int):
+    """`assemble_blocks` off `pencil`, the `_pencil` of `density`, which a
+    search builds once for all its closure evaluations."""
     w0 = _stack_width(density.bandwidth)
     lams, _ = _guarded(lam, -density.delays[0])
     shifts = lams[..., None] + 2j * w0 * np.arange(-depth - 1, depth + 2)
-    T = hill_matrix(density, 2 * w0)(shifts.ravel())
+    T = pencil(shifts.ravel())
     T = T.reshape(shifts.shape + T.shape[-2:])
     bd = 2 * w0 * density.dim  # R_-1 is T's first bd indices, R_0 the next
     diag = T[..., :-1, bd : 2 * bd, bd : 2 * bd]
@@ -220,12 +232,15 @@ def find_exponents_risken(
     class starts at the translate where its null vector peaks at p = 0,
     inside block zero, where the closure determinant has its zero, the
     modes are cut to |n| <= depth of that T, and every root gets the same
-    truncation check at 2 depth + 2.  Returns FloquetMode objects sorted
-    by `rootfind.spectrum_key` of the strip representative.
+    truncation check at 2 depth + 2.  The closure reads its Q blocks off
+    its own pencil on |p| <= 2 w0, not off the search's class blocks, and
+    builds that pencil once for the whole search.  Returns FloquetMode
+    objects sorted by `rootfind.spectrum_key` of the strip representative.
     """
+    pencil = _pencil(density)
 
     def closure(hill, lams):
-        # the closure reads its own blocks, not the search's
-        return closure_determinant_risken(density, lams, depth)
+        blocks = _read_blocks(pencil, density, lams, depth)
+        return determinant(tridiagonal_closure(blocks))
 
     return _search(density, box, depth, depth, tol, closure)

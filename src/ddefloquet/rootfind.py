@@ -5,7 +5,11 @@ functions, and a contour eigensolver for the Hill matrix T(lambda).
 functions it searches take a 1-D array of lambda and return NaN where a
 value cannot be evaluated, and those points are masked.  `contour_classes`
 locates the exponent classes of a periodic kernel for both continued
-fraction routes, which refine one seed per class with `_newton`.
+fraction routes, which refine one seed per class with `_newton`.  Its
+contour is a rectangle symmetric about the real axis, and for a real
+kernel, whose Hill matrix obeys T(conj lambda) = J conj(T(lambda)) J with
+J the reversal n -> -n, it solves only the nodes below the axis and
+mirrors the rest.
 """
 
 from __future__ import annotations
@@ -38,14 +42,19 @@ CHUNK_BYTES = 512 * 1024
 CLASS_TOL = 1e-4
 # the rounding error of an exponent on the strip edge Im = 1/2
 STRIP_SLACK = 1e-12
-# contour_classes: the lower strip edge to start from, the Gauss-Legendre
-# nodes per side, the probe columns beyond the winding count, the rank cut
-# relative to the quadrature's scale, the largest phase step of det T the
-# winding count trusts and the halvings of a step allowed to get there, the
-# largest acceptance residual |T v| / (|T|_F |v|) of an eigenvalue, the
-# node spacings that a widened side may move out, and the edge moves and
-# splits allowed along any path when a rectangle fails
-STRIP_EDGE = -0.25
+# contour_classes: the half height h of its first rectangle, Im [-h, h],
+# whose edges lie on Im = -1/4 and 1/4 modulo 1, where a real kernel's real
+# multipliers, at Im 0 and 1/2, lie inside rather than on an edge; the low
+# end of the strip [STRIP_EDGE, STRIP_EDGE + 1) whose translate of a class
+# is kept where a rectangle holds two; the Gauss-Legendre nodes per side,
+# the probe columns beyond the winding count, the rank cut relative to the
+# quadrature's scale, the largest phase step of det T the winding count
+# trusts and the halvings of a step allowed to get there, the largest
+# acceptance residual |T v| / (|T|_F |v|) of an eigenvalue, the node
+# spacings that a widened side may move out, and the edge moves and splits
+# allowed along any path when a rectangle fails
+HALF_HEIGHT = 0.75
+STRIP_EDGE = HALF_HEIGHT - 1.0
 SIDE_NODES = 32
 PROBE_COLUMNS = 12
 RANK_TOL = 1e-12
@@ -240,24 +249,34 @@ def contour_classes(hill, box) -> list:
     SVDs.  A contour node costs one matrix product per size, not an L table, and
     the nodes go in batches whose class blocks hold about CHUNK_BYTES.  Every
     class has one eigenvalue in each period strip, and `_contour_solve` finds
-    those in Re [box.re_min, box.re_max] of a strip of height one, starting
-    from the edges Im = STRIP_EDGE and STRIP_EDGE + 1, where a real kernel's
-    real multipliers, at Im 0 and 1/2, lie inside rather than on an edge.  It
-    returns only eigenvalues that pass its residual check, and it may move a
-    strip edge or widen the rectangle past the box to keep eigenvalues off
-    its sides, so the values are filtered by the box here.  Each eigenvalue
-    is returned as the translate lam + i*n* at which its null vector peaks at
-    n = 0 (T(lam + i m) is T(lam) with its indices shifted by m), sorted by
-    `spectrum_key` of the strip value.
+    those in the rectangle Re [box.re_min, box.re_max], Im [-h, h], symmetric
+    about the real axis, starting from h = HALF_HEIGHT, whose edges lie a
+    quarter period from a real kernel's real multipliers, at Im 0 and 1/2.
+    It returns only eigenvalues that pass its residual check, and it may
+    move the edges or widen the rectangle past the box to keep eigenvalues
+    off its sides, so the values are filtered by the box here.  A rectangle
+    taller than one period holds some classes at two translates, lam and
+    lam + i m; of those the translate with Im in [STRIP_EDGE, STRIP_EDGE +
+    1) is kept, the one a rectangle Im [-1/4, 3/4] would hold.  Each
+    eigenvalue is returned as the translate lam + i*n* at which its null
+    vector peaks at n = 0 (T(lam + i m) is T(lam) with its indices shifted
+    by m), sorted by `spectrum_key` of the strip value.
     """
     sb = box if isinstance(box, SearchBox) else SearchBox(*box)
     batch = max(1, CHUNK_BYTES // (16 * hill.entries))
-    found = []
-    for lam, null in _contour_solve(
-        hill, sb.re_min, sb.re_max, STRIP_EDGE, batch, MAX_MOVES
-    ):
+    solved = _contour_solve(hill, sb.re_min, sb.re_max, HALF_HEIGHT, batch, MAX_MOVES)
+    # the kept translate first; a later translate of a class already kept,
+    # at a nonzero integer distance in Im, is dropped
+    solved.sort(key=lambda pair: not STRIP_EDGE <= pair[0].imag < STRIP_EDGE + 1)
+    kept, found = [], []
+    for lam, null in solved:
         if not sb.contains(to_strip(lam), slack=1e-6):
             continue
+        if any(
+            abs(lam - k) > 0.5 and abs(to_strip(lam - k)) < CLASS_TOL for k in kept
+        ):
+            continue
+        kept.append(lam)
         # a real mode of a real kernel has |phi_n| = |phi_-n|; norms equal
         # to 8 digits tie, and the tie goes to the lowest n, not to rounding
         norms = np.linalg.norm(null.reshape(2 * hill.bound + 1, -1), axis=1)
@@ -272,8 +291,10 @@ def contour_classes(hill, box) -> list:
 @cache
 def _gauss_rule():
     """The SIDE_NODES-point Gauss-Legendre nodes and weights on [-1, 1],
-    computed on the first contour of the process and kept, read-only."""
+    made exactly symmetric, x[::-1] = -x and w[::-1] = w, computed on the
+    first contour of the process and kept, read-only."""
     x, w = np.polynomial.legendre.leggauss(SIDE_NODES)
+    x, w = 0.5 * (x - x[::-1]), 0.5 * (w + w[::-1])
     x.flags.writeable = w.flags.writeable = False
     return x, w
 
@@ -287,37 +308,90 @@ def _blocks(hill, lams):
     return T
 
 
-def _phases(hill, z, batch: int) -> np.ndarray:
-    """The phase exp(i arg det T) at each point of `z`, `batch` points a
-    call."""
-    return np.concatenate(
+# The rectangle Re [re0, re1], Im [-h, h] is walked counterclockwise by a
+# parameter tau in (-2, 2], one unit a side, with tau and -tau mirror images
+# of each other: tau = 0 is (re1, 0) on the right side, the bottom side is
+# tau in [-3/2, -1/2], the top side [1/2, 3/2], and tau = 2 is (re0, 0) on
+# the left side.  Negation is exact, so a point's mirror is found by value.
+
+
+def _point(tau, re0: float, re1: float, h: float) -> np.ndarray:
+    """The points of the rectangle at the parameters `tau`, those above the
+    real axis the exact conjugates of their mirrors below it."""
+    s = -np.abs(tau)
+    z = np.where(
+        s < -1.5,
+        re0 - 2j * h * (s + 2),
+        np.where(s > -0.5, re1 + 2j * h * s, re0 + (re1 - re0) * (s + 1.5) - 1j * h),
+    )
+    return np.where(tau > 0, z.conj(), z)
+
+
+def _rectangle(re0: float, re1: float, h: float):
+    """The parameters, points and quadrature weights (dz included) of the
+    SIDE_NODES Gauss-Legendre nodes of each side, in contour order: the
+    lower halves of the left and right sides and the bottom side, then
+    their mirrors, whose weights are -conj of theirs."""
+    x, w = _gauss_rule()
+    left, right = x > 0, x < 0
+    tau = np.concatenate([x[left] / 2 - 2, x / 2 - 1, x[right] / 2])
+    dz = np.repeat([-2j * h, re1 - re0, 2j * h], [left.sum(), x.size, right.sum()])
+    weights = 0.5 * np.concatenate([w[left], w, w[right]]) * dz
+    tau = np.concatenate([tau, -tau[::-1]])
+    weights = np.concatenate([weights, -weights[::-1].conj()])
+    return tau, _point(tau, re0, re1, h), weights
+
+
+def _solved(hill, tau) -> np.ndarray:
+    """The parameters whose T is evaluated: all of them, or for a real kernel
+    those not above the real axis; a point above has T(conj z) = J conj(T(z))
+    J at its mirror z below."""
+    return (tau <= 0) | (tau == 2) | (not hill.real)
+
+
+def _phases(hill, tau, point, batch: int) -> np.ndarray:
+    """The phase exp(i arg det T) at the contour parameters `tau`, at the
+    points point(tau), `batch` points a call.  For a real kernel `tau` holds
+    every mirror, and a point above the real axis takes the conjugate of its
+    mirror's phase: det T(conj z) = conj det T(z)."""
+    solved = _solved(hill, tau)
+    z = point(tau[solved])
+    phases = np.empty(tau.size, dtype=complex)
+    phases[solved] = np.concatenate(
         [
             hill.slogdet(_blocks(hill, z[start : start + batch]))[0]
             for start in range(0, z.size, batch)
         ]
     )
+    order = np.argsort(tau)
+    mirror = order[np.searchsorted(tau, -tau[~solved], sorter=order)]
+    phases[~solved] = phases[mirror].conj()
+    return phases
 
 
-def _winding(hill, corners, t, phases, batch: int):
-    """The winding number of det T along the rectangle `corners`, from its
-    phases at the contour parameters `t` (side floor(t), at fraction
-    frac(t) along it, ascending in [0, 4)).  Wherever the phase turns by
-    more than PHASE_STEP between neighbours, the midpoint is inserted and
-    only its phase computed, at most PHASE_HALVINGS times over.  Returns
-    the winding number and whether every step came within PHASE_STEP."""
+def _winding(hill, tau, phases, point, batch: int):
+    """The winding number of det T along the rectangle, from its phases at
+    the ascending contour parameters `tau`.  Wherever the phase turns by
+    more than PHASE_STEP between neighbours, the midpoint is inserted, with
+    its mirror for a real kernel, and only its phase computed, at most
+    PHASE_HALVINGS times over.  Returns the winding number and whether every
+    step came within PHASE_STEP."""
     for halvings in range(PHASE_HALVINGS + 1):
         with np.errstate(divide="ignore", invalid="ignore"):
             steps = np.angle(np.roll(phases, -1) / phases)
         wide = np.abs(steps) > PHASE_STEP
         if halvings == PHASE_HALVINGS or not wide.any():
             break
-        ends = np.append(t[1:], t[0] + 4)
-        mids = np.mod(0.5 * (t + ends)[wide], 4)
-        side = mids.astype(int)
-        z = corners[side] + (np.roll(corners, -1) - corners)[side] * (mids - side)
-        order = np.argsort(np.concatenate([t, mids]), kind="stable")
-        t = np.concatenate([t, mids])[order]
-        phases = np.concatenate([phases, _phases(hill, z, batch)])[order]
+        mids = 0.5 * (tau[:-1] + tau[1:])
+        # the last step passes tau = 2 = -2; written so that its midpoint
+        # is the exact mirror of the step it mirrors
+        last = 0.5 * (tau[0] - 2) if tau[-1] == 2 else 0.5 * (tau[-1] + tau[0]) + 2
+        mids = np.append(mids, last - 4 if last > 2 else last)[wide]
+        if hill.real:
+            mids = np.union1d(mids, np.where(mids == 2, mids, -mids))
+        order = np.argsort(np.concatenate([tau, mids]), kind="stable")
+        tau = np.concatenate([tau, mids])[order]
+        phases = np.concatenate([phases, _phases(hill, mids, point, batch)])[order]
     return steps.sum() / (2 * np.pi), not wide.any()
 
 
@@ -339,32 +413,57 @@ def _widest_gap(points, lo: float, hi: float) -> float:
     return 0.5 * (p[i] + p[i + 1])
 
 
+def _probe(hill, columns: int) -> np.ndarray:
+    """Deterministic probe columns, with no random generator, in T's index
+    order, with J conj(V) = V: entry (n, i) of column c is cos(2 pi t)
+    exp(2 pi i t n) at t = frac((c d + i + 1) g), g the golden ratio, so
+    each component of each column takes its own point of the unit circle,
+    and the real factor keeps the rows of n = 0 apart."""
+    d = hill.size // (2 * hill.bound + 1)
+    turns = np.mod(
+        (np.arange(columns) * d + np.arange(1, d + 1)[:, None]) * (1 + 5**0.5) / 2, 1.0
+    )
+    n = np.arange(-hill.bound, hill.bound + 1)[:, None, None]
+    probe = np.cos(2 * np.pi * turns) * np.exp(2j * np.pi * np.mod(n * turns, 1.0))
+    return probe.reshape(hill.size, columns)
+
+
 def _contour_solve(
     hill,
     re0: float,
     re1: float,
-    edge: float,
+    h: float,
     batch: int,
     moves: int,
     outer=(True, True),
 ):
-    """Eigenvalues of T in the rectangle Re [re0, re1], Im [edge, edge + 1],
-    with their null vectors, by Beyn's integral method (Linear Algebra Appl.
-    436, 2012); `hill` is a `model.HillBlocks`, whose solves and
+    """Eigenvalues of T in the rectangle Re [re0, re1], Im [-h, h], with their
+    null vectors, by Beyn's integral method (Linear Algebra Appl. 436, 2012)
+    in its block Hankel form; `hill` is a `model.HillBlocks`, whose solves and
     determinants run class by class.  The probe columns and the moments are
-    kept in its class order, so a node's solve gathers and scatters
-    nothing, and the moments go back to T's index order once per pass.
+    kept in its class order, so a node's solve gathers and scatters nothing,
+    and the moments go back to T's index order once per pass.
 
+    The rectangle is symmetric about the real axis.  For a real kernel
+    (`hill.real`) T(conj z) = J conj(T(z)) J, J the reversal n -> -n, so only
+    its nodes below the axis are solved, half of them, and each value above
+    is the mirror of one below; for any other kernel every node is solved.
     A first pass takes the phase of det T at the SIDE_NODES Gauss-Legendre
     nodes of each side, one `slogdet` call per class size and batch of
     `batch` nodes, and refines the steps wider than PHASE_STEP (`_winding`),
-    which counts the eigenvalues inside.  The probe V gets that count plus
-    PROBE_COLUMNS columns.  The moments A_j = (1/2 pi i) contour-integral
-    z^j T(z)^-1 V dz, j = 0, 1, are summed by the same quadrature, one
-    `solve` call per class size and batch.  The rank k of A_0 counts the
-    eigenvalues again, and the probe columns are doubled while k equals
-    their number.  With A_0 = U S W^H cut to rank k, the eigenvalues are
-    those of U^H A_1 W S^-1 and the null vectors U times its eigenvectors.
+    which counts the eigenvalues inside.  The probe V, with J conj(V) = V,
+    gets that count plus PROBE_COLUMNS columns.  The moments A_p = (1/2 pi
+    i) contour-integral u^p T(z)^-1 V dz, p = 0..3, u = (z - c) / r for the
+    rectangle's centre c and half size r, are summed by the same quadrature,
+    one `solve` call per class size and batch, over the nodes solved: for a
+    real kernel A_p = (S_p - J conj S_p) / (2 pi i), S_p the sum below the
+    axis.  The block Hankel matrices B_0 = [A_(i+j)] and B_1 = [A_(i+j+1)],
+    i, j = 0, 1, resolve up to twice as many eigenvalues per index class as
+    A_0 alone, which a class of K = 0, of size d, holding a conjugate pair
+    needs.  The rank k of B_0 counts the eigenvalues again, and the probe
+    columns are doubled while k fills B_0's width.  With B_0 = U S W^H cut to
+    rank k, the eigenvalues are c + r times those of U^H B_1 W S^-1, and the
+    null vectors the first T-sized rows of U times its eigenvectors.
     Quadrature leakage lets in eigenvalues just outside; only those inside
     are kept.
 
@@ -375,57 +474,65 @@ def _contour_solve(
     and F. Tisseur, Acta Numerica 26, 2017, section 5), so a rectangle that
     fails is moved before it is split, at most `moves` times along any
     path.  Where an eigenvalue, inside or leaked, lies within one node
-    spacing of a horizontal edge, the strip edge goes to the middle of the
-    widest gap of the eigenvalues' Im modulo 1; where one lies within a
-    spacing of a vertical side that is `outer` (not a split line), that side
-    moves out to the widest gap of the eigenvalues' Re within
-    WIDEN_SPACINGS spacings outside it; and the rectangle is solved again
-    with every such move made.  Where neither applies, the rectangle is
-    split at the widest Re gap of its middle half.  A rectangle still failing
-    when the moves run out keeps its accepted eigenvalues, with a
-    ContourCountWarning.
+    spacing of a horizontal edge modulo 1, the lower edge -h goes to the
+    middle of the widest gap of the eigenvalues' Im and their mirrors'
+    modulo 1, and h, in [1/2, 3/2), keeps the upper edge in a gap as wide;
+    where one lies within a spacing 2h / SIDE_NODES of a vertical side that
+    is `outer` (not a split line), that side moves out to the widest gap of
+    the eigenvalues' Re within WIDEN_SPACINGS spacings outside it; and the
+    rectangle is solved again with every such move made.  Where neither
+    applies, the rectangle is split at the widest Re gap of its middle half.
+    A rectangle still failing when the moves run out keeps its accepted
+    eigenvalues, with a ContourCountWarning.
     """
-    corners = np.array([re0, re1, re1 + 1j, re0 + 1j]) + 1j * edge
-    half = (np.roll(corners, -1) - corners)[:, None] / 2
-    x, w = _gauss_rule()
-    z = (corners[:, None] + half * (1 + x)).ravel()
-    weights = (half * w).ravel()
-    t = (np.arange(4)[:, None] + (1 + x) / 2).ravel()
-    winding, resolved = _winding(hill, corners, t, _phases(hill, z, batch), batch)
-    size = hill.size
+    tau, z, weights = _rectangle(re0, re1, h)
+
+    def point(t):
+        return _point(t, re0, re1, h)
+
+    phases = _phases(hill, tau, point, batch)
+    winding, resolved = _winding(hill, tau, phases, point, batch)
+    size, bound = hill.size, hill.bound
     count = int(round(winding)) if np.isfinite(winding) else 0
     columns = min(max(count, 0) + PROBE_COLUMNS, size)
+    solved = _solved(hill, tau)
+    z, weights = z[solved], weights[solved]
+    centre, radius = 0.5 * (re0 + re1), max(0.5 * (re1 - re0), h)
+    # the quadrature weights of u^p T(z)^-1 V dz, p = 0..3, one row per node
+    powers = weights[:, None] * ((z - centre) / radius)[:, None] ** np.arange(4)
     while True:
-        # deterministic probe columns, with no random generator: column c
-        # holds the powers z_c^r, r = 1..size, of the distinct points
-        # z_c = exp(2 pi i frac(c g)) of the unit circle, g the golden ratio
-        turns = np.mod(np.arange(1, columns + 1) * (1 + 5**0.5) / 2, 1.0)
-        probe = np.exp(2j * np.pi * np.mod(np.arange(1, size + 1)[:, None] * turns, 1.0))
         # the probe and the moments are in the class order of `hill.solve`
         # until the moments are summed
-        probe = probe[hill.order]
-        m0 = np.zeros((size, columns), dtype=complex)
-        m1 = np.zeros((size, columns), dtype=complex)
+        probe = _probe(hill, columns)[hill.order]
+        moments = np.zeros((4, size * columns), dtype=complex)
         # the size of the quadrature's terms, which its rounding scales with
         scale = 0.0
         for start in range(0, z.size, batch):
-            nodes = z[start : start + batch]
-            X = hill.solve(_blocks(hill, nodes), probe)
-            wx = weights[start : start + batch, None, None] * X
-            scale += float(np.abs(wx).max(axis=(1, 2)).sum())
-            m0 += wx.sum(axis=0)
-            m1 += (nodes[:, None, None] * wx).sum(axis=0)
-        m0[hill.order], m1[hill.order] = m0.copy(), m1.copy()  # T's index order
-        U, s, Wh = np.linalg.svd(m0 / (2j * np.pi), full_matrices=False)
+            at = slice(start, start + batch)
+            X = hill.solve(_blocks(hill, z[at]), probe)
+            scale += float(np.abs(X).max(axis=(1, 2)) @ np.abs(weights[at]))
+            moments += powers[at].T @ X.reshape(X.shape[0], -1)
+        moments = moments.reshape(4, size, columns)
+        moments[:, hill.order] = moments.copy()  # T's index order
+        if hill.real:
+            # the nodes above the axis: -J conj of the sums below, with
+            # terms as large
+            flipped = moments.reshape(4, 2 * bound + 1, -1, columns)[:, ::-1]
+            moments -= flipped.conj().reshape(moments.shape)
+            scale *= 2
+        A = moments / (2j * np.pi)
+        hankel = np.block([[A[0], A[1]], [A[1], A[2]]])
+        U, s, Wh = np.linalg.svd(hankel, full_matrices=False)
         rank = int(np.count_nonzero(s > RANK_TOL * scale / (2 * np.pi)))
-        if rank < columns or columns == size:
+        if rank < 2 * columns or columns == size:
             break
         columns = min(2 * columns, size)
     U, s, W = U[:, :rank], s[:rank], Wh[:rank].conj().T
-    lams, vecs = np.linalg.eig(U.conj().T @ (m1 / (2j * np.pi)) @ W / s)
-    vecs = U @ vecs
-    inside = (re0 <= lams.real) & (lams.real <= re1)
-    inside &= (edge <= lams.imag) & (lams.imag <= edge + 1)
+    shifted = np.block([[A[1], A[2]], [A[2], A[3]]])
+    lams, vecs = np.linalg.eig(U.conj().T @ shifted @ W / s)
+    lams = centre + radius * lams
+    vecs = U[:size] @ vecs
+    inside = (re0 <= lams.real) & (lams.real <= re1) & (np.abs(lams.imag) <= h)
     residual = np.full(lams.size, np.inf)
     residual[inside] = _acceptance(hill, lams[inside], vecs[:, inside])
     accepted = np.flatnonzero(residual <= ACCEPT_TOL)
@@ -434,26 +541,27 @@ def _contour_solve(
     if resolved and not rejected and abs(winding - len(found)) < 0.5:
         return found
     if moves > 0:
-        across, up = (re1 - re0) / SIDE_NODES, 1.0 / SIDE_NODES
-        moved = (re0, re1, edge)
-        offset = np.mod(lams.imag - edge, 1.0)
+        across, up = (re1 - re0) / SIDE_NODES, 2 * h / SIDE_NODES
+        moved = (re0, re1, h)
+        offset = np.mod(lams.imag[:, None] + [h, -h], 1.0)
         if np.any(np.minimum(offset, 1.0 - offset) < across):
-            low = offset.min()
-            gap = _widest_gap(offset, low, low + 1.0)
-            # the representative of the new edge nearest the old one
-            edge += np.mod(gap + 0.5, 1.0) - 0.5
+            heights = np.mod(np.concatenate([lams.imag, -lams.imag]), 1.0)
+            low = heights.min()
+            # -h to the widest gap; h, its mirror, is the middle of a gap
+            # of the mirrored heights as wide
+            h = 0.5 + np.mod(-_widest_gap(heights, low, low + 1.0) - 0.5, 1.0)
         reach = WIDEN_SPACINGS * up
         if outer[0] and np.any(np.abs(lams.real - re0) < up):
             re0 = _widest_gap(lams.real, re0 - reach, re0)
         if outer[1] and np.any(np.abs(lams.real - re1) < up):
             re1 = _widest_gap(lams.real, re1, re1 + reach)
-        if (re0, re1, edge) != moved:
-            return _contour_solve(hill, re0, re1, edge, batch, moves - 1, outer)
+        if (re0, re1, h) != moved:
+            return _contour_solve(hill, re0, re1, h, batch, moves - 1, outer)
         quarter = 0.25 * (re1 - re0)
         mid = _widest_gap(lams.real, re0 + quarter, re1 - quarter)
         return _contour_solve(
-            hill, re0, mid, edge, batch, moves - 1, (outer[0], False)
-        ) + _contour_solve(hill, mid, re1, edge, batch, moves - 1, (False, outer[1]))
+            hill, re0, mid, h, batch, moves - 1, (outer[0], False)
+        ) + _contour_solve(hill, mid, re1, h, batch, moves - 1, (False, outer[1]))
     warnings.warn(
         f"{len(found)} eigenvalue(s) in Re [{re0:.6g}, {re1:.6g}] against a "
         f"winding number of {winding:.3f}"

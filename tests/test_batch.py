@@ -161,12 +161,14 @@ def test_the_contour_hands_lapack_whole_batches_of_nodes(
         assert 0 < 4 * len(calls) <= before
 
 
-def test_the_contour_makes_one_pass_of_four_sides_of_32_nodes(
+def test_a_real_kernel_solves_the_lower_halves_of_four_sides_of_32_nodes(
     s3, vdp_linearization, monkeypatch
 ):
     # the phases come first, and the probe holds their winding count plus
-    # PROBE_COLUMNS columns, so one rectangle sums its moments once; at 64
-    # nodes per side each pass took 256 solves
+    # PROBE_COLUMNS columns, so one rectangle sums its moments once.  The
+    # rectangle is symmetric about the real axis, and T(conj z) = J conj(T(z))
+    # J for these real kernels, so only the 2 x 32 nodes below the axis are
+    # solved
     assert rootfind.SIDE_NODES == 32
     solved, rectangles = [], []
     solve, contour = HillBlocks.solve, rootfind._contour_solve
@@ -184,9 +186,26 @@ def test_the_contour_makes_one_pass_of_four_sides_of_32_nodes(
     for density, box, bound in _contour_cases(s3, vdp_linearization):
         solved.clear()
         rectangles.clear()
-        assert rootfind.contour_classes(HillBlocks(density, bound), box)
+        hill = HillBlocks(density, bound)
+        assert hill.real
+        assert rootfind.contour_classes(hill, box)
         assert rectangles == [box[:2]]
-        assert sum(solved) == 4 * 32
+        assert sum(solved) == 2 * 32
+
+
+def test_the_contour_values_of_a_real_kernel_come_in_conjugate_pairs(s3):
+    # the mirror makes the moments of a real kernel exactly J-conjugate
+    # symmetric, so its eigenvalues come back as conjugates modulo i, to
+    # rounding, and they are those that solving every node gives
+    box = (-3.0, 1.0, -0.5, 0.5)
+    found = rootfind.contour_classes(HillBlocks(s3, 20), box)
+    assert len(found) == 4
+    for z in found:
+        assert min(abs(rootfind.to_strip(np.conj(z) - w)) for w in found) < 1e-12
+    every_node = HillBlocks(s3, 20)
+    every_node.real = False
+    solved = rootfind.contour_classes(every_node, box)
+    assert np.allclose(solved, found, rtol=0, atol=1e-12)
 
 
 def test_build_L_marks_only_the_overflowing_lambda(s3):

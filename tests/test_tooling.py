@@ -98,13 +98,17 @@ def _run_fresh(script):
 
 def test_a_search_leaves_numpy_random_unimported():
     # the contour probe is deterministic; importing numpy.random alone adds
-    # about 5 MB to the peak memory the benchmark bounds
+    # about 5 MB to the peak memory the benchmark bounds.  Nor does a search
+    # import scipy, whose LU factors a node could share between its solve
+    # and its determinant: the import alone would raise the start-up time
+    # and the peak memory the benchmark bounds
     _run_fresh(
         "import sys\n"
         "from ddefloquet import find_exponents\n"
         "from ddefloquet.systems import s3_density\n"
         "assert len(find_exponents(s3_density())) == 4\n"
         "assert 'numpy.random' not in sys.modules\n"
+        "assert 'scipy' not in sys.modules\n"
     )
 
 
@@ -440,6 +444,29 @@ def test_the_contour_builds_the_hill_matrix_once_without_an_l_table(
     assert len(rules) == 1
 
 
+def test_a_risken_search_builds_its_closure_pencil_once(s3, monkeypatch):
+    # the search builds T's class blocks at the window (bound 20) and at the
+    # window enlarged by two, and the tridiagonal closure its pencil on
+    # |p| <= 2 w0 = 2, once for every closure evaluation of the search
+    builds, evaluations = [], []
+    hill_matrix, read = model.hill_matrix, risken._read_blocks
+
+    def built(density, bound, members=None):
+        builds.append((bound, None if members is None else np.shape(members)[1]))
+        return hill_matrix(density, bound, members)
+
+    def counted(*args):
+        evaluations.append(args)
+        return read(*args)
+
+    monkeypatch.setattr(model, "hill_matrix", built)
+    monkeypatch.setattr(risken, "hill_matrix", built)
+    monkeypatch.setattr(risken, "_read_blocks", counted)
+    assert len(risken.find_exponents_risken(s3)) == 4
+    assert len(evaluations) >= 4
+    assert builds == [(2, None), (20, 41), (22, 45)]
+
+
 def test_the_adjoint_job_builds_its_pencils_once(tmp_path, capsys, monkeypatch):
     # the search builds T's class blocks at the window (bound 20) and at
     # the window enlarged by two; the job then builds the first once more
@@ -467,7 +494,8 @@ def test_lapack_factors_the_class_blocks_not_the_whole_t(
     # solve, slogdet or svd is a class block: 34 x 34 and 32 x 32 for the
     # even and odd indices of s2 at bound 16, the whole 41 x 41 on s3 at
     # bound 20, whose indices are all coupled; the only other matrix is
-    # the contour's moment matrix, T's height by the probe columns.  The
+    # the contour's block Hankel moment matrix, twice T's height by twice
+    # the probe columns.  The
     # ladder solve of det M hands over T_RR alone, the class of n = 0
     # without block 0: 32 x 32, the even indices of s2 but 0, and 40 x 40
     # on s3
@@ -493,7 +521,9 @@ def test_lapack_factors_the_class_blocks_not_the_whole_t(
         square = {s for s in shapes if s[0] == s[1]}
         assert square == blocks
         size = (2 * bound + 1) * density.dim
-        assert all(s[0] == size and s[1] < size for s in shapes if s[0] != s[1])
+        hankel = [s for s in shapes if s[0] != s[1]]
+        assert hankel
+        assert all(s[0] == 2 * size and s[1] % 2 == 0 and s[1] < size for s in hankel)
         shapes.clear()
         floquet.closure_determinant(density, root, bound // 2, bound - bound // 2)
         assert shapes and set(shapes) == {(rest, rest)}
